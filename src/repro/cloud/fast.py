@@ -288,6 +288,27 @@ def _repeated_add_fold(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def fold_exec_times(
+    backlog: np.ndarray,
+    assignment: np.ndarray,
+    lengths: np.ndarray,
+    vm_mips: np.ndarray,
+) -> np.ndarray:
+    """Add each cloudlet's execution time onto its VM's backlog, in place.
+
+    Returns the per-cloudlet execution times ``lengths / vm_mips[vm]``
+    (single-PE VMs).  ``np.add.at`` is unbuffered and strictly
+    index-ordered, so the per-VM sums are identical however the cloudlets
+    are split into chunks or served batches — the streaming engine and
+    the serving layer both fold through here, which is what makes every
+    bounded metric chunk-size-invariant and a live fleet's backlog equal
+    to an offline replay bit-for-bit.
+    """
+    exec_times = lengths / vm_mips[assignment]
+    np.add.at(backlog, assignment, exec_times)
+    return exec_times
+
+
 def _validate_chunk(assignment: np.ndarray, k: int, m: int, offset: int) -> None:
     arr = np.asarray(assignment)
     if arr.shape != (k,):
@@ -394,21 +415,19 @@ def execute_shard(
             continue
 
         with _TEL.span("sim.execute"):
-            exec_chunk = chunk.cloudlet_length / chunk.vm_mips[assignment]
+            # Each VM's backlog from previous chunks of this shard, read
+            # before this chunk folds in.
+            carried = backlog[assignment] if collect else None
+            exec_chunk = fold_exec_times(
+                backlog, assignment, chunk.cloudlet_length, chunk.vm_mips
+            )
             if collect:
-                # Chunk-local FIFO prefix sums, shifted by each VM's
-                # accumulated backlog from previous chunks of this shard.
+                # Chunk-local FIFO prefix sums, shifted by the carried backlog.
                 start, finish = grouped_fifo_times(assignment, exec_chunk, m)
-                carried = backlog[assignment]
                 parts["assignment"].append(np.asarray(assignment, dtype=np.int64))
                 parts["start"].append(start + carried)
                 parts["finish"].append(finish + carried)
                 parts["costs"].append(_chunk_costs(chunk, assignment))
-            # np.add.at is unbuffered and strictly index-ordered, so the
-            # per-VM sums are identical no matter how the batch is
-            # chunked — this is what makes every bounded metric
-            # chunk-size-invariant bit-for-bit.
-            np.add.at(backlog, assignment, exec_chunk)
             cost_chunk = parts["costs"][-1] if collect else _chunk_costs(chunk, assignment)
             np.add.at(vm_costs, assignment, cost_chunk)
             counts += np.bincount(assignment, minlength=m)
@@ -812,6 +831,7 @@ __all__ = [
     "StreamingSimulation",
     "StreamingResult",
     "execute_shard",
+    "fold_exec_times",
     "grouped_fifo_times",
     "multi_pe_fifo_times",
     "peak_rss_bytes",

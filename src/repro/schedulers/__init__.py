@@ -17,11 +17,13 @@ optimizer-kernel zoo from PAPERS.md — gravitational search
 (:class:`PsoGsaScheduler`) and cuckoo-assisted symbiotic organisms search
 (:class:`CuckooSosScheduler`).
 
-``streaming`` provides chunk-at-a-time counterparts (the
-:class:`StreamingScheduler` protocol) for the four paper algorithms,
-bit-identical to the batch implementations; :func:`as_streaming` adapts
-any batch scheduler, falling back to in-memory materialisation for the
-population metaheuristics.
+Round-robin, HBO, RBS and greedy-MCT are each one class implementing
+the chunk-at-a-time :class:`StreamingScheduler` protocol (``streaming``);
+their batch ``schedule()`` is the inherited single-chunk pass, so the
+registry, the streaming engine, sharding and serving all run the same
+code.  :func:`as_streaming` returns those schedulers unchanged and wraps
+every other one in an in-memory fallback that materialises the workload
+(the population metaheuristics).
 """
 
 from repro.schedulers.aco import AntColonyScheduler
@@ -54,10 +56,6 @@ from repro.schedulers.streaming import (
     STREAMING_SCHEDULERS,
     ChunkAssigner,
     InMemoryFallback,
-    StreamingGreedy,
-    StreamingHoneyBee,
-    StreamingRandomBiasedSampling,
-    StreamingRoundRobin,
     StreamingScheduler,
     as_streaming,
     make_streaming_scheduler,
@@ -88,6 +86,14 @@ SCHEDULER_REGISTRY: dict[str, type[Scheduler]] = {
         CuckooSosScheduler,
     )
 }
+
+STREAMING_SCHEDULERS.update(
+    sorted(
+        (name, cls)
+        for name, cls in SCHEDULER_REGISTRY.items()
+        if issubclass(cls, StreamingScheduler)
+    )
+)
 
 #: The four schedulers compared in the paper, in its plotting order.
 PAPER_SCHEDULERS = ("antcolony", "basetest", "honeybee", "rbs")
@@ -134,10 +140,6 @@ __all__ = [
     "make_scheduler",
     "StreamingScheduler",
     "ChunkAssigner",
-    "StreamingRoundRobin",
-    "StreamingGreedy",
-    "StreamingHoneyBee",
-    "StreamingRandomBiasedSampling",
     "InMemoryFallback",
     "STREAMING_SCHEDULERS",
     "make_streaming_scheduler",

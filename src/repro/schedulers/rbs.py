@@ -27,10 +27,18 @@ than plain round-robin.
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
 from repro.obs.telemetry import TELEMETRY as _TEL
-from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult
+from repro.schedulers.streaming import ChunkAssigner, StreamingScheduler
+from repro.workloads.spec import ScenarioArrays
+from repro.workloads.streaming import ScenarioChunks
+
+#: batch width for the RNG fast-forward pre-pass (decoupled from the
+#: stream's chunk size so tiny chunks never degenerate to scalar draws).
+_DRAW_BATCH = 65_536
 
 
 class BiasedWalk:
@@ -51,8 +59,8 @@ class BiasedWalk:
 
     State (per-group NID, free total, cyclic cursors, hop count) persists
     across :meth:`walk` calls, so chunked walks concatenate to the
-    monolithic walk exactly — the batch scheduler and the streaming
-    assigner share this one implementation.
+    monolithic walk exactly (the scalar walk in
+    ``tests/schedulers/oracles.py`` is the reference).
     """
 
     def __init__(self, groups: "list[np.ndarray]") -> None:
@@ -144,8 +152,22 @@ class BiasedWalk:
         self.walks_total = int(state["walks_total"])  # type: ignore[arg-type]
 
 
-class RandomBiasedSamplingScheduler(Scheduler):
-    """RBS cloudlet scheduler.
+def _generator_from_state(state: "dict[str, Any]") -> np.random.Generator:
+    """A fresh ``Generator`` positioned at a captured bit-generator state.
+
+    ``state`` is the dict ``rng.bit_generator.state`` returns; it names
+    its own bit-generator class, so the clone works for any numpy bit
+    generator, and draws from the clone continue the original stream
+    bit-for-bit.
+    """
+    bit_cls = getattr(np.random, state["bit_generator"])
+    bit_gen = bit_cls()
+    bit_gen.state = state
+    return np.random.Generator(bit_gen)
+
+
+class RandomBiasedSamplingScheduler(StreamingScheduler):
+    """RBS cloudlet scheduler (Algorithm 3), chunk by chunk.
 
     Parameters
     ----------
@@ -153,6 +175,21 @@ class RandomBiasedSamplingScheduler(Scheduler):
         Number of VM groups ``q``.  ``None`` (default) uses
         ``min(4, num_vms)``, the smallest grouping that exhibits the
         walk-length dynamics at every paper scale.
+
+    Steps 1-2 split the VMs into ``q`` groups with thresholds ``1..q``
+    and NID = group size; steps 3-7 run through :class:`BiasedWalk`.
+    All ``n`` walk lengths (ω) are drawn before all ``n`` start groups,
+    from the one generator handed to :meth:`open`.  Bounded-integer
+    draws consume the underlying bit stream element by element
+    (rejection sampling retries per value), so chunked draws concatenate
+    bit-identically to one ``size=n`` draw.  ``open()`` exploits this to
+    stay O(num_vms + chunk_size): it parks a clone at the ω position,
+    fast-forwards the caller's generator past all ``n`` ω draws (a
+    discarding pre-pass in bounded batches), and then draws ω from the
+    clone and the start groups from the caller's generator lazily per
+    chunk.  After the last chunk the caller's generator stands exactly
+    ``2n`` draws on, as after one monolithic ω + start draw.  The walk's
+    O(q) state carries across chunks and shard boundaries.
     """
 
     def __init__(self, num_groups: int | None = None) -> None:
@@ -164,34 +201,104 @@ class RandomBiasedSamplingScheduler(Scheduler):
     def name(self) -> str:
         return "rbs"
 
-    def schedule(self, context: SchedulingContext) -> SchedulingResult:
-        n, m = context.num_cloudlets, context.num_vms
-        rng = context.rng
+    def open(
+        self,
+        stream: ScenarioChunks,
+        rng: np.random.Generator,
+        carry: "dict[str, Any] | None" = None,
+    ) -> ChunkAssigner:
+        n, m = stream.num_cloudlets, stream.num_vms
         q = self.num_groups if self.num_groups is not None else min(4, m)
         q = min(q, m)
-
-        # Step 1-2: split VMs into q groups with thresholds 1..q and
-        # NID = group size.  Steps 3-7 run through the shared vectorised
-        # walk (identical hop-for-hop to the per-cloudlet loop).
-        groups = [chunk for chunk in np.array_split(np.arange(m), q) if chunk.size]
+        groups = [
+            chunk for chunk in np.array_split(np.arange(m), q) if chunk.size
+        ]
         q = len(groups)
-        state = BiasedWalk(groups)
+        walk = BiasedWalk(groups)
 
-        omegas = rng.integers(1, q + 1, size=n)
-        starts = rng.integers(0, q, size=n)
-        with _TEL.span("rbs.walk"):
-            assignment, walks_total = state.walk(omegas, starts)
-        if _TEL.enabled:
-            _TEL.count("rbs.walk_hops", walks_total)
+        if carry is None:
+            omega_gen = _generator_from_state(rng.bit_generator.state)
+            # Fast-forward past the n ω draws so the caller's generator
+            # stands where the monolithic starts draw begins.  Rejection
+            # sampling consumes the bit stream per element, so batched
+            # discarding lands on the identical state.
+            remaining = n
+            while remaining > 0:
+                block = min(remaining, _DRAW_BATCH)
+                rng.integers(1, q + 1, size=block)
+                remaining -= block
+            starts_gen = rng
+            start = 0
+        else:
+            omega_gen = _generator_from_state(carry["omega_state"])
+            starts_gen = _generator_from_state(carry["starts_state"])
+            walk.load_state(carry["walk"])
+            start = int(carry["start"])
 
-        return SchedulingResult(
-            assignment=assignment,
-            scheduler_name=self.name,
-            info={
-                "num_groups": q,
-                "mean_walk_length": walks_total / n if n else 0.0,
-            },
-        )
+        class Assigner(ChunkAssigner):
+            def __init__(self) -> None:
+                self._pos = start
+
+            def assign(self, chunk: ScenarioArrays, offset: int) -> np.ndarray:
+                return self.assign_range(offset, chunk.num_cloudlets)
+
+            def assign_range(self, offset: int, k: int) -> np.ndarray:
+                # The walk needs only the lazy draws, never the cloudlet
+                # columns — plan_carries exploits this to advance through
+                # the horizon without generating any chunk.
+                if offset != self._pos:
+                    raise ValueError(
+                        "rbs assigner is sequential: expected offset "
+                        f"{self._pos}, got {offset}"
+                    )
+                omegas = omega_gen.integers(1, q + 1, size=k)
+                starts = starts_gen.integers(0, q, size=k)
+                with _TEL.span("rbs.walk"):
+                    out, walks = walk.walk(omegas, starts)
+                if _TEL.enabled:
+                    _TEL.count("rbs.walk_hops", walks)
+                self._pos = offset + k
+                return out
+
+            def info(self) -> dict[str, Any]:
+                return {
+                    "num_groups": q,
+                    "mean_walk_length": walk.walks_total / n if n else 0.0,
+                }
+
+            def carry_out(self) -> dict[str, Any]:
+                return {
+                    "omega_state": omega_gen.bit_generator.state,
+                    "starts_state": starts_gen.bit_generator.state,
+                    "walk": walk.state_dict(),
+                    "start": self._pos,
+                }
+
+        return Assigner()
+
+    def plan_carries(
+        self, stream: ScenarioChunks, rng: np.random.Generator, plans
+    ) -> "list[dict[str, Any] | None]":
+        """Serial walk pre-pass snapshotting RNG + walk state per boundary.
+
+        The walk is strictly sequential (NID depletion depends on every
+        earlier draw), so boundary states come from advancing a serial
+        assigner — in draw batches, never materialising assignments.
+        Workers then re-walk only their own range; the planner's pass is
+        the serial-schedule cost every carry-planning scheduler pays.
+        """
+        assigner = self.open(stream, rng)
+        carries: "list[dict[str, Any] | None]" = []
+        for i, plan in enumerate(plans):
+            carries.append(assigner.carry_out())
+            if i == len(plans) - 1:
+                break
+            pos = plan.start
+            while pos < plan.stop:
+                k = min(_DRAW_BATCH, plan.stop - pos)
+                assigner.assign_range(pos, k)
+                pos += k
+        return carries
 
 
 __all__ = ["BiasedWalk", "RandomBiasedSamplingScheduler"]

@@ -8,13 +8,21 @@ reference.
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
-from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult
+from repro.schedulers.streaming import ChunkAssigner, StreamingScheduler
+from repro.workloads.spec import ScenarioArrays
+from repro.workloads.streaming import ScenarioChunks
 
 
-class RoundRobinScheduler(Scheduler):
+class RoundRobinScheduler(StreamingScheduler):
     """Cyclic cloudlet→VM assignment (zero decision cost).
+
+    Cloudlet ``i`` goes to VM ``(i + start_offset) % num_vms``, a pure
+    function of the index: any chunk, shard or live batch is computable
+    in isolation, with no carried state.
 
     Parameters
     ----------
@@ -22,6 +30,8 @@ class RoundRobinScheduler(Scheduler):
         Index of the VM that receives the first cloudlet; the paper starts
         at VM 0.
     """
+
+    admits_online = True
 
     def __init__(self, start_offset: int = 0) -> None:
         if start_offset < 0:
@@ -32,10 +42,29 @@ class RoundRobinScheduler(Scheduler):
     def name(self) -> str:
         return "basetest"
 
-    def schedule(self, context: SchedulingContext) -> SchedulingResult:
-        n, m = context.num_cloudlets, context.num_vms
-        assignment = (np.arange(n, dtype=np.int64) + self.start_offset) % m
-        return SchedulingResult(assignment=assignment, scheduler_name=self.name)
+    def open(
+        self,
+        stream: ScenarioChunks,
+        rng: np.random.Generator,
+        carry: "dict[str, Any] | None" = None,
+    ) -> ChunkAssigner:
+        m = stream.num_vms
+        start = self.start_offset
+
+        class Assigner(ChunkAssigner):
+            def assign(self, chunk: ScenarioArrays, offset: int) -> np.ndarray:
+                k = chunk.num_cloudlets
+                return (np.arange(offset, offset + k, dtype=np.int64) + start) % m
+
+            def carry_out(self) -> None:
+                return None  # offset-pure: any chunk is computable in isolation
+
+        return Assigner()
+
+    def plan_carries(
+        self, stream: ScenarioChunks, rng: np.random.Generator, plans
+    ) -> "list[dict[str, Any] | None]":
+        return [None] * len(plans)
 
 
 __all__ = ["RoundRobinScheduler"]

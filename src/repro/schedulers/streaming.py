@@ -9,31 +9,23 @@ chunks.  Because every ``open()`` builds its state from scratch, two runs
 of one scheduler instance can never leak accumulators into each other —
 the property suite pins this for the in-memory schedulers too.
 
-Every streaming implementation is **assignment-bit-equal** to its
-in-memory counterpart for any chunk size (pinned in ``tests/properties``):
+Each paper algorithm — round-robin (``round_robin.py``), greedy-MCT
+(``greedy.py``), HBO (``hbo.py``) and RBS (``rbs.py``) — is *one* class
+implementing this protocol.  The protocol is itself a
+:class:`~repro.schedulers.base.Scheduler`: its inherited
+:meth:`StreamingScheduler.schedule` views the batch context as a
+single-chunk stream, opens it and assigns that one chunk.  So the same
+code answers the registry, the streaming engine, the shard planner and
+the serving layer, and assignments are identical for any chunk size and
+shard count (pinned in ``tests/properties`` against the scalar reference
+oracles in ``tests/schedulers/oracles.py``).
 
-* round-robin and greedy replicate the monolithic per-index arithmetic
-  exactly (greedy additionally has an exact heap fast path for uniform
-  fleets, making the paper's 10^6-cloudlet points feasible);
-* HBO needs the *global* group ordering of Algorithm 1, so ``open()``
-  pre-scans the stream — but never holds O(n): group length sums fold
-  through a streaming replica of numpy's pairwise summation
-  (:class:`_PairwiseStreamSum`), and a scheduled-order pre-pass leaves
-  one O(num_vms) scout snapshot per group from which the index-order
-  serving pass replays Algorithm 1 exactly;
-* RBS draws its walk lengths and start groups lazily per chunk from two
-  cloned generators — one parked at the monolithic ω position, one
-  fast-forwarded past all ``n`` ω draws to the monolithic start
-  position — so each chunk's draws land exactly where the monolithic
-  pre-draw would (bounded-integer rejection sampling consumes the
-  underlying bit stream per element, so chunked draws concatenate
-  bit-identically), and the walk state carries across chunks.
-
-Both pre-scans are why HBO/RBS keep ``admits_online = False`` — their
-first decision still depends on ``num_cloudlets`` — but every assigner
-now holds strictly O(num_vms + chunk_size) state, which is what unlocks
-the 100M-cloudlet benchmark point (pinned by the bounded-state property
-test in ``tests/properties``).
+Every assigner holds strictly O(num_vms + chunk_size) state, which is
+what unlocks the 100M-cloudlet benchmark point (pinned by the
+bounded-state property test in ``tests/properties``).  HBO and RBS keep
+``admits_online = False``: their first decision depends on
+``num_cloudlets`` (HBO's global group ordering, RBS's ω/start draw
+split), so their ``open()`` pre-scans or fast-forwards over the stream.
 
 Schedulers without a streaming form (the metaheuristics) are explicitly
 in-memory-only: :func:`as_streaming` wraps them in
@@ -56,14 +48,11 @@ Example::
 from __future__ import annotations
 
 import abc
-import heapq
 from typing import Any
 
 import numpy as np
 
-from repro.obs.telemetry import TELEMETRY as _TEL
-from repro.schedulers.base import Scheduler, SchedulingContext
-from repro.schedulers.hbo import HoneyBeeScheduler
+from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult
 from repro.workloads.spec import ScenarioArrays
 from repro.workloads.streaming import ScenarioChunks
 
@@ -100,8 +89,14 @@ class ChunkAssigner(abc.ABC):
         )
 
 
-class StreamingScheduler(abc.ABC):
-    """A scheduling policy that admits cloudlets chunk by chunk."""
+class StreamingScheduler(Scheduler):
+    """A scheduling policy that admits cloudlets chunk by chunk.
+
+    Subclasses implement :meth:`open` (and :attr:`name`); the batch
+    :meth:`schedule` is inherited, so one class is the registry
+    scheduler, the streaming scheduler, the shard planner and the served
+    assigner at once.
+    """
 
     #: True for native chunk-wise policies; the in-memory fallback says False.
     streaming_native = True
@@ -113,13 +108,8 @@ class StreamingScheduler(abc.ABC):
     #: property the serving layer (``repro.serve``) needs to answer live
     #: submissions bit-identically to an offline replay; HBO and RBS
     #: stay False because their first decision depends on the whole
-    #: workload (global group ordering / one monolithic draw pass).
+    #: workload (global group ordering / the ω-then-start draw split).
     admits_online = False
-
-    @property
-    @abc.abstractmethod
-    def name(self) -> str:
-        """Registry name — identical to the in-memory counterpart's."""
 
     @abc.abstractmethod
     def open(
@@ -136,6 +126,21 @@ class StreamingScheduler(abc.ABC):
         would have at that point — assignments from the carried position
         onward are then bit-identical to the serial run's.
         """
+
+    def schedule(self, context: SchedulingContext) -> SchedulingResult:
+        """The batch decision: ``context`` as one chunk of a stream.
+
+        Views the context's columns as a single-chunk stream (no copies,
+        same scenario name), opens it with the context's generator and
+        assigns that one chunk.
+        """
+        stream = ScenarioChunks.from_arrays(context.arrays, name=context.scenario_name)
+        assigner = self.open(stream, context.rng)
+        return SchedulingResult(
+            assignment=assigner.assign(context.arrays, 0),
+            scheduler_name=self.name,
+            info=assigner.info(),
+        )
 
     def plan_carries(
         self, stream: ScenarioChunks, rng: np.random.Generator, plans
@@ -159,202 +164,8 @@ class StreamingScheduler(abc.ABC):
                 assigner.assign(chunk, offset)
         return carries
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} name={self.name!r}>"
 
-
-# -- round robin ------------------------------------------------------------
-
-
-class StreamingRoundRobin(StreamingScheduler):
-    """Chunked Base Test: cloudlet ``i`` → VM ``(i + start_offset) % m``."""
-
-    admits_online = True
-
-    def __init__(self, start_offset: int = 0) -> None:
-        if start_offset < 0:
-            raise ValueError(f"start_offset must be non-negative, got {start_offset}")
-        self.start_offset = start_offset
-
-    @property
-    def name(self) -> str:
-        return "basetest"
-
-    def open(
-        self,
-        stream: ScenarioChunks,
-        rng: np.random.Generator,
-        carry: "dict[str, Any] | None" = None,
-    ) -> ChunkAssigner:
-        m = stream.num_vms
-        start = self.start_offset
-
-        class Assigner(ChunkAssigner):
-            def assign(self, chunk: ScenarioArrays, offset: int) -> np.ndarray:
-                k = chunk.num_cloudlets
-                return (np.arange(offset, offset + k, dtype=np.int64) + start) % m
-
-            def carry_out(self) -> None:
-                return None  # offset-pure: any chunk is computable in isolation
-
-        return Assigner()
-
-    def plan_carries(
-        self, stream: ScenarioChunks, rng: np.random.Generator, plans
-    ) -> "list[dict[str, Any] | None]":
-        return [None] * len(plans)
-
-
-# -- greedy MCT -------------------------------------------------------------
-
-
-def _sequential_repeated_add(step: float, times: int) -> float:
-    """``times`` left-to-right additions of ``step`` onto 0.0.
-
-    Matches a per-item accumulator (``r += step`` in a loop) bit-for-bit:
-    ``np.add.accumulate`` folds strictly sequentially, unlike ``np.sum``'s
-    pairwise reduction.
-    """
-    if times <= 0:
-        return 0.0
-    return float(np.add.accumulate(np.full(times, step))[-1])
-
-
-class StreamingGreedy(StreamingScheduler):
-    """Chunked greedy-MCT carrying the per-VM ``ready`` vector across chunks.
-
-    The general path repeats the monolithic per-index arithmetic verbatim
-    (same expression, same ``argmin`` tie-breaking), so assignments are
-    bit-equal for every chunk size.  Uniform fleets (equal MIPS and PEs)
-    use a heap of ``(ready, vm)`` pairs: with a constant execution time the
-    argmin over ``ready + c`` is the lexicographically smallest pair, so
-    the heap is exact while dropping the O(n·m) scan to O(n log m).
-    Uniform fleets with *constant* cloudlet lengths collapse further: the
-    heap starts as ``[(0.0, 0), ..., (0.0, m-1)]`` and every push adds the
-    same increment, so pops cycle ``0, 1, ..., m-1`` forever and cloudlet
-    ``i`` lands on VM ``i % m`` — a pure-numpy, offset-pure expression.
-
-    Sharding: the cyclic fast path needs no carry; the heap and general
-    paths carry the literal heap list / ``ready`` vector, reproduced at
-    each shard boundary by the generic serial pre-pass in
-    :meth:`StreamingScheduler.plan_carries`.
-    """
-
-    admits_online = True
-
-    @property
-    def name(self) -> str:
-        return "greedy-mct"
-
-    @staticmethod
-    def _cyclic(stream: ScenarioChunks) -> bool:
-        from repro.workloads.streaming import ConstantCloudlets
-
-        uniform = (
-            float(np.ptp(stream.vm_mips)) == 0.0
-            and float(np.ptp(stream.vm_pes)) == 0.0
-        )
-        return uniform and isinstance(stream.cloudlets, ConstantCloudlets)
-
-    def open(
-        self,
-        stream: ScenarioChunks,
-        rng: np.random.Generator,
-        carry: "dict[str, Any] | None" = None,
-    ) -> ChunkAssigner:
-        m = stream.num_vms
-        inv_capacity = 1.0 / (stream.vm_mips * stream.vm_pes)
-        uniform = float(np.ptp(stream.vm_mips)) == 0.0 and float(np.ptp(stream.vm_pes)) == 0.0
-
-        if self._cyclic(stream):
-            inv = float(inv_capacity[0])
-            # One heap increment, computed with the exact expression the
-            # heap path uses (length * inv) so the info diagnostics agree.
-            step = float(stream.cloudlets.length * inv)
-
-            class Assigner(ChunkAssigner):
-                def __init__(self) -> None:
-                    self._end = 0
-
-                def assign(self, chunk: ScenarioArrays, offset: int) -> np.ndarray:
-                    k = chunk.num_cloudlets
-                    self._end = max(self._end, offset + k)
-                    return np.arange(offset, offset + k, dtype=np.int64) % m
-
-                def info(self) -> dict[str, Any]:
-                    # VM 0 is first served each cycle, so it holds the max
-                    # backlog: ceil(end / m) sequential heap increments.
-                    return {
-                        "estimated_makespan": _sequential_repeated_add(
-                            step, -(-self._end // m)
-                        )
-                    }
-
-                def carry_out(self) -> None:
-                    return None  # offset-pure
-
-            return Assigner()
-
-        if uniform:
-            inv = float(inv_capacity[0])
-            if carry is None:
-                heap = [(0.0, vm) for vm in range(m)]
-            else:
-                heap = [(float(r), int(vm)) for r, vm in carry["heap"]]
-
-            class Assigner(ChunkAssigner):
-                def assign(self, chunk: ScenarioArrays, offset: int) -> np.ndarray:
-                    lengths = chunk.cloudlet_length
-                    out = np.empty(lengths.shape[0], dtype=np.int64)
-                    for i in range(lengths.shape[0]):
-                        ready, vm = heapq.heappop(heap)
-                        heapq.heappush(heap, (ready + lengths[i] * inv, vm))
-                        out[i] = vm
-                    return out
-
-                def info(self) -> dict[str, Any]:
-                    return {"estimated_makespan": float(max(r for r, _ in heap))}
-
-                def carry_out(self) -> dict[str, Any]:
-                    # The literal list order matters to heapq, so carry it
-                    # verbatim, not as a sorted multiset.
-                    return {"heap": [(float(r), int(vm)) for r, vm in heap]}
-
-            return Assigner()
-
-        if carry is None:
-            ready = np.zeros(m)
-        else:
-            ready = np.array(carry["ready"], dtype=float, copy=True)
-
-        class Assigner(ChunkAssigner):
-            def assign(self, chunk: ScenarioArrays, offset: int) -> np.ndarray:
-                lengths = chunk.cloudlet_length
-                out = np.empty(lengths.shape[0], dtype=np.int64)
-                for i in range(lengths.shape[0]):
-                    completion = ready + lengths[i] * inv_capacity
-                    j = int(np.argmin(completion))
-                    out[i] = j
-                    ready[j] = completion[j]
-                return out
-
-            def info(self) -> dict[str, Any]:
-                return {"estimated_makespan": float(ready.max())}
-
-            def carry_out(self) -> dict[str, Any]:
-                return {"ready": ready.copy()}
-
-        return Assigner()
-
-    def plan_carries(
-        self, stream: ScenarioChunks, rng: np.random.Generator, plans
-    ) -> "list[dict[str, Any] | None]":
-        if self._cyclic(stream):
-            return [None] * len(plans)
-        return super().plan_carries(stream, rng, plans)
-
-
-# -- in-memory fallback plumbing --------------------------------------------
+# -- fallback for in-memory-only schedulers ---------------------------------
 
 
 class _PrecomputedAssigner(ChunkAssigner):
@@ -380,756 +191,6 @@ class _PrecomputedAssigner(ChunkAssigner):
         return dict(self._info)
 
 
-def _sliced_carries(
-    assignment: np.ndarray, info: dict[str, Any], plans
-) -> "list[dict[str, Any] | None]":
-    """Shard carries for precomputing schedulers: one assignment slice each."""
-    return [
-        {"assignment": assignment[plan.start : plan.stop], "base": plan.start,
-         "info": dict(info)}
-        for plan in plans
-    ]
-
-
-def _precomputed_from_carry(carry: dict[str, Any]) -> _PrecomputedAssigner:
-    return _PrecomputedAssigner(
-        np.asarray(carry["assignment"], dtype=np.int64),
-        dict(carry["info"]),
-        base=int(carry["base"]),
-    )
-
-
-# -- HBO --------------------------------------------------------------------
-
-
-class _PairwiseStreamSum:
-    """Replicates ``float(np.sum(column))`` over a streamed float column.
-
-    ``np.sum`` reduces pairwise: blocks of at most 128 elements are summed
-    directly, then partials combine along a fixed binary tree whose split
-    is ``half = n // 2`` rounded down to a multiple of 8.  The tree shape
-    depends only on ``n``, so feeding the column left to right, buffering
-    at most one leaf and folding partials as subtrees close reproduces
-    the monolithic result bit-for-bit while holding O(leaf + log n) state
-    (pinned against ``np.sum`` in the scheduler unit tests).  HBO uses
-    this for Algorithm 1's group-ordering sums, which the batch scheduler
-    computes as one ``np.sum`` per contiguous group.
-    """
-
-    def __init__(self, total: int) -> None:
-        if total < 0:
-            raise ValueError(f"total must be non-negative, got {total}")
-        self.total = int(total)
-        self._fed = 0
-        # Work stack: ("sum", k) either is a leaf (k <= 128) or expands
-        # into its two halves below a ("combine",) marker that folds the
-        # top two partials once both halves resolve.
-        self._jobs: "list[tuple]" = [("sum", self.total)] if self.total else []
-        self._partials: "list[float]" = []
-        self._buffer: "list[np.ndarray]" = []
-        self._buffered = 0
-        self._need = self._advance()
-
-    def _advance(self) -> int:
-        """Run combines until the next leaf size surfaces (0 when done)."""
-        while self._jobs:
-            job = self._jobs.pop()
-            if job[0] == "combine":
-                right = self._partials.pop()
-                left = self._partials.pop()
-                self._partials.append(left + right)
-                continue
-            size = job[1]
-            if size <= 128:
-                return size
-            half = size // 2
-            half -= half % 8
-            self._jobs.append(("combine",))
-            self._jobs.append(("sum", size - half))
-            self._jobs.append(("sum", half))
-        return 0
-
-    def feed(self, values: np.ndarray) -> None:
-        k = int(values.shape[0])
-        if self._fed + k > self.total:
-            raise ValueError(
-                f"fed {self._fed + k} values into a sum over {self.total}"
-            )
-        self._fed += k
-        i = 0
-        while i < k:
-            take = min(self._need - self._buffered, k - i)
-            self._buffer.append(values[i : i + take])
-            self._buffered += take
-            i += take
-            if self._need and self._buffered == self._need:
-                leaf = (
-                    self._buffer[0]
-                    if len(self._buffer) == 1
-                    else np.concatenate(self._buffer)
-                )
-                self._partials.append(float(leaf.sum()))
-                self._buffer = []
-                self._buffered = 0
-                self._need = self._advance()
-
-    def value(self) -> float:
-        if self._fed != self.total:
-            raise ValueError(f"sum over {self.total} values got only {self._fed}")
-        return self._partials[0] if self.total else 0.0
-
-
-def _pairwise_const_sum(value: float, count: int) -> float:
-    """``float(np.full(count, value).sum())`` in O(log count) time and memory.
-
-    Summing a constant array still reassociates pairwise, so the result
-    is not ``value * count`` in general; but the reduction tree depends
-    only on ``count``, so equal-sized subtrees have equal partials and
-    the whole sum memoises over the O(log count) distinct subtree sizes.
-    """
-    cache: "dict[int, float]" = {}
-
-    def subtree(k: int) -> float:
-        if k in cache:
-            return cache[k]
-        if k <= 128:
-            out = float(np.full(k, value).sum())
-        else:
-            half = k // 2
-            half -= half % 8
-            out = subtree(half) + subtree(k - half)
-        cache[k] = out
-        return out
-
-    return subtree(count) if count else 0.0
-
-
-class _ScoutState:
-    """Mutable Algorithm-1 scout state: per-DC backlogs, heaps and counts.
-
-    O(num_vms) sized, cloneable and picklable — this is what streaming
-    HBO carries across chunks and ships across shard boundaries instead
-    of an O(n) assignment buffer.
-    """
-
-    __slots__ = ("loads", "heaps", "assigned_per_dc", "spills")
-
-    def __init__(self, loads, heaps, assigned_per_dc, spills: int) -> None:
-        self.loads = loads
-        self.heaps = heaps
-        self.assigned_per_dc = assigned_per_dc
-        self.spills = spills
-
-    @classmethod
-    def fresh(cls, dc_vms: "list[np.ndarray]", uniform: "list[bool]") -> "_ScoutState":
-        return cls(
-            loads=[np.zeros(members.size) for members in dc_vms],
-            heaps=[
-                [(0.0, pos) for pos in range(members.size)] if uniform[dc] else []
-                for dc, members in enumerate(dc_vms)
-            ],
-            assigned_per_dc=np.zeros(len(dc_vms), dtype=np.int64),
-            spills=0,
-        )
-
-    def clone(self) -> "_ScoutState":
-        return _ScoutState(
-            loads=[arr.copy() for arr in self.loads],
-            heaps=[list(heap) for heap in self.heaps],
-            assigned_per_dc=self.assigned_per_dc.copy(),
-            spills=self.spills,
-        )
-
-    def __getstate__(self):
-        return (self.loads, self.heaps, self.assigned_per_dc, self.spills)
-
-    def __setstate__(self, state) -> None:
-        self.loads, self.heaps, self.assigned_per_dc, self.spills = state
-
-
-class _HoneyBeeConstAssigner(ChunkAssigner):
-    """Offset-pure closed-form Algorithm 1 for constant cloudlets on
-    per-datacenter-uniform fleets (the paper-scale homogeneous path).
-
-    The per-cloudlet loop has closed structure when every cloudlet is
-    identical and every datacenter's VMs are identical:
-
-    * ``_pick_datacenter`` depends only on running counts, so the ``t``-th
-      scheduled cloudlet lands on ranked datacenter ``t // cap`` while
-      under cap, then falls back to the cheapest;
-    * within a uniform datacenter the ``(backlog, pos)`` heap receives
-      equal increments, so pops cycle through positions — the ``r``-th
-      cloudlet a datacenter receives goes to VM slot ``r % size``.
-
-    Index ``i`` maps to its scheduled position ``t`` through the group
-    tables (``proc_start``), so any chunk is computable in isolation:
-    no carry, no pre-pass, O(num_vms) tables only.
-    """
-
-    def __init__(
-        self,
-        g_starts: np.ndarray,
-        proc_start: np.ndarray,
-        eff: np.ndarray,
-        sizes_dc: np.ndarray,
-        members_concat: np.ndarray,
-        member_off: np.ndarray,
-        cap: int,
-        info: "dict[str, Any]",
-    ) -> None:
-        self._g_starts = g_starts
-        self._proc_start = proc_start
-        self._eff = eff
-        self._num_eff = int(eff.size)
-        self._sizes_dc = sizes_dc
-        self._members_concat = members_concat
-        self._member_off = member_off
-        self._cap = cap
-        self._info = info
-
-    def assign(self, chunk: ScenarioArrays, offset: int) -> np.ndarray:
-        k = chunk.num_cloudlets
-        i = np.arange(offset, offset + k, dtype=np.int64)
-        g = np.searchsorted(self._g_starts, i, side="right") - 1
-        # Scheduled position of index i: its group's scheduled start plus
-        # the in-group rank (groups are contiguous index ranges, and
-        # within a group scheduled order == index order).
-        t = self._proc_start[g] + (i - self._g_starts[g])
-        block = t // self._cap
-        under_cap = block < self._num_eff
-        d = np.where(
-            under_cap, self._eff[np.minimum(block, self._num_eff - 1)], self._eff[0]
-        )
-        r = np.where(
-            under_cap, t - block * self._cap, t - self._cap * self._num_eff + self._cap
-        )
-        return self._members_concat[self._member_off[d] + r % self._sizes_dc[d]]
-
-    def info(self) -> "dict[str, Any]":
-        return dict(self._info)
-
-    def carry_out(self) -> None:
-        return None  # offset-pure
-
-
-class _HoneyBeeGeneralAssigner(ChunkAssigner):
-    """Serves Algorithm-1 assignments in index order from O(q·num_vms) state.
-
-    ``entry`` maps each not-yet-entered group to the scout state a serial
-    Algorithm-1 run holds when that group's first cloudlet is scheduled
-    (computed by the scheduled-order pre-pass); ``state`` is the live
-    state for the group currently being served.  Groups are contiguous
-    index ranges and within a group scheduled order equals index order,
-    so replaying each group from its entry snapshot reproduces the batch
-    assignment bit-for-bit.
-    """
-
-    def __init__(
-        self,
-        params: "dict[str, Any]",
-        g_starts: np.ndarray,
-        state: _ScoutState,
-        entry: "dict[int, _ScoutState]",
-        info: "dict[str, Any]",
-        start: int,
-    ) -> None:
-        self._params = params
-        self._bounds = [int(b) for b in g_starts]
-        self._state = state
-        self._entry = entry
-        self._info = info
-        self._g = int(np.searchsorted(g_starts, start, side="right") - 1)
-
-    def assign(self, chunk: ScenarioArrays, offset: int) -> np.ndarray:
-        params = self._params
-        bounds = self._bounds
-        lengths = chunk.cloudlet_length
-        k = int(lengths.shape[0])
-        out = np.empty(k, dtype=np.int64)
-        state, g = self._state, self._g
-        step = StreamingHoneyBee._scout_step
-        next_bound = bounds[g + 1]
-        for j in range(k):
-            if offset + j == next_bound:
-                g += 1
-                state = self._entry.pop(g)
-                next_bound = bounds[g + 1]
-            out[j] = step(params, state, float(lengths[j]))
-        self._state, self._g = state, g
-        return out
-
-    def info(self) -> "dict[str, Any]":
-        return dict(self._info)
-
-
-class StreamingHoneyBee(StreamingScheduler):
-    """Chunked HBO (Algorithm 1), bit-equal to the in-memory scheduler.
-
-    Algorithm 1 orders cloudlet *groups* by descending total length before
-    any assignment happens, so the decision for the first chunk depends on
-    the whole workload.  ``open()`` therefore pre-scans the re-iterable
-    stream, but holds strictly O(num_vms + chunk_size) state throughout:
-
-    * constant cloudlets on per-DC-uniform fleets (the paper-scale
-      homogeneous path) collapse to the offset-pure closed form of
-      :class:`_HoneyBeeConstAssigner` — no pre-pass at all;
-    * otherwise a first pass folds each group's length sum through
-      :class:`_PairwiseStreamSum` (bit-equal to the batch ``np.sum``
-      keys), a second pass replays the scout in scheduled order,
-      snapshotting one O(num_vms) :class:`_ScoutState` at each group
-      entry, and the serving pass replays groups from those snapshots in
-      index order.  The per-item scout work runs twice (pre-pass +
-      serve) — the documented price of dropping the O(n) assignment
-      buffer.
-
-    Shard carries ship the boundary scout state plus the entry snapshots
-    for groups starting inside the shard: O(q · num_vms) per shard
-    instead of the old O(n / shards) assignment slices.
-    """
-
-    def __init__(
-        self, load_balance_factor: float = 0.5, scout_time_bias: float = 0.0
-    ) -> None:
-        if not 0 < load_balance_factor <= 1:
-            raise ValueError(
-                f"load_balance_factor must be in (0, 1], got {load_balance_factor}"
-            )
-        if scout_time_bias < 0:
-            raise ValueError(f"scout_time_bias must be non-negative, got {scout_time_bias}")
-        self.load_balance_factor = load_balance_factor
-        self.scout_time_bias = scout_time_bias
-
-    @property
-    def name(self) -> str:
-        return "honeybee"
-
-    # -- shared fleet-derived parameters ------------------------------------
-
-    def _fleet_params(self, stream: ScenarioChunks) -> "dict[str, Any]":
-        """O(num_vms) per-run constants shared by every path and shard."""
-        q = stream.num_datacenters
-        dc_vms: "list[np.ndarray]" = [
-            np.flatnonzero(stream.vm_datacenter == dc) for dc in range(q)
-        ]
-        with _TEL.span("hbo.forage"):
-            unit_cost = np.full(q, np.inf)
-            for dc in range(q):
-                members = dc_vms[dc]
-                if members.size == 0:
-                    continue
-                unit_cost[dc] = (
-                    stream.vm_size[members].mean() * stream.dc_cost_per_storage[dc]
-                    + stream.vm_ram[members].mean() * stream.dc_cost_per_mem[dc]
-                    + stream.vm_bw[members].mean() * stream.dc_cost_per_bw[dc]
-                )
-            dc_rank = np.argsort(unit_cost, kind="stable")
-        return {
-            "dc_vms": dc_vms,
-            "unit_cost": unit_cost,
-            "dc_rank": dc_rank,
-            "rank0": int(dc_rank[0]),
-            "cap": max(1, int(np.ceil(self.load_balance_factor * stream.num_cloudlets))),
-            "bias": self.scout_time_bias,
-            "inv_mips": [
-                1.0 / (stream.vm_mips[members] * stream.vm_pes[members])
-                for members in dc_vms
-            ],
-            "uniform": [
-                members.size > 0 and float(np.ptp(stream.vm_mips[members])) == 0.0
-                for members in dc_vms
-            ],
-            "cyclic_dcs": all(
-                members.size == 0
-                or (
-                    float(np.ptp(stream.vm_mips[members])) == 0.0
-                    and float(np.ptp(stream.vm_pes[members])) == 0.0
-                )
-                for members in dc_vms
-            ),
-        }
-
-    @staticmethod
-    def _group_starts(n: int, q: int) -> np.ndarray:
-        """Boundaries of ``HoneyBeeScheduler._divide`` without the O(n) arrays.
-
-        ``np.array_split`` gives the first ``n % q`` groups one extra
-        element and drops empties, so the boundaries are arithmetic.
-        """
-        base, extra = divmod(n, q)
-        sizes = [base + 1 if g < extra else base for g in range(q)]
-        sizes = [size for size in sizes if size]
-        g_starts = np.zeros(len(sizes) + 1, dtype=np.int64)
-        g_starts[1:] = np.cumsum(sizes)
-        return g_starts
-
-    @staticmethod
-    def _scout_step(params: "dict[str, Any]", state: _ScoutState, length: float) -> int:
-        """One Algorithm-1 placement, verbatim from the batch loop body."""
-        dc = HoneyBeeScheduler._pick_datacenter(
-            params["dc_rank"], state.assigned_per_dc, params["cap"], params["dc_vms"]
-        )
-        if dc != params["rank0"]:
-            state.spills += 1
-        inv_mips = params["inv_mips"]
-        if params["uniform"][dc]:
-            backlog, pos = heapq.heappop(state.heaps[dc])
-            exec_seconds = length * inv_mips[dc][pos]
-            heapq.heappush(state.heaps[dc], (backlog + exec_seconds, pos))
-        else:
-            exec_seconds = length * inv_mips[dc]
-            key = state.loads[dc] + params["bias"] * exec_seconds
-            pos = int(np.argmin(key))
-            state.loads[dc][pos] += exec_seconds[pos]
-        state.assigned_per_dc[dc] += 1
-        return int(params["dc_vms"][dc][pos])
-
-    # -- constant fast path ---------------------------------------------------
-
-    def _open_constant(
-        self, stream: ScenarioChunks, params: "dict[str, Any]"
-    ) -> _HoneyBeeConstAssigner:
-        n, q = stream.num_cloudlets, stream.num_datacenters
-        c = float(stream.cloudlets.length)
-        cap = params["cap"]
-        dc_vms, dc_rank = params["dc_vms"], params["dc_rank"]
-
-        g_starts = self._group_starts(n, q)
-        q_eff = int(g_starts.size - 1)
-        sizes = np.diff(g_starts)
-        # Same descending float-sum keys the batch loop computes — via the
-        # constant-array pairwise replica, so ties and order match exactly.
-        group_order = sorted(
-            range(q_eff),
-            key=lambda g: _pairwise_const_sum(c, int(sizes[g])),
-            reverse=True,
-        )
-        proc_start = np.zeros(q_eff, dtype=np.int64)
-        scheduled = 0
-        for g in group_order:
-            proc_start[g] = scheduled
-            scheduled += int(sizes[g])
-
-        eff = np.array(
-            [dc for dc in dc_rank if dc_vms[dc].size > 0], dtype=np.int64
-        )
-        num_eff = int(eff.size)
-        sizes_dc = np.array([members.size for members in dc_vms], dtype=np.int64)
-        members_concat = np.concatenate(dc_vms)
-        member_off = np.zeros(q, dtype=np.int64)
-        member_off[1:] = np.cumsum(sizes_dc)[:-1]
-
-        # Closed-form diagnostics: ranked block b takes min(cap, n - b*cap)
-        # cloudlets, the post-cap overflow lands on the cheapest with VMs.
-        overflow = max(0, n - cap * num_eff)
-        assigned_per_dc = np.zeros(q, dtype=np.int64)
-        for b in range(num_eff):
-            assigned_per_dc[eff[b]] += min(cap, max(0, n - b * cap))
-        assigned_per_dc[eff[0]] += overflow
-        on_cheapest = (
-            min(cap, n) + overflow if int(eff[0]) == params["rank0"] else 0
-        )
-        info = {
-            "dc_unit_cost": params["unit_cost"].tolist(),
-            "assigned_per_dc": assigned_per_dc.tolist(),
-            "spills": n - on_cheapest,
-            "cap_per_dc": cap,
-        }
-        return _HoneyBeeConstAssigner(
-            g_starts, proc_start, eff, sizes_dc, members_concat, member_off, cap, info
-        )
-
-    # -- general path ---------------------------------------------------------
-
-    def _prepass(
-        self,
-        stream: ScenarioChunks,
-        params: "dict[str, Any]",
-        boundaries: "tuple[int, ...]",
-    ):
-        """Group ordering + scheduled-order scout replay, O(q·num_vms) state.
-
-        Returns ``(g_starts, entry, boundary, info)`` where ``entry[g]``
-        is the scout state when group ``g``'s first cloudlet is scheduled
-        and ``boundary[b]`` the state when cloudlet index ``b`` is
-        scheduled (for each requested shard boundary ``b``).
-        """
-        n, q = stream.num_cloudlets, stream.num_datacenters
-        g_starts = self._group_starts(n, q)
-        q_eff = int(g_starts.size - 1)
-
-        # Pass 1: per-group length sums, bit-equal to the batch
-        # float(cloudlet_length[group].sum()) keys.
-        sums = [
-            _PairwiseStreamSum(int(g_starts[g + 1] - g_starts[g]))
-            for g in range(q_eff)
-        ]
-        for offset, chunk in stream:
-            lengths = chunk.cloudlet_length
-            pos = offset
-            end = offset + int(lengths.shape[0])
-            while pos < end:
-                g = int(np.searchsorted(g_starts, pos, side="right") - 1)
-                take = int(min(end, g_starts[g + 1])) - pos
-                sums[g].feed(lengths[pos - offset : pos - offset + take])
-                pos += take
-        group_order = sorted(
-            range(q_eff), key=lambda g: sums[g].value(), reverse=True
-        )
-
-        # Pass 2: replay the scout in scheduled order, snapshotting the
-        # state at each group entry and each requested index boundary.
-        wanted = set(boundaries)
-        state = _ScoutState.fresh(params["dc_vms"], params["uniform"])
-        entry: "dict[int, _ScoutState]" = {}
-        boundary: "dict[int, _ScoutState]" = {}
-        for g in group_order:
-            entry[g] = state.clone()
-            lo, hi = int(g_starts[g]), int(g_starts[g + 1])
-            has_boundary = any(lo < b < hi for b in wanted)
-            for offset, chunk in stream.iter_cloudlet_range(lo, hi):
-                lengths = chunk.cloudlet_length
-                for j in range(int(lengths.shape[0])):
-                    if has_boundary and offset + j in wanted:
-                        boundary[offset + j] = state.clone()
-                    self._scout_step(params, state, float(lengths[j]))
-        info = {
-            "dc_unit_cost": params["unit_cost"].tolist(),
-            "assigned_per_dc": state.assigned_per_dc.tolist(),
-            "spills": state.spills,
-            "cap_per_dc": params["cap"],
-        }
-        return g_starts, entry, boundary, info
-
-    @staticmethod
-    def _carry_for(
-        g_starts: np.ndarray,
-        entry: "dict[int, _ScoutState]",
-        boundary: "dict[int, _ScoutState]",
-        info: "dict[str, Any]",
-        start: int,
-        stop: int,
-    ) -> "dict[str, Any]":
-        """Carried state for serving ``[start, stop)`` in index order.
-
-        Each snapshot lands in exactly one carry (a group start lies in
-        exactly one shard), so carries stay mutation-safe even when shards
-        execute sequentially in-process.
-        """
-        g0 = int(np.searchsorted(g_starts, start, side="right") - 1)
-        active = entry[g0] if start == int(g_starts[g0]) else boundary[start]
-        return {
-            "g_starts": g_starts,
-            "start": start,
-            "active": active,
-            "entry": {
-                g: entry[g]
-                for g in range(int(g_starts.size - 1))
-                if start < int(g_starts[g]) < stop
-            },
-            "info": info,
-        }
-
-    def open(
-        self,
-        stream: ScenarioChunks,
-        rng: np.random.Generator,
-        carry: "dict[str, Any] | None" = None,
-    ) -> ChunkAssigner:
-        from repro.workloads.streaming import ConstantCloudlets
-
-        params = self._fleet_params(stream)
-        if isinstance(stream.cloudlets, ConstantCloudlets) and params["cyclic_dcs"]:
-            with _TEL.span("hbo.scout"):
-                return self._open_constant(stream, params)
-        if carry is not None:
-            return _HoneyBeeGeneralAssigner(
-                params,
-                np.asarray(carry["g_starts"], dtype=np.int64),
-                carry["active"],
-                dict(carry["entry"]),
-                dict(carry["info"]),
-                int(carry["start"]),
-            )
-        with _TEL.span("hbo.scout"):
-            g_starts, entry, boundary, info = self._prepass(stream, params, ())
-        serial = self._carry_for(g_starts, entry, boundary, info, 0, stream.num_cloudlets)
-        return _HoneyBeeGeneralAssigner(
-            params, g_starts, serial["active"], serial["entry"], info, 0
-        )
-
-    def plan_carries(
-        self, stream: ScenarioChunks, rng: np.random.Generator, plans
-    ) -> "list[dict[str, Any] | None]":
-        from repro.workloads.streaming import ConstantCloudlets
-
-        params = self._fleet_params(stream)
-        if isinstance(stream.cloudlets, ConstantCloudlets) and params["cyclic_dcs"]:
-            return [None] * len(plans)  # offset-pure: workers open() fresh
-        boundaries = tuple(plan.start for plan in plans if plan.start > 0)
-        with _TEL.span("hbo.scout"):
-            g_starts, entry, boundary, info = self._prepass(stream, params, boundaries)
-        return [
-            self._carry_for(g_starts, entry, boundary, info, plan.start, plan.stop)
-            for plan in plans
-        ]
-
-
-# -- RBS --------------------------------------------------------------------
-
-#: batch width for the RNG fast-forward pre-pass (decoupled from the
-#: stream's chunk size so tiny chunks never degenerate to scalar draws).
-_DRAW_BATCH = 65_536
-
-
-def _generator_from_state(state: "dict[str, Any]") -> np.random.Generator:
-    """A fresh ``Generator`` positioned at a captured bit-generator state.
-
-    ``state`` is the dict ``rng.bit_generator.state`` returns; it names
-    its own bit-generator class, so the clone works for any numpy bit
-    generator, and draws from the clone continue the original stream
-    bit-for-bit.
-    """
-    bit_cls = getattr(np.random, state["bit_generator"])
-    bit_gen = bit_cls()
-    bit_gen.state = state
-    return np.random.Generator(bit_gen)
-
-
-class StreamingRandomBiasedSampling(StreamingScheduler):
-    """Chunked RBS (Algorithm 3), bit-equal to the in-memory scheduler.
-
-    The monolithic scheduler draws all ``n`` walk lengths (ω) and then
-    all ``n`` start groups from one generator.  Bounded-integer draws
-    consume the underlying bit stream element by element (rejection
-    sampling retries per value), so a chunked sequence of draws
-    concatenates bit-identically to the monolithic draw *and* leaves the
-    generator in the identical state.  ``open()`` exploits this to stay
-    O(num_vms + chunk_size): it clones the incoming generator twice —
-    one clone parked at the monolithic ω position, the other
-    fast-forwarded past all ``n`` ω draws to the monolithic start-group
-    position (a discarding pre-pass in bounded batches) — then draws
-    both sequences lazily per chunk and feeds them straight to the
-    shared :class:`~repro.schedulers.rbs.BiasedWalk`, whose O(q) state
-    carries across chunks and shard boundaries.
-    """
-
-    def __init__(self, num_groups: int | None = None) -> None:
-        if num_groups is not None and num_groups < 1:
-            raise ValueError(f"num_groups must be >= 1, got {num_groups}")
-        self.num_groups = num_groups
-
-    @property
-    def name(self) -> str:
-        return "rbs"
-
-    def open(
-        self,
-        stream: ScenarioChunks,
-        rng: np.random.Generator,
-        carry: "dict[str, Any] | None" = None,
-    ) -> ChunkAssigner:
-        from repro.schedulers.rbs import BiasedWalk
-
-        n, m = stream.num_cloudlets, stream.num_vms
-        q = self.num_groups if self.num_groups is not None else min(4, m)
-        q = min(q, m)
-        groups = [
-            chunk for chunk in np.array_split(np.arange(m), q) if chunk.size
-        ]
-        q = len(groups)
-        walk = BiasedWalk(groups)
-
-        if carry is None:
-            omega_state = rng.bit_generator.state
-            # Fast-forward past the n ω draws so the starts clone begins
-            # exactly where the monolithic starts draw would.  Rejection
-            # sampling consumes the bit stream per element, so batched
-            # discarding lands on the identical state.
-            remaining = n
-            while remaining > 0:
-                block = min(remaining, _DRAW_BATCH)
-                rng.integers(1, q + 1, size=block)
-                remaining -= block
-            starts_state = rng.bit_generator.state
-            start = 0
-        else:
-            omega_state = carry["omega_state"]
-            starts_state = carry["starts_state"]
-            walk.load_state(carry["walk"])
-            start = int(carry["start"])
-
-        omega_gen = _generator_from_state(omega_state)
-        starts_gen = _generator_from_state(starts_state)
-
-        class Assigner(ChunkAssigner):
-            def __init__(self) -> None:
-                self._pos = start
-
-            def assign(self, chunk: ScenarioArrays, offset: int) -> np.ndarray:
-                return self.assign_range(offset, chunk.num_cloudlets)
-
-            def assign_range(self, offset: int, k: int) -> np.ndarray:
-                # The walk needs only the lazy draws, never the cloudlet
-                # columns — plan_carries exploits this to advance through
-                # the horizon without generating any chunk.
-                if offset != self._pos:
-                    raise ValueError(
-                        "rbs assigner is sequential: expected offset "
-                        f"{self._pos}, got {offset}"
-                    )
-                omegas = omega_gen.integers(1, q + 1, size=k)
-                starts = starts_gen.integers(0, q, size=k)
-                with _TEL.span("rbs.walk"):
-                    out, walks = walk.walk(omegas, starts)
-                if _TEL.enabled:
-                    _TEL.count("rbs.walk_hops", walks)
-                self._pos = offset + k
-                return out
-
-            def info(self) -> dict[str, Any]:
-                return {
-                    "num_groups": q,
-                    "mean_walk_length": walk.walks_total / n if n else 0.0,
-                }
-
-            def carry_out(self) -> dict[str, Any]:
-                return {
-                    "omega_state": omega_gen.bit_generator.state,
-                    "starts_state": starts_gen.bit_generator.state,
-                    "walk": walk.state_dict(),
-                    "start": self._pos,
-                }
-
-        return Assigner()
-
-    def plan_carries(
-        self, stream: ScenarioChunks, rng: np.random.Generator, plans
-    ) -> "list[dict[str, Any] | None]":
-        """Serial walk pre-pass snapshotting RNG + walk state per boundary.
-
-        The walk is strictly sequential (NID depletion depends on every
-        earlier draw), so boundary states come from advancing a serial
-        assigner — in draw batches, never materialising assignments.
-        Workers then re-walk only their own range; the planner's pass is
-        the serial-schedule cost every carry-planning scheduler pays.
-        """
-        assigner = self.open(stream, rng)
-        carries: "list[dict[str, Any] | None]" = []
-        for i, plan in enumerate(plans):
-            carries.append(assigner.carry_out())
-            if i == len(plans) - 1:
-                break
-            pos = plan.start
-            while pos < plan.stop:
-                k = min(_DRAW_BATCH, plan.stop - pos)
-                assigner.assign_range(pos, k)
-                pos += k
-        return carries
-
-
-# -- fallback for in-memory-only schedulers ---------------------------------
-
-
 class InMemoryFallback(StreamingScheduler):
     """Adapter declaring a policy in-memory-only.
 
@@ -1138,6 +199,7 @@ class InMemoryFallback(StreamingScheduler):
     scheduler once over the full context, and serves the assignment in
     chunk slices.  The scheduler sees the same RNG the streaming engine
     derived, so results match ``FastSimulation`` on the equivalent spec.
+    Shard carries are slices of that one assignment.
     """
 
     streaming_native = False
@@ -1156,7 +218,11 @@ class InMemoryFallback(StreamingScheduler):
         carry: "dict[str, Any] | None" = None,
     ) -> ChunkAssigner:
         if carry is not None:
-            return _precomputed_from_carry(carry)
+            return _PrecomputedAssigner(
+                np.asarray(carry["assignment"], dtype=np.int64),
+                dict(carry["info"]),
+                base=int(carry["base"]),
+            )
         spec = stream.to_spec()
         context = SchedulingContext(
             arrays=spec.arrays(), rng=rng, scenario_name=spec.name
@@ -1168,16 +234,20 @@ class InMemoryFallback(StreamingScheduler):
         self, stream: ScenarioChunks, rng: np.random.Generator, plans
     ) -> "list[dict[str, Any] | None]":
         assigner = self.open(stream, rng)
-        return _sliced_carries(assigner.assignment, assigner.info(), plans)
+        return [
+            {
+                "assignment": assigner.assignment[plan.start : plan.stop],
+                "base": plan.start,
+                "info": assigner.info(),
+            }
+            for plan in plans
+        ]
 
 
-#: Native streaming implementations keyed by registry name.
-STREAMING_SCHEDULERS: dict[str, type[StreamingScheduler]] = {
-    "basetest": StreamingRoundRobin,
-    "greedy-mct": StreamingGreedy,
-    "honeybee": StreamingHoneyBee,
-    "rbs": StreamingRandomBiasedSampling,
-}
+#: Native streaming schedulers keyed by registry name.  ``repro.schedulers``
+#: fills it from ``SCHEDULER_REGISTRY`` once every algorithm module is
+#: loaded (the algorithm modules import this one, so it cannot list them).
+STREAMING_SCHEDULERS: dict[str, type[StreamingScheduler]] = {}
 
 
 def make_streaming_scheduler(name: str, **kwargs) -> StreamingScheduler:
@@ -1193,38 +263,22 @@ def make_streaming_scheduler(name: str, **kwargs) -> StreamingScheduler:
     return cls(**kwargs)
 
 
-def as_streaming(scheduler: "Scheduler | StreamingScheduler") -> StreamingScheduler:
-    """The streaming counterpart of an in-memory scheduler.
+def as_streaming(scheduler: Scheduler) -> StreamingScheduler:
+    """``scheduler`` itself if it streams natively, else its in-memory fallback.
 
-    Native implementations (round-robin, greedy, HBO, RBS) are constructed
-    with the wrapped scheduler's own parameters; anything else — the
-    metaheuristics in particular — is wrapped in :class:`InMemoryFallback`,
-    which materialises the workload before scheduling.
+    The four paper algorithms *are* streaming schedulers; anything else —
+    the metaheuristics in particular — is wrapped in
+    :class:`InMemoryFallback`, which materialises the workload before
+    scheduling.
     """
     if isinstance(scheduler, StreamingScheduler):
         return scheduler
-    name = scheduler.name
-    if name == "basetest":
-        return StreamingRoundRobin(start_offset=scheduler.start_offset)
-    if name == "greedy-mct":
-        return StreamingGreedy()
-    if name == "honeybee":
-        return StreamingHoneyBee(
-            load_balance_factor=scheduler.load_balance_factor,
-            scout_time_bias=scheduler.scout_time_bias,
-        )
-    if name == "rbs":
-        return StreamingRandomBiasedSampling(num_groups=scheduler.num_groups)
     return InMemoryFallback(scheduler)
 
 
 __all__ = [
     "ChunkAssigner",
     "StreamingScheduler",
-    "StreamingRoundRobin",
-    "StreamingGreedy",
-    "StreamingHoneyBee",
-    "StreamingRandomBiasedSampling",
     "InMemoryFallback",
     "STREAMING_SCHEDULERS",
     "make_streaming_scheduler",

@@ -40,6 +40,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from repro.cloud.fast import StreamingSimulation, fold_exec_times
 from repro.core.rng import spawn_rng
 from repro.obs.manifest import RunManifest, capture_manifest
 from repro.obs.telemetry import TELEMETRY as _TEL
@@ -48,7 +49,6 @@ from repro.schedulers.streaming import (
     make_streaming_scheduler,
 )
 from repro.serve.protocol import ServeError, SubmissionBatch, parse_submission
-from repro.workloads.spec import ScenarioArrays
 from repro.workloads.streaming import (
     DEFAULT_CHUNK_SIZE,
     ScenarioChunks,
@@ -209,7 +209,6 @@ class Fleet:
             stream, spawn_rng(spec.seed, f"scheduler/{stream.name}")
         )
         m = stream.num_vms
-        self._inv_capacity = 1.0 / (stream.vm_mips * stream.vm_pes)
         self.offset = 0
         self.requests = 0
         self.backlog = np.zeros(m)
@@ -227,21 +226,11 @@ class Fleet:
 
     def submit(self, batch: SubmissionBatch) -> Placement:
         stream = self._stream
-        chunk = ScenarioArrays(
+        chunk = stream.chunk_arrays(
             cloudlet_length=batch.cloudlet_length,
             cloudlet_pes=batch.cloudlet_pes,
             cloudlet_file_size=batch.cloudlet_file_size,
             cloudlet_output_size=batch.cloudlet_output_size,
-            vm_mips=stream.vm_mips,
-            vm_pes=stream.vm_pes,
-            vm_ram=stream.vm_ram,
-            vm_bw=stream.vm_bw,
-            vm_size=stream.vm_size,
-            vm_datacenter=stream.vm_datacenter,
-            dc_cost_per_mem=stream.dc_cost_per_mem,
-            dc_cost_per_storage=stream.dc_cost_per_storage,
-            dc_cost_per_bw=stream.dc_cost_per_bw,
-            dc_cost_per_cpu=stream.dc_cost_per_cpu,
         )
         offset = self.offset
         with _TEL.span("serve.submit"):
@@ -254,9 +243,9 @@ class Fleet:
             )
         if k and (assignment.min() < 0 or assignment.max() >= stream.num_vms):
             raise RuntimeError("assigner placed a cloudlet outside the fleet")
-        # The same unbuffered fold the streaming engine uses, so the
-        # fleet's running backlog matches an offline replay bit-for-bit.
-        np.add.at(self.backlog, assignment, batch.cloudlet_length * self._inv_capacity[assignment])
+        # The streaming engine's fold, so the fleet's running backlog
+        # matches an offline replay bit-for-bit.
+        fold_exec_times(self.backlog, assignment, batch.cloudlet_length, stream.vm_mips)
         np.add.at(self.counts, assignment, 1)
         self.offset += k
         self.requests += 1
@@ -373,8 +362,6 @@ def offline_assignments(
     to the live service's concatenated placements, for any ``chunk_size``
     and shard count.
     """
-    from repro.cloud.fast import StreamingSimulation
-
     stream = spec.fleet_stream().with_cloudlets(
         batch.cloudlet_length,
         cloudlet_pes=batch.cloudlet_pes,

@@ -83,6 +83,12 @@ _CLOUDLET_FIELDS = (
     "cloudlet_output_size",
 )
 
+#: resident VM and datacenter columns, in ScenarioArrays order.
+_FLEET_FIELDS = (
+    "vm_mips", "vm_pes", "vm_ram", "vm_bw", "vm_size", "vm_datacenter",
+    "dc_cost_per_mem", "dc_cost_per_storage", "dc_cost_per_bw", "dc_cost_per_cpu",
+)
+
 
 class _ChunkPass:
     """One sequential pass over a cloudlet source (see ``open_pass``)."""
@@ -301,21 +307,14 @@ class ScenarioChunks:
         chunk_pass = self.cloudlets.open_pass(self.seed, offset)
         while offset < stop:
             k = min(self.chunk_size, stop - offset)
-            columns = chunk_pass.take(k)
-            yield offset, ScenarioArrays(
-                **columns,
-                vm_mips=self.vm_mips,
-                vm_pes=self.vm_pes,
-                vm_ram=self.vm_ram,
-                vm_bw=self.vm_bw,
-                vm_size=self.vm_size,
-                vm_datacenter=self.vm_datacenter,
-                dc_cost_per_mem=self.dc_cost_per_mem,
-                dc_cost_per_storage=self.dc_cost_per_storage,
-                dc_cost_per_bw=self.dc_cost_per_bw,
-                dc_cost_per_cpu=self.dc_cost_per_cpu,
-            )
+            yield offset, self.chunk_arrays(**chunk_pass.take(k))
             offset += k
+
+    def chunk_arrays(self, **cloudlet_columns: np.ndarray) -> ScenarioArrays:
+        """One chunk: the given cloudlet columns over the resident fleet arrays."""
+        return ScenarioArrays(
+            **cloudlet_columns, **{field: getattr(self, field) for field in _FLEET_FIELDS}
+        )
 
     def with_chunk_size(self, chunk_size: int) -> "ScenarioChunks":
         """The same workload re-sliced at a different chunk width."""
@@ -373,35 +372,40 @@ class ScenarioChunks:
     # -- conversions --------------------------------------------------------
 
     @classmethod
+    def from_arrays(
+        cls,
+        arrays: ScenarioArrays,
+        name: str = "",
+        seed: int | None = None,
+        chunk_size: "int | None" = None,
+    ) -> "ScenarioChunks":
+        """Chunked view over already-materialised columns (no copies).
+
+        ``chunk_size=None`` makes the whole workload a single chunk — the
+        view a batch ``StreamingScheduler.schedule`` call assigns in one
+        pass.  It cannot reduce the footprint of columns that already
+        exist.
+        """
+        return cls(
+            name=name,
+            seed=seed,
+            chunk_size=arrays.num_cloudlets if chunk_size is None else chunk_size,
+            num_cloudlets=arrays.num_cloudlets,
+            cloudlets=MaterializedCloudlets(
+                **{field: getattr(arrays, field) for field in _CLOUDLET_FIELDS}
+            ),
+            **{field: getattr(arrays, field) for field in _FLEET_FIELDS},
+        )
+
+    @classmethod
     def from_spec(cls, spec: ScenarioSpec, chunk_size: int = DEFAULT_CHUNK_SIZE) -> "ScenarioChunks":
         """Chunked view over an already-materialised scenario.
 
         Shares the spec's columns (no copies), so this is for differential
-        testing and convenience — it cannot reduce the footprint of a
-        scenario that already exists.
+        testing and convenience.
         """
-        arr = spec.arrays()
-        return cls(
-            name=spec.name,
-            seed=spec.seed,
-            chunk_size=chunk_size,
-            num_cloudlets=spec.num_cloudlets,
-            cloudlets=MaterializedCloudlets(
-                cloudlet_length=arr.cloudlet_length,
-                cloudlet_pes=arr.cloudlet_pes,
-                cloudlet_file_size=arr.cloudlet_file_size,
-                cloudlet_output_size=arr.cloudlet_output_size,
-            ),
-            vm_mips=arr.vm_mips,
-            vm_pes=arr.vm_pes,
-            vm_ram=arr.vm_ram,
-            vm_bw=arr.vm_bw,
-            vm_size=arr.vm_size,
-            vm_datacenter=arr.vm_datacenter,
-            dc_cost_per_mem=arr.dc_cost_per_mem,
-            dc_cost_per_storage=arr.dc_cost_per_storage,
-            dc_cost_per_bw=arr.dc_cost_per_bw,
-            dc_cost_per_cpu=arr.dc_cost_per_cpu,
+        return cls.from_arrays(
+            spec.arrays(), name=spec.name, seed=spec.seed, chunk_size=chunk_size
         )
 
     def to_spec(self) -> ScenarioSpec:
@@ -477,14 +481,7 @@ class ScenarioChunks:
                 dtypes[name] = str(column.dtype)
                 sub[name].update(column.tobytes())
         h = hashlib.sha256()
-        static = {
-            name: getattr(self, name)
-            for name in (
-                "vm_mips", "vm_pes", "vm_ram", "vm_bw", "vm_size", "vm_datacenter",
-                "dc_cost_per_mem", "dc_cost_per_storage", "dc_cost_per_bw",
-                "dc_cost_per_cpu",
-            )
-        }
+        static = {name: getattr(self, name) for name in _FLEET_FIELDS}
         for name in sorted(set(_CLOUDLET_FIELDS) | set(static)):
             h.update(name.encode())
             if name in sub:

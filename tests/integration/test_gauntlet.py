@@ -28,6 +28,7 @@ from gauntlet import (  # noqa: E402
     GAUNTLET_KWARGS,
     diff_records,
     run_gauntlet,
+    summary_lines,
 )
 from repro.schedulers import SCHEDULER_REGISTRY  # noqa: E402
 from repro.schedulers.streaming import STREAMING_SCHEDULERS  # noqa: E402
@@ -108,6 +109,29 @@ def test_diff_fails_on_throughput_and_rss_regressions(record):
     bloated["peak_rss_mb"] = record["peak_rss_mb"] * 1.5
     failures = diff_records(record, bloated)
     assert any("peak RSS" in f for f in failures)
+
+
+def test_summary_reads_decisions_apart_from_resources(record):
+    n = len(record["rows"])
+    slow = copy.deepcopy(record)
+    for row in slow["rows"]:
+        if row["family"] == "stream" and row["scheduler"] != "basetest":
+            row["relative_throughput"] *= 0.5
+    decisions, resources = summary_lines(record, slow)
+    assert decisions == (
+        f"decisions: {n}/{n} rows match the committed hash and makespan — OK"
+    )
+    assert resources.startswith("throughput/RSS: 1/4 timed rows")
+    assert resources.endswith("FAIL")
+
+    tampered = copy.deepcopy(record)
+    tampered["rows"][0]["decision_sha256"] = "0" * 64
+    decisions, resources = summary_lines(
+        tampered, record, throughput_tolerance=1.0, rss_tolerance=10.0
+    )
+    assert decisions.startswith(f"decisions: {n - 1}/{n} rows")
+    assert decisions.endswith("FAIL")
+    assert resources.endswith("OK")
 
 
 def test_diff_fails_on_version_drift(record):

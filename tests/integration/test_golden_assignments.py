@@ -3,7 +3,10 @@
 These strings were captured from the pre-``repro.optim`` implementations
 (one digit per cloudlet: its assigned VM index).  They pin the *decisions*,
 not just the metrics, so any change to RNG draw order or float arithmetic
-in the ported inner loops shows up immediately.
+in the ported inner loops shows up immediately.  The ``basetest``,
+``greedy-mct``, ``honeybee`` and ``rbs`` rows were captured from the
+separate batch implementations those schedulers had before their batch
+``schedule()`` became a single-chunk streaming pass.
 
 If an intentional algorithmic change shifts these, regenerate the pins and
 document the before/after metrics in CHANGES.md.
@@ -37,34 +40,50 @@ GOLDEN_ASSIGNMENTS = {
     ("hetero", "annealing", 123): "62414565499793106781611342676604234761840154495203969205278847978567897947459771",
     ("hetero", "antcolony", 7): "47569663633437566567232043937466134944370579523657460506109959569936445534935305",
     ("hetero", "antcolony", 123): "63674524459436143657195693730475663668251305233376369943565304065377549740456450",
+    ("hetero", "basetest", 7): "01234567890123456789012345678901234567890123456789012345678901234567890123456789",
+    ("hetero", "basetest", 123): "01234567890123456789012345678901234567890123456789012345678901234567890123456789",
     ("hetero", "cuckoo-sos", 7): "29023649767479248693365472565861916036990552160540230474613018907991552571875954",
     ("hetero", "cuckoo-sos", 123): "06673641566210566625009990697843893171755935428406792494907167097916595049839459",
     ("hetero", "ga", 7): "77830975655770718688195557995448907190063776017725795523964318235363037515862525",
     ("hetero", "ga", 123): "76873994235362394023011844943668163708794663956520337637946260540148454121817263",
+    ("hetero", "greedy-mct", 7): "36543976430596127088659263409361853792804066154820393742506381940362517408237569",
+    ("hetero", "greedy-mct", 123): "36543976430596127088659263409361853792804066154820393742506381940362517408237569",
     ("hetero", "gsa", 7): "94245454235037246191278632360174214835935655388763630355812881067331328266037640",
     ("hetero", "gsa", 123): "10275519010866413449718270756705751786327755179735934673297773638711377333285604",
+    ("hetero", "honeybee", 7): "59595915951951599551048004844044440404481595959199515955951544480044404480040040",
+    ("hetero", "honeybee", 123): "59595915951951599551048004844044440404481595959199515955951544480044404480040040",
     ("hetero", "hybrid", 7): "05149312433395643753653635175660349977473489253709577071950301395657067205466656",
     ("hetero", "hybrid", 123): "96999643595649067091546256369416459306364458566143081302173201694354762440710325",
     ("hetero", "pso", 7): "57530053908800915988614556925474137100063776017728133224604518733676451435866725",
     ("hetero", "pso", 123): "23191138963644096071257706475433731262369895691132301795857890641635719989621216",
     ("hetero", "psogsa", 7): "76056663332034446181148833543173436625836655445584636446506983747400309165039860",
     ("hetero", "psogsa", 123): "10566549333726618559606060755935651604479673099715933643254173539651474144885634",
+    ("hetero", "rbs", 7): "34016275890134256789607384512901234567890123674589031246578934051826790346128579",
+    ("hetero", "rbs", 123): "30124567890612384579013425678901342567890681273459012364578980132456790836791245",
     ("homog", "annealing", 7): "0123456701234567012345670123456701234567",
     ("homog", "annealing", 123): "0123456701234567012345670123456701234567",
     ("homog", "antcolony", 7): "7023473631462520405274260555776347147052",
     ("homog", "antcolony", 123): "7503406216264421000362502147556451253115",
+    ("homog", "basetest", 7): "0123456701234567012345670123456701234567",
+    ("homog", "basetest", 123): "0123456701234567012345670123456701234567",
     ("homog", "cuckoo-sos", 7): "6605650436414447537055162704762107311270",
     ("homog", "cuckoo-sos", 123): "1102173642114024373406337603751452245200",
     ("homog", "ga", 7): "0123456701234567012345670123456701234567",
     ("homog", "ga", 123): "0123456701234567012345670123456701234567",
+    ("homog", "greedy-mct", 7): "0123456701234567012345670123456701234567",
+    ("homog", "greedy-mct", 123): "0123456701234567012345670123456701234567",
     ("homog", "gsa", 7): "2214456750616473702376250661223063314275",
     ("homog", "gsa", 123): "2633245550254315143676542431527106732406",
+    ("homog", "honeybee", 7): "0246024602460246024613571357135713571357",
+    ("homog", "honeybee", 123): "0246024602460246024613571357135713571357",
     ("homog", "hybrid", 7): "0123456701234567012345670123456701234567",
     ("homog", "hybrid", 123): "0123456701234567012345670123456701234567",
     ("homog", "pso", 7): "0276501424413307477165206215742021734660",
     ("homog", "pso", 123): "2104271302113024373476277603377452245604",
     ("homog", "psogsa", 7): "2104446750616473702376250761223163314273",
     ("homog", "psogsa", 123): "2613245550254305043776542431627106732406",
+    ("homog", "rbs", 7): "0612734545012637234501674501236760123457",
+    ("homog", "rbs", 123): "4016723502641375450123670123456701243567",
 }
 
 # ACO variant coverage: every construction/pheromone/tabu code path.
@@ -123,7 +142,7 @@ def _digits(assignment) -> str:
 )
 def test_golden_assignment_unchanged(cells, telemetry_state, cell, name, seed):
     context = SchedulingContext.from_scenario(cells[cell], seed=seed)
-    scheduler = make_scheduler(name, **LIGHT_KWARGS[name])
+    scheduler = make_scheduler(name, **LIGHT_KWARGS.get(name, {}))
     result = scheduler.schedule_checked(context)
     assert _digits(result.assignment) == GOLDEN_ASSIGNMENTS[(cell, name, seed)]
 

@@ -97,6 +97,65 @@ def dyadic_scenarios(
     )
 
 
+@st.composite
+def float_scenarios(
+    draw,
+    max_vms: int = 12,
+    max_cloudlets: int = 120,
+    max_datacenters: int = 3,
+) -> ScenarioSpec:
+    """A random single-PE scenario *outside* the exact domain.
+
+    Arbitrary float MIPS, lengths and prices make every ``length / mips``
+    and every running sum round, so assignment-level comparisons against
+    the reference oracles cover the float tie-breaking the dyadic domain
+    never exercises.  Half the fleets share one MIPS rating, which routes
+    greedy and HBO through their uniform-fleet heaps.
+    """
+    num_datacenters = draw(st.integers(1, max_datacenters))
+    num_vms = draw(st.integers(1, max_vms))
+    num_cloudlets = draw(st.integers(1, max_cloudlets))
+    price = st.floats(0.0, 5.0, allow_nan=False)
+    mips = st.floats(100.0, 5000.0, allow_nan=False)
+    uniform_mips = draw(mips) if draw(st.booleans()) else None
+    datacenters = tuple(
+        DatacenterSpec(
+            characteristics=DatacenterCharacteristics(
+                cost_per_mem=draw(price),
+                cost_per_storage=draw(price),
+                cost_per_bw=draw(price),
+                cost_per_cpu=draw(price),
+            )
+        )
+        for _ in range(num_datacenters)
+    )
+    vms = tuple(
+        VmSpec(
+            mips=uniform_mips if uniform_mips is not None else draw(mips),
+            pes=1,
+            ram=draw(st.floats(128.0, 4096.0)),
+            bw=draw(st.floats(100.0, 1000.0)),
+            size=draw(st.floats(1000.0, 20000.0)),
+        )
+        for _ in range(num_vms)
+    )
+    cloudlets = tuple(
+        CloudletSpec(length=draw(st.floats(1.0, 50_000.0, allow_nan=False)))
+        for _ in range(num_cloudlets)
+    )
+    vm_datacenter = tuple(
+        draw(st.integers(0, num_datacenters - 1)) for _ in range(num_vms)
+    )
+    return ScenarioSpec(
+        name=f"prop-float-{num_vms}x{num_cloudlets}",
+        datacenters=datacenters,
+        vms=vms,
+        cloudlets=cloudlets,
+        vm_datacenter=vm_datacenter,
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
 def chunk_sizes() -> st.SearchStrategy[int]:
     return st.sampled_from(CHUNK_SIZES)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.schedulers.base import SchedulingContext, validate_assignment
-from repro.schedulers.hbo import HoneyBeeScheduler
+from repro.schedulers.hbo import HoneyBeeScheduler, _pairwise_const_sum, _PairwiseStreamSum
 from repro.workloads.heterogeneous import heterogeneous_scenario
 from repro.workloads.homogeneous import homogeneous_scenario
 
@@ -110,3 +110,22 @@ class TestBehaviour:
         )
         result = HoneyBeeScheduler().schedule(ctx(scenario))
         validate_assignment(result.assignment, 2, 8)
+
+
+class TestGroupSums:
+    """Algorithm 1 orders groups by ``np.sum`` of their lengths; the
+    streamed replicas must equal it bit for bit, or near-equal groups
+    swap order."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 127, 128, 129, 255, 256, 1000, 4097])
+    @pytest.mark.parametrize("piece", [1, 3, 64, 10_000])
+    def test_stream_sum_matches_np_sum_for_any_feed_split(self, n, piece):
+        values = np.random.default_rng(n).uniform(0.0, 1e6, size=n)
+        total = _PairwiseStreamSum(n)
+        for i in range(0, n, piece):
+            total.feed(values[i : i + piece])
+        assert total.value() == float(values.sum())
+
+    @pytest.mark.parametrize("count", [0, 1, 9, 128, 129, 1000, 65_537])
+    def test_const_sum_matches_np_sum(self, count):
+        assert _pairwise_const_sum(0.1, count) == float(np.full(count, 0.1).sum())

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.rng import spawn_rng
 from repro.schedulers.base import (
     SchedulingContext,
     estimate_makespan,
@@ -13,23 +16,16 @@ from repro.schedulers.base import (
 from repro.schedulers.greedy import GreedyMinCompletionScheduler
 from repro.schedulers.maxmin import MaxMinScheduler, MinMinScheduler
 from repro.schedulers.random_assign import RandomScheduler
+from repro.schedulers.streaming import make_streaming_scheduler
 from repro.workloads.heterogeneous import heterogeneous_scenario
+from repro.workloads.spec import CloudletSpec, DatacenterSpec, ScenarioSpec, VmSpec
+from repro.workloads.streaming import ScenarioChunks
+
+from tests.schedulers.oracles import greedy_oracle
 
 
 def ctx(scenario, seed=0):
     return SchedulingContext.from_scenario(scenario, seed=seed)
-
-
-def reference_greedy(lengths, capacity):
-    """Naive reference implementation of minimum-completion-time."""
-    ready = np.zeros_like(capacity)
-    out = []
-    for ln in lengths:
-        completion = ready + ln / capacity
-        j = int(np.argmin(completion))
-        out.append(j)
-        ready[j] = completion[j]
-    return np.array(out), ready
 
 
 def reference_maxmin(lengths, capacity, select_max):
@@ -59,14 +55,10 @@ def reference_maxmin(lengths, capacity, select_max):
 
 class TestGreedy:
     def test_matches_reference(self, small_hetero):
-        context = ctx(small_hetero)
-        arr = context.arrays
-        result = GreedyMinCompletionScheduler().schedule(context)
-        expected, ready = reference_greedy(
-            arr.cloudlet_length, arr.vm_mips * arr.vm_pes
-        )
+        result = GreedyMinCompletionScheduler().schedule(ctx(small_hetero))
+        expected, info = greedy_oracle(ctx(small_hetero))
         np.testing.assert_array_equal(result.assignment, expected)
-        assert result.info["estimated_makespan"] == pytest.approx(ready.max())
+        assert result.info == info
 
     def test_beats_round_robin(self, small_hetero):
         from repro.schedulers.round_robin import RoundRobinScheduler
@@ -78,6 +70,75 @@ class TestGreedy:
         assert estimate_makespan(
             greedy.assignment, arr.cloudlet_length, arr.vm_mips
         ) < estimate_makespan(rr.assignment, arr.cloudlet_length, arr.vm_mips)
+
+
+class TestGreedyUniformFleetTies:
+    """Uniform fleets use a ``(ready, vm)`` heap in place of the argmin.
+
+    Regression: a VM with a larger ``ready`` and a lower index can round
+    to the same completion ``ready + c`` as the heap top; ``np.argmin``
+    then picks the lower index, and so must the heap.
+    """
+
+    LENGTHS = (float(np.nextafter(100.0, 200.0)), 100.0, 1000.0)
+
+    def _spec(self):
+        return ScenarioSpec(
+            name="greedy-tie",
+            datacenters=(DatacenterSpec(),),
+            vms=(VmSpec(mips=1000.0), VmSpec(mips=1000.0)),
+            cloudlets=tuple(CloudletSpec(length=ln) for ln in self.LENGTHS),
+            vm_datacenter=(0, 0),
+            seed=0,
+        )
+
+    def test_oracle_breaks_the_tie_by_index(self):
+        expected, _ = greedy_oracle(ctx(self._spec()))
+        assert expected.tolist() == [0, 1, 0]
+
+    def test_batch_matches_argmin(self):
+        result = GreedyMinCompletionScheduler().schedule(ctx(self._spec()))
+        assert result.assignment.tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize("chunk_size", [1, 2, 3])
+    def test_streamed_matches_argmin(self, chunk_size):
+        stream = ScenarioChunks.from_spec(self._spec(), chunk_size=chunk_size)
+        assert _streamed(stream) == [0, 1, 0]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        num_vms=st.integers(1, 4),
+        mips=st.sampled_from([1000.0, 7.0, 1000.0 / 3.0]),
+        base=st.sampled_from([100.0, 250.0, 0.1]),
+        picks=st.lists(st.tuples(st.integers(-1, 1), st.integers(1, 3)), min_size=1, max_size=8),
+        chunk_size=st.integers(1, 8),
+    )
+    def test_near_tie_traces_match_the_oracle(self, num_vms, mips, base, picks, chunk_size):
+        """Lengths one ulp either side of shared multiples force rounding ties."""
+        lengths = [
+            float(np.nextafter(base * k, base * k + ulp)) if ulp else base * k
+            for ulp, k in picks
+        ]
+        spec = ScenarioSpec(
+            name="greedy-near-tie",
+            datacenters=(DatacenterSpec(),),
+            vms=tuple(VmSpec(mips=mips) for _ in range(num_vms)),
+            cloudlets=tuple(CloudletSpec(length=ln) for ln in lengths),
+            vm_datacenter=(0,) * num_vms,
+            seed=0,
+        )
+        expected, info = greedy_oracle(ctx(spec))
+        result = GreedyMinCompletionScheduler().schedule(ctx(spec))
+        assert result.assignment.tolist() == expected.tolist()
+        assert result.info == info
+        assert _streamed(ScenarioChunks.from_spec(spec, chunk_size)) == expected.tolist()
+
+
+def _streamed(stream) -> list[int]:
+    assigner = make_streaming_scheduler("greedy-mct").open(
+        stream, spawn_rng(0, f"scheduler/{stream.name}")
+    )
+    return sum((assigner.assign(chunk, off).tolist() for off, chunk in stream), [])
 
 
 class TestMaxMinMinMin:

@@ -56,6 +56,22 @@ class TestBehaviour:
         b = RandomBiasedSamplingScheduler().schedule(ctx(small_hetero, 2)).assignment
         assert not np.array_equal(a, b)
 
+    def test_schedule_leaves_rng_after_one_omega_and_one_start_draw(self, small_hetero):
+        """The caller's generator ends where the monolithic draw leaves it.
+
+        Per-wave batch callers (``BatchAdapter``, failure-aware
+        rescheduling) share one generator across calls, so the next call's
+        draws depend on exactly ``integers(1, q+1, n); integers(0, q, n)``
+        having been consumed.
+        """
+        context = ctx(small_hetero, 3)
+        RandomBiasedSamplingScheduler().schedule(context)
+        reference = ctx(small_hetero, 3).rng
+        q, n = 4, small_hetero.num_cloudlets
+        reference.integers(1, q + 1, n)
+        reference.integers(0, q, n)
+        assert context.rng.bit_generator.state == reference.bit_generator.state
+
     def test_walk_stats_reported(self, small_hetero):
         result = RandomBiasedSamplingScheduler().schedule(ctx(small_hetero))
         assert result.info["mean_walk_length"] >= 0.0

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.cloud.fast import StreamingSimulation
 from repro.obs.telemetry import TELEMETRY
+from repro.schedulers.streaming import make_streaming_scheduler
 from repro.serve import (
     SERVABLE_SCHEDULERS,
     FleetSpec,
@@ -100,16 +102,25 @@ class TestSubmission:
         assert excinfo.value.status == 409
 
     def test_backlog_fold_matches_submitted_work(self):
-        spec, service = make_service(scheduler="basetest", num_vms=5)
-        lengths = np.arange(1.0, 11.0)
-        service.submit("edge", {"cloudlets": lengths.tolist()})
+        """The live backlog is the offline engine's per-VM fold, byte for byte.
+
+        A heterogeneous fleet makes ``length / mips`` inexact, so any
+        other fold expression (e.g. ``length * (1 / mips)``) shows up.
+        """
+        spec, service = make_service(
+            scheduler="basetest", num_vms=7, family="heterogeneous", seed=3
+        )
+        lengths = np.random.default_rng(5).uniform(1000.0, 20000.0, size=50)
+        for part in np.array_split(lengths, 4):
+            service.submit("edge", {"cloudlets": part.tolist()})
         fleet = service.fleet("edge")
-        stream = spec.fleet_stream()
-        expected = np.zeros(5)
-        inv_capacity = 1.0 / (stream.vm_mips[0] * stream.vm_pes[0])
-        np.add.at(expected, np.arange(10) % 5, lengths * inv_capacity)
-        np.testing.assert_array_equal(fleet.backlog, expected)
-        assert fleet.counts.sum() == 10
+        offline = StreamingSimulation(
+            spec.fleet_stream().with_cloudlets(lengths, chunk_size=16),
+            make_streaming_scheduler(spec.scheduler),
+            seed=spec.seed,
+        ).run()
+        assert fleet.backlog.tobytes() == offline.vm_finish_times.tobytes()
+        assert fleet.counts.sum() == 50
 
     def test_telemetry_counters_and_gauges(self):
         _, service = make_service()

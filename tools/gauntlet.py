@@ -45,7 +45,10 @@ Usage::
         [--throughput-tolerance 0.25] [--rss-tolerance 0.10]
 
 ``check`` replays the baseline's recorded config (scales, seeds), so a
-committed smoke-scale record diffs directly in CI.
+committed smoke-scale record diffs directly in CI.  It ends with two
+summary lines — decisions (hash and makespan, k/N rows matching) and
+throughput/RSS — so the machine-independent decision oracle reads on its
+own even when a slower host fails the resource gates.
 """
 
 from __future__ import annotations
@@ -272,6 +275,78 @@ def run_gauntlet(config: dict) -> dict:
     }
 
 
+def _gate_failures(
+    committed: dict,
+    fresh: dict,
+    throughput_tolerance: float,
+    rss_tolerance: float,
+) -> list[tuple[str, str]]:
+    """Every failed gate as ``(gate, line)``.
+
+    ``gate`` is "decision" (row sets, hashes, makespans: machine-independent)
+    or "throughput" / "rss" (host-dependent resource gates).
+    """
+    if committed.get("version") != fresh.get("version"):
+        return [(
+            "decision",
+            f"record version drifted: committed {committed.get('version')!r} "
+            f"vs fresh {fresh.get('version')!r} — re-record BENCH_gauntlet.json",
+        )]
+
+    failures: list[tuple[str, str]] = []
+    committed_rows, fresh_rows = _rows(committed), _rows(fresh)
+    for family, name in sorted(committed_rows.keys() - fresh_rows.keys()):
+        failures.append(("decision", f"{family}/{name}: row missing from the fresh run"))
+    for family, name in sorted(fresh_rows.keys() - committed_rows.keys()):
+        failures.append((
+            "decision",
+            f"{family}/{name}: new row not in the committed record — "
+            "re-record BENCH_gauntlet.json",
+        ))
+
+    for cell in sorted(committed_rows.keys() & fresh_rows.keys()):
+        family, name = cell
+        base, new = committed_rows[cell], fresh_rows[cell]
+        if new["decision_sha256"] != base["decision_sha256"]:
+            failures.append((
+                "decision",
+                f"{family}/{name}: decision hash drifted "
+                f"(committed {base['decision_sha256'][:12]}… vs "
+                f"fresh {new['decision_sha256'][:12]}…)",
+            ))
+        if new["makespan"] != base["makespan"]:
+            failures.append((
+                "decision",
+                f"{family}/{name}: makespan drifted "
+                f"(committed {base['makespan']!r} vs fresh {new['makespan']!r})",
+            ))
+        if "relative_throughput" in base:
+            floor = base["relative_throughput"] * (1 - throughput_tolerance)
+            if new["relative_throughput"] < floor:
+                failures.append((
+                    "throughput",
+                    f"{family}/{name}: relative throughput "
+                    f"{new['relative_throughput']:.4f} is more than "
+                    f"{throughput_tolerance:.0%} below committed "
+                    f"{base['relative_throughput']:.4f} "
+                    f"(absolute: {new['throughput_cloudlets_per_s']:,}/s vs "
+                    f"{base['throughput_cloudlets_per_s']:,}/s)",
+                ))
+
+    rss_cap = committed["peak_rss_mb"] * (1 + rss_tolerance)
+    if fresh["peak_rss_mb"] > rss_cap:
+        failures.append((
+            "rss",
+            f"peak RSS {fresh['peak_rss_mb']:.1f} MiB is more than "
+            f"{rss_tolerance:.0%} above committed {committed['peak_rss_mb']:.1f} MiB",
+        ))
+    return failures
+
+
+def _rows(record: dict) -> dict:
+    return {(r["family"], r["scheduler"]): r for r in record["rows"]}
+
+
 def diff_records(
     committed: dict,
     fresh: dict,
@@ -279,58 +354,46 @@ def diff_records(
     rss_tolerance: float = 0.10,
 ) -> list[str]:
     """Blocking comparison; returns human-readable failure lines."""
-    failures: list[str] = []
-    if committed.get("version") != fresh.get("version"):
-        failures.append(
-            f"record version drifted: committed {committed.get('version')!r} "
-            f"vs fresh {fresh.get('version')!r} — re-record BENCH_gauntlet.json"
+    return [
+        line
+        for _, line in _gate_failures(
+            committed, fresh, throughput_tolerance, rss_tolerance
         )
-        return failures
+    ]
 
-    key = lambda r: (r["family"], r["scheduler"])  # noqa: E731
-    committed_rows = {key(r): r for r in committed["rows"]}
-    fresh_rows = {key(r): r for r in fresh["rows"]}
-    for family, name in sorted(committed_rows.keys() - fresh_rows.keys()):
-        failures.append(f"{family}/{name}: row missing from the fresh run")
-    for family, name in sorted(fresh_rows.keys() - committed_rows.keys()):
-        failures.append(
-            f"{family}/{name}: new row not in the committed record — "
-            "re-record BENCH_gauntlet.json"
-        )
 
-    for cell in sorted(committed_rows.keys() & fresh_rows.keys()):
-        family, name = cell
-        base, new = committed_rows[cell], fresh_rows[cell]
-        if new["decision_sha256"] != base["decision_sha256"]:
-            failures.append(
-                f"{family}/{name}: decision hash drifted "
-                f"(committed {base['decision_sha256'][:12]}… vs "
-                f"fresh {new['decision_sha256'][:12]}…)"
-            )
-        if new["makespan"] != base["makespan"]:
-            failures.append(
-                f"{family}/{name}: makespan drifted "
-                f"(committed {base['makespan']!r} vs fresh {new['makespan']!r})"
-            )
-        if "relative_throughput" in base:
-            floor = base["relative_throughput"] * (1 - throughput_tolerance)
-            if new["relative_throughput"] < floor:
-                failures.append(
-                    f"{family}/{name}: relative throughput "
-                    f"{new['relative_throughput']:.4f} is more than "
-                    f"{throughput_tolerance:.0%} below committed "
-                    f"{base['relative_throughput']:.4f} "
-                    f"(absolute: {new['throughput_cloudlets_per_s']:,}/s vs "
-                    f"{base['throughput_cloudlets_per_s']:,}/s)"
-                )
+def summary_lines(
+    committed: dict,
+    fresh: dict,
+    throughput_tolerance: float = 0.25,
+    rss_tolerance: float = 0.10,
+) -> list[str]:
+    """Two verdicts: decisions first, then the host-dependent resource gates.
 
+    A resource failure on a slower host says nothing about the decisions,
+    so the decision oracle is reported on a line of its own.
+    """
+    gates = [gate for gate, _ in _gate_failures(
+        committed, fresh, throughput_tolerance, rss_tolerance
+    )]
+    committed_rows, fresh_rows = _rows(committed), _rows(fresh)
+    matching = sum(
+        cell in fresh_rows
+        and fresh_rows[cell]["decision_sha256"] == row["decision_sha256"]
+        and fresh_rows[cell]["makespan"] == row["makespan"]
+        for cell, row in committed_rows.items()
+    )
+    timed = sum("relative_throughput" in row for row in committed_rows.values())
     rss_cap = committed["peak_rss_mb"] * (1 + rss_tolerance)
-    if fresh["peak_rss_mb"] > rss_cap:
-        failures.append(
-            f"peak RSS {fresh['peak_rss_mb']:.1f} MiB is more than "
-            f"{rss_tolerance:.0%} above committed {committed['peak_rss_mb']:.1f} MiB"
-        )
-    return failures
+    resources_ok = "throughput" not in gates and "rss" not in gates
+    return [
+        f"decisions: {matching}/{len(committed_rows)} rows match the committed "
+        f"hash and makespan — {'FAIL' if 'decision' in gates else 'OK'}",
+        f"throughput/RSS: {timed - gates.count('throughput')}/{timed} timed rows "
+        f"within {throughput_tolerance:.0%} of committed relative throughput, "
+        f"peak RSS {fresh['peak_rss_mb']:.1f} MiB (cap {rss_cap:.1f}) — "
+        f"{'OK' if resources_ok else 'FAIL'}",
+    ]
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -369,9 +432,16 @@ def main(argv: "list[str] | None" = None) -> int:
     for row in fresh["rows"]:
         cell = f"{row['family']}/{row['scheduler']}"
         print(f"{cell:24s} {row['decision_sha256'][:12]}…  makespan {row['makespan']:.4f}")
+    for failure in failures:
+        print(f"GAUNTLET REGRESSION: {failure}", file=sys.stderr)
+    for line in summary_lines(
+        committed,
+        fresh,
+        throughput_tolerance=args.throughput_tolerance,
+        rss_tolerance=args.rss_tolerance,
+    ):
+        print(line)
     if failures:
-        for failure in failures:
-            print(f"GAUNTLET REGRESSION: {failure}", file=sys.stderr)
         return 1
     print(f"gauntlet OK: {len(fresh['rows'])} cells match the committed record")
     return 0
