@@ -110,7 +110,8 @@ def float_scenarios(
     and every running sum round, so assignment-level comparisons against
     the reference oracles cover the float tie-breaking the dyadic domain
     never exercises.  Half the fleets share one MIPS rating, which routes
-    greedy and HBO through their uniform-fleet heaps.
+    greedy through its uniform-fleet ready levels and gives HBO's biased
+    scouts equal execution times on every VM of a datacenter.
     """
     num_datacenters = draw(st.integers(1, max_datacenters))
     num_vms = draw(st.integers(1, max_vms))

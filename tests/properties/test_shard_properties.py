@@ -49,6 +49,14 @@ def _stream(spec, chunk_size: int) -> ScenarioChunks:
     return ScenarioChunks.from_spec(spec, chunk_size=chunk_size)
 
 
+#: ``info`` keys a sharded run may report differently from the serial run.
+SHARD_VARIANT_INFO = ("shards", "peak_rss_bytes")
+
+
+def _shard_invariant_info(info: dict) -> dict:
+    return {k: v for k, v in info.items() if k not in SHARD_VARIANT_INFO}
+
+
 def _assert_bounded_equal(sharded, serial) -> None:
     assert sharded.makespan == serial.makespan
     assert sharded.time_imbalance == serial.time_imbalance
@@ -104,6 +112,9 @@ def test_sharded_equals_serial_bounded(name, spec, chunk_size, seed):
             shard_parallel=False,
         ).run()
         _assert_bounded_equal(sharded, serial)
+        # Assigner diagnostics (HBO's per-datacenter counts, RBS's walk
+        # length, greedy's makespan estimate) and the manifest match too.
+        assert _shard_invariant_info(sharded.info) == _shard_invariant_info(serial.info)
 
 
 @COMMON

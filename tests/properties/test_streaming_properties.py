@@ -51,7 +51,7 @@ from tests.properties.strategies import (
     family_points,
     float_scenarios,
 )
-from tests.schedulers.oracles import ORACLES
+from tests.schedulers.oracles import ORACLES, honeybee_oracle
 
 COMMON = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -175,6 +175,80 @@ def test_streaming_assignment_matches_batch_scheduler(name, spec, chunk_size):
     assert np.array_equal(streamed, expected)
     assert np.array_equal(batch.assignment, expected)
     assert batch.info == info
+
+
+#: HBO ``(load_balance_factor, scout_time_bias)`` points: the default, a cap
+#: so low that every datacenter saturates (the fall-back-to-cheapest
+#: branch), no spilling at all, and completion-biased scouts (argmin, not
+#: heap).
+HBO_PARAMS = ((0.5, 0.0), (0.1, 0.0), (1.0, 0.0), (0.5, 1.0))
+
+
+@COMMON
+@given(
+    spec=st.one_of(dyadic_scenarios(), float_scenarios()),
+    chunk_size=chunk_sizes(),
+)
+@pytest.mark.parametrize("load_balance_factor, scout_time_bias", HBO_PARAMS)
+def test_honeybee_parameters_match_oracle(
+    load_balance_factor, scout_time_bias, spec, chunk_size
+):
+    """Chunked, sharded and batch HBO equal the oracle off the defaults."""
+    kwargs = {
+        "load_balance_factor": load_balance_factor,
+        "scout_time_bias": scout_time_bias,
+    }
+    expected, info = honeybee_oracle(
+        SchedulingContext.from_scenario(spec, seed=spec.seed), **kwargs
+    )
+    stream = ScenarioChunks.from_spec(spec, chunk_size=chunk_size)
+    assigner = make_streaming_scheduler("honeybee", **kwargs).open(
+        stream, spawn_rng(spec.seed, f"scheduler/{stream.name}")
+    )
+    streamed = np.concatenate(
+        [np.asarray(assigner.assign(chunk, offset)) for offset, chunk in stream]
+    )
+    assert np.array_equal(streamed, expected)
+    assert assigner.info() == info
+    sharded = StreamingSimulation(
+        stream,
+        make_streaming_scheduler("honeybee", **kwargs),
+        seed=spec.seed,
+        collect=True,
+        shards=3,
+        shard_parallel=False,
+    ).run()
+    assert np.array_equal(sharded.assignment, expected)
+    batch = make_scheduler("honeybee", **kwargs).schedule_checked(
+        SchedulingContext.from_scenario(spec, seed=spec.seed)
+    )
+    assert np.array_equal(batch.assignment, expected)
+    assert batch.info == info
+
+
+@pytest.fixture(scope="module")
+def hetero_bench_stream():
+    """The benchmark's ``hetero`` stream shape and its HBO oracle decision."""
+    stream = heterogeneous_stream(1000, 32768, chunk_size=16384, seed=1)
+    context = SchedulingContext.from_scenario(stream.to_spec(), seed=1)
+    return stream, honeybee_oracle(context)
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_honeybee_matches_oracle_at_benchmark_shape(hetero_bench_stream, shards):
+    """250-VM datacenters and group boundaries inside chunks, which the
+    small hypothesis fleets never reach."""
+    stream, (expected, info) = hetero_bench_stream
+    result = StreamingSimulation(
+        stream,
+        make_streaming_scheduler("honeybee"),
+        seed=1,
+        collect=True,
+        shards=shards,
+        shard_parallel=False,
+    ).run()
+    assert np.array_equal(result.assignment, expected)
+    assert {key: result.info[key] for key in info} == info
 
 
 @COMMON

@@ -13,8 +13,6 @@ Every oracle returns ``(assignment, info)`` like ``SchedulingResult``.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.schedulers.base import SchedulingContext
@@ -81,14 +79,6 @@ def honeybee_oracle(
 
     loads = [np.zeros(members.size) for members in dc_vms]
     inv_mips = [1.0 / (arr.vm_mips[members] * arr.vm_pes[members]) for members in dc_vms]
-    uniform = [
-        members.size > 0 and float(np.ptp(arr.vm_mips[members])) == 0.0
-        for members in dc_vms
-    ]
-    heaps = [
-        [(0.0, pos) for pos in range(members.size)] if uniform[dc] else []
-        for dc, members in enumerate(dc_vms)
-    ]
 
     cap = max(1, int(np.ceil(load_balance_factor * n)))
     assigned_per_dc = np.zeros(q, dtype=np.int64)
@@ -106,16 +96,9 @@ def honeybee_oracle(
             dc = _pick_datacenter(dc_rank, assigned_per_dc, cap, dc_vms)
             if dc != dc_rank[0]:
                 spills += 1
-            length = float(arr.cloudlet_length[cloudlet_idx])
-            if uniform[dc]:
-                backlog, pos = heapq.heappop(heaps[dc])
-                exec_seconds = length * inv_mips[dc][pos]
-                heapq.heappush(heaps[dc], (backlog + exec_seconds, pos))
-            else:
-                exec_seconds = length * inv_mips[dc]
-                key = loads[dc] + scout_time_bias * exec_seconds
-                pos = int(np.argmin(key))
-                loads[dc][pos] += exec_seconds[pos]
+            exec_seconds = float(arr.cloudlet_length[cloudlet_idx]) * inv_mips[dc]
+            pos = int(np.argmin(loads[dc] + scout_time_bias * exec_seconds))
+            loads[dc][pos] += exec_seconds[pos]
             assignment[cloudlet_idx] = dc_vms[dc][pos]
             assigned_per_dc[dc] += 1
 

@@ -5,10 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cloud.characteristics import DatacenterCharacteristics
+from repro.core.rng import spawn_rng
 from repro.schedulers.base import SchedulingContext, validate_assignment
 from repro.schedulers.hbo import HoneyBeeScheduler, _pairwise_const_sum, _PairwiseStreamSum
 from repro.workloads.heterogeneous import heterogeneous_scenario
 from repro.workloads.homogeneous import homogeneous_scenario
+from repro.workloads.spec import CloudletSpec, DatacenterSpec, ScenarioSpec, VmSpec
+from repro.workloads.streaming import ScenarioChunks, homogeneous_stream
+
+from tests.schedulers.oracles import honeybee_oracle
 
 
 def ctx(scenario, seed=0):
@@ -110,6 +116,66 @@ class TestBehaviour:
         )
         result = HoneyBeeScheduler().schedule(ctx(scenario))
         validate_assignment(result.assignment, 2, 8)
+
+
+def one_datacenter(lengths, pes=(1, 1)) -> ScenarioSpec:
+    """One datacenter of equal-MIPS VMs (one per entry of ``pes``)."""
+    return ScenarioSpec(
+        name="one-dc",
+        datacenters=(DatacenterSpec(characteristics=DatacenterCharacteristics()),),
+        vms=tuple(VmSpec(mips=1000.0, pes=p) for p in pes),
+        cloudlets=tuple(CloudletSpec(length=float(length)) for length in lengths),
+        vm_datacenter=(0,) * len(pes),
+        seed=0,
+    )
+
+
+def streamed(scheduler, stream) -> list:
+    """``stream`` assigned chunk by chunk through ``open()``."""
+    assigner = scheduler.open(stream, spawn_rng(0, f"scheduler/{stream.name}"))
+    return np.concatenate([assigner.assign(c, off) for off, c in stream]).tolist()
+
+
+class TestScoutBias:
+    """With ``scout_time_bias > 0`` the scout key is ``fl(load + bias·exec)``,
+    which a least-backlog heap does not order, even on equal-MIPS VMs."""
+
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            # VM 0's backlog exceeds VM 1's by a rounding step that vanishes
+            # once the third cloudlet's execution time is added: the keys
+            # tie and the argmin takes VM 0, where least backlog is VM 1.
+            (one_datacenter([np.nextafter(100.0, 200.0), 100.0, 1000.0]), [0, 1, 0]),
+            # Equal MIPS, different PEs: execution times differ per VM.
+            (one_datacenter([100.0] * 4, pes=(1, 2)), [1, 0, 1, 1]),
+        ],
+        ids=["rounding-tie", "mixed-pes"],
+    )
+    def test_biased_scout_takes_the_argmin(self, spec, expected):
+        scheduler = HoneyBeeScheduler(load_balance_factor=1.0, scout_time_bias=1.0)
+        oracle, _ = honeybee_oracle(ctx(spec), 1.0, 1.0)
+        assert oracle.tolist() == expected
+        assert scheduler.schedule(ctx(spec)).assignment.tolist() == expected
+        assert streamed(scheduler, ScenarioChunks.from_spec(spec, chunk_size=2)) == expected
+
+    def test_unbiased_heap_matches_the_scan_on_mixed_pes(self):
+        # At zero bias the key is the backlog itself, so the streaming
+        # heaps and the batch scan agree even when execution times differ.
+        spec = one_datacenter([100.0, 300.0, 100.0, 50.0, 700.0], pes=(1, 2, 4))
+        scheduler = HoneyBeeScheduler(load_balance_factor=1.0)
+        oracle, _ = honeybee_oracle(ctx(spec), 1.0, 0.0)
+        assert scheduler.schedule(ctx(spec)).assignment.tolist() == oracle.tolist()
+        assert streamed(scheduler, ScenarioChunks.from_spec(spec, chunk_size=2)) == oracle.tolist()
+
+    def test_biased_constant_stream_takes_the_argmin(self):
+        # A bias large enough to swamp every backlog makes all keys equal,
+        # so the argmin keeps the first VM; the cyclic closed form would not.
+        stream = homogeneous_stream(4, 12, num_datacenters=2, chunk_size=5, seed=0)
+        assignment = streamed(HoneyBeeScheduler(scout_time_bias=2.0**60), stream)
+        oracle, _ = honeybee_oracle(ctx(stream.to_spec()), 0.5, 2.0**60)
+        assert assignment == oracle.tolist()
+        assert len(set(assignment)) == 2  # one VM per datacenter
 
 
 class TestGroupSums:
