@@ -11,7 +11,7 @@ import pytest
 
 from benchmarks.conftest import record_result
 from repro.cloud.chaos import ChaosConfig, run_chaos_suite
-from repro.cloud.faults import VmFailure, run_with_failures
+from repro.cloud.faults import VmFailure
 from repro.cloud.resilience import ImmediateRetry, run_resilient
 from repro.cloud.simulation import CloudSimulation
 from repro.schedulers import GreedyMinCompletionScheduler, RoundRobinScheduler
@@ -27,7 +27,9 @@ def test_failure_cascade_degradation(benchmark, num_failures):
     failures = [VmFailure(i, at_time=2.0 + i) for i in range(num_failures)]
 
     def run():
-        return run_with_failures(scenario, RoundRobinScheduler(), failures, seed=0)
+        return run_resilient(
+            scenario, RoundRobinScheduler(), failures, seed=0, recovery="round_robin"
+        )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     record_result(benchmark, result)
@@ -42,7 +44,9 @@ def test_failure_recovery_per_scheduler(benchmark, scheduler_factory):
     failures = [VmFailure(0, at_time=3.0), VmFailure(7, at_time=6.0)]
 
     def run():
-        return run_with_failures(scenario, scheduler_factory(), failures, seed=0)
+        return run_resilient(
+            scenario, scheduler_factory(), failures, seed=0, recovery="round_robin"
+        )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     record_result(benchmark, result)
@@ -59,7 +63,9 @@ def test_recovery_strategy_degradation(benchmark, recovery):
 
     def run():
         if recovery == "round-robin":
-            return run_with_failures(scenario, scheduler, failures, seed=5)
+            return run_resilient(
+                scenario, scheduler, failures, seed=5, recovery="round_robin"
+            )
         return run_resilient(
             scenario, scheduler, failures, seed=5,
             retry_policy=ImmediateRetry(max_attempts=8),

@@ -2,8 +2,9 @@
 """Failure injection: how the batch survives VMs dying mid-run.
 
 Kills an escalating number of VMs partway through a heterogeneous batch and
-reports how the resilient broker's round-robin recovery absorbs the damage:
-makespan degradation, retry volume and the waiting-time cost of recovery.
+reports how blind round-robin recovery (``run_resilient`` with
+``recovery="round_robin"``) absorbs the damage: makespan degradation, retry
+volume and the waiting-time cost of recovery.
 
 Run with::
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from repro.analysis.tables import format_table
 from repro.cloud.chaos import ChaosConfig, run_chaos_suite
-from repro.cloud.faults import VmFailure, VmSlowdown, run_with_failures
+from repro.cloud.faults import VmFailure, VmSlowdown
 from repro.cloud.resilience import ExponentialBackoffRetry, ImmediateRetry, run_resilient
 from repro.cloud.simulation import CloudSimulation
 from repro.schedulers import GreedyMinCompletionScheduler, RoundRobinScheduler
@@ -38,7 +39,9 @@ def main() -> None:
         failures = [
             VmFailure(vm_index=i, at_time=3.0 + 2.0 * i) for i in range(num_failures)
         ]
-        result = run_with_failures(scenario, RoundRobinScheduler(), failures, seed=SEED)
+        result = run_resilient(
+            scenario, RoundRobinScheduler(), failures, seed=SEED, recovery="round_robin"
+        )
         rows.append(
             {
                 "failed_vms": num_failures,
@@ -55,7 +58,9 @@ def main() -> None:
     failures = [VmFailure(0, at_time=3.0), VmFailure(7, at_time=6.0)]
     rows = []
     for scheduler in (RoundRobinScheduler(), GreedyMinCompletionScheduler()):
-        result = run_with_failures(scenario, scheduler, failures, seed=SEED)
+        result = run_resilient(
+            scenario, scheduler, failures, seed=SEED, recovery="round_robin"
+        )
         rows.append(
             {
                 "scheduler": result.scheduler_name,
@@ -73,7 +78,9 @@ def main() -> None:
     scheduler = GreedyMinCompletionScheduler()
     baseline = CloudSimulation(scenario, scheduler, seed=SEED).run()
     failures = [VmFailure(0, at_time=2.0), VmFailure(7, at_time=4.0)]
-    blind = run_with_failures(scenario, scheduler, failures, seed=SEED)
+    blind = run_resilient(
+        scenario, scheduler, failures, seed=SEED, recovery="round_robin"
+    )
     smart = run_resilient(
         scenario, scheduler, failures, seed=SEED,
         retry_policy=ImmediateRetry(max_attempts=8),

@@ -44,10 +44,8 @@ from repro.cloud.fast import FastSimulation
 from repro.cloud.faults import (
     FaultInjector,
     HostFailure,
-    ResilientBroker,
     VmFailure,
     VmSlowdown,
-    run_with_failures,
     validate_fault_plan,
 )
 from repro.cloud.host import Host
@@ -66,6 +64,7 @@ from repro.cloud.resilience import (
     ImmediateRetry,
     ReschedulingBroker,
     RetryPolicy,
+    RoundRobinRecoveryBroker,
     run_resilient,
 )
 from repro.cloud.simulation import (
@@ -125,14 +124,13 @@ __all__ = [
     "VmSlowdown",
     "FaultNotice",
     "FaultInjector",
-    "ResilientBroker",
-    "run_with_failures",
     "validate_fault_plan",
     "RetryPolicy",
     "ImmediateRetry",
     "FixedDelayRetry",
     "ExponentialBackoffRetry",
     "ReschedulingBroker",
+    "RoundRobinRecoveryBroker",
     "run_resilient",
     "ChaosConfig",
     "ChaosCell",

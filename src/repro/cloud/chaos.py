@@ -8,9 +8,10 @@ straggler windows — scaled to a run's fault-free makespan, and
 
 1. fault-free baseline (:class:`~repro.cloud.simulation.CloudSimulation`),
 2. the same plan under blind round-robin recovery
-   (:func:`~repro.cloud.faults.run_with_failures`),
+   (:func:`~repro.cloud.resilience.run_resilient` with
+   ``recovery="round_robin"``),
 3. the same plan under scheduler-driven rescheduling with retry backoff
-   (:func:`~repro.cloud.resilience.run_resilient`),
+   (:func:`~repro.cloud.resilience.run_resilient`, the default recovery),
 
 reducing each faulted run to :class:`~repro.metrics.resilience.RecoveryMetrics`
 so degradation ratios are directly comparable across schedulers and
@@ -42,7 +43,6 @@ from repro.cloud.faults import (
     HostFailure,
     VmFailure,
     VmSlowdown,
-    run_with_failures,
     validate_fault_plan,
 )
 from repro.cloud.resilience import RetryPolicy, run_resilient
@@ -268,9 +268,9 @@ def run_chaos_suite(
                 plan = generate_fault_plan(
                     scenario, baseline.makespan, config, plan_rng
                 )
-            rr = run_with_failures(
+            rr = run_resilient(
                 scenario, scheduler, plan, seed=seed,
-                execution_model=execution_model,
+                recovery="round_robin", execution_model=execution_model,
             )
             resched = run_resilient(
                 scenario, scheduler, plan, seed=seed,

@@ -1,8 +1,7 @@
-"""Fault model: failures, recoveries, stragglers, and resilient brokering.
+"""Fault model: failures, recoveries, stragglers, and their injection.
 
 Cloud schedulers are motivated by self-management under change; this module
-injects that change and provides the simplest recovery path.  The fault
-*plan* is a list of declarative events:
+injects that change.  The fault *plan* is a list of declarative events:
 
 * :class:`VmFailure` — a VM dies at ``at_time``; with a finite ``downtime``
   its capacity returns (a fresh VM, progress lost) after that long;
@@ -31,40 +30,25 @@ Ordering contract at a fault instant ``t``
    death *before* it sees the casualties, and never retries onto the VM
    that just died.
 
-Recovery here is the blind baseline: :class:`ResilientBroker` resubmits
-bounced cloudlets round-robin over the surviving VMs.  Scheduler-driven
-recovery (ACO/HBO/RBS re-invoked over the survivors), retry backoff and
-dead-lettering live in :mod:`repro.cloud.resilience`; randomized fault
-plans in :mod:`repro.cloud.chaos`.
+This module only models and injects faults.  Recovery lives in
+:mod:`repro.cloud.resilience`: blind round-robin resubmission, or
+scheduler-driven rescheduling (ACO/HBO/RBS re-invoked over the
+survivors) with retry backoff and dead-lettering.  Randomized fault
+plans live in :mod:`repro.cloud.chaos`.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
-from repro.cloud.broker import DatacenterBroker
-from repro.cloud.cloudlet import Cloudlet, CloudletStatus
-from repro.cloud.datacenter import FaultNotice
-from repro.cloud.simulation import (
-    SimulationResult,
-    build_simulation,
-    compute_batch_costs,
-    make_cloudlet_scheduler,
-)
 from repro.cloud.vm import Vm
 from repro.core.entity import Entity
 from repro.core.eventqueue import Event
 from repro.core.tags import EventTag
 from repro.obs.telemetry import TELEMETRY as _TEL
-from repro.metrics.definitions import makespan, time_imbalance
-from repro.schedulers.base import Scheduler, SchedulingContext
-from repro.workloads.spec import ScenarioSpec
 
 #: Priority of injector→datacenter fault deliveries: a fault at instant
 #: ``t`` is handled before the datacenter wake-up (priority +1) and before
@@ -302,154 +286,6 @@ class FaultInjector(Entity):
         raise ValueError(f"{self.name}: unexpected event tag {event.tag!r}")
 
 
-class ResilientBroker(DatacenterBroker):
-    """A broker that resubmits cloudlets bounced off failed VMs.
-
-    Recovery policy: round-robin over the VMs still alive (the simplest
-    self-healing rule; scheduler-driven recovery lives in
-    :class:`repro.cloud.resilience.ReschedulingBroker`).  The rotation
-    cursor walks *VM indices*, not positions of the shrinking alive array,
-    so the sequence stays stable across repeated failures.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._alive = np.ones(len(self.vms), dtype=bool)
-        self._retry_cursor = 0
-        self.retries = 0
-        #: vm index of each cloudlet's final (possibly post-retry) placement.
-        self.final_assignment = np.asarray(self.assignment, dtype=np.int64).copy()
-
-    def mark_failed_vm(self, vm_index: int) -> None:
-        self._alive[vm_index] = False
-
-    def mark_recovered_vm(self, vm_index: int) -> None:
-        self._alive[vm_index] = True
-
-    @property
-    def dead_vm_indices(self) -> list[int]:
-        """Indices of VMs currently believed dead."""
-        return [int(i) for i in np.flatnonzero(~self._alive)]
-
-    def process_event(self, event: Event) -> None:
-        if event.tag is EventTag.FAULT_NOTICE:
-            notice: FaultNotice = event.data
-            if notice.kind == "vm-failed":
-                for vm_index in notice.vm_ids:
-                    self.mark_failed_vm(vm_index)
-            elif notice.kind == "vm-recovered":
-                for vm_index in notice.vm_ids:
-                    self.mark_recovered_vm(vm_index)
-            return
-        super().process_event(event)
-
-    def choose_retry_vm(self, cloudlet: Cloudlet) -> int:
-        """Pick a surviving VM for a bounced cloudlet (stable round-robin)."""
-        num_vms = len(self.vms)
-        for _ in range(num_vms):
-            vm_index = self._retry_cursor % num_vms
-            self._retry_cursor += 1
-            if self._alive[vm_index]:
-                return vm_index
-        raise RuntimeError("every VM has failed; cloudlets cannot be recovered")
-
-    def _process_return(self, event: Event) -> None:
-        cloudlet: Cloudlet = event.data
-        if cloudlet.status is CloudletStatus.FAILED:
-            vm_index = self.choose_retry_vm(cloudlet)
-            self.retries += 1
-            c_idx = cloudlet.cloudlet_id
-            self.final_assignment[c_idx] = vm_index
-            cloudlet.reset_for_retry()
-            cloudlet.vm_id = self.vms[vm_index].vm_id
-            dc_id = self.vm_placement[vm_index]
-            self.send(dc_id, self.topology.latency(self.id, dc_id),
-                      EventTag.CLOUDLET_SUBMIT, data=cloudlet)
-            return
-        super()._process_return(event)
-
-
-def run_with_failures(
-    scenario: ScenarioSpec,
-    scheduler: Scheduler,
-    failures: Sequence[FaultEvent],
-    seed: int | None = 0,
-    *,
-    execution_model: str = "space-shared",
-) -> SimulationResult:
-    """Run a batch under a fault plan with blind round-robin recovery.
-
-    The plan may mix :class:`VmFailure` (with or without recovery),
-    :class:`HostFailure` and :class:`VmSlowdown` entries.  For
-    scheduler-driven recovery with retry backoff use
-    :func:`repro.cloud.resilience.run_resilient`.
-    """
-    validate_fault_plan(failures, scenario.num_vms)
-
-    context = SchedulingContext.from_scenario(scenario, seed)
-    t0 = time.perf_counter()
-    decision = scheduler.schedule_checked(context)
-    scheduling_time = time.perf_counter() - t0
-
-    env = build_simulation(scenario, execution_model=execution_model)
-    broker = ResilientBroker(
-        name="resilient-broker",
-        vms=env.vms,
-        cloudlets=env.cloudlets,
-        assignment=decision.assignment,
-        vm_placement=env.vm_placement,
-    )
-    env.sim.register(broker)
-    injector = FaultInjector(
-        name="fault-injector",
-        plan=failures,
-        vm_entity=env.vm_placement,
-        owner_id=broker.id,
-        vm_factory=lambda i: scenario.vms[i].build(
-            vm_id=i, cloudlet_scheduler=make_cloudlet_scheduler(execution_model)
-        ),
-    )
-    env.sim.register(injector)
-
-    env.sim.run()
-    cloudlets = env.cloudlets
-    if not broker.all_finished:
-        raise RuntimeError(
-            f"failure run drained with {len(broker.finished)}/"
-            f"{len(cloudlets)} cloudlets finished"
-        )
-
-    start = np.array([c.exec_start_time for c in cloudlets])
-    finish = np.array([c.finish_time for c in cloudlets])
-    submission = np.array([c.submission_time for c in cloudlets])
-    costs = compute_batch_costs(scenario, broker.final_assignment)
-    return SimulationResult(
-        scenario_name=scenario.name,
-        scheduler_name=decision.scheduler_name,
-        scheduling_time=scheduling_time,
-        makespan=makespan(start, finish),
-        time_imbalance=time_imbalance(finish - start),
-        total_cost=float(costs.sum()),
-        assignment=broker.final_assignment,
-        submission_times=submission,
-        start_times=start,
-        finish_times=finish,
-        exec_times=finish - start,
-        costs=costs,
-        events_processed=env.sim.events_processed,
-        info={
-            "engine": "des+faults",
-            "retries": broker.retries,
-            "failures": len(failures),
-            "failed_vms": broker.dead_vm_indices,
-            "lost_mi": float(sum(dc.lost_mi for dc in env.datacenters)),
-            "recoveries": int(sum(dc.recoveries for dc in env.datacenters)),
-            "host_failures": int(sum(dc.host_failures for dc in env.datacenters)),
-            **decision.info,
-        },
-    )
-
-
 __all__ = [
     "FAULT_DELIVERY_PRIORITY",
     "VmFailure",
@@ -458,6 +294,4 @@ __all__ = [
     "FaultEvent",
     "validate_fault_plan",
     "FaultInjector",
-    "ResilientBroker",
-    "run_with_failures",
 ]

@@ -1,8 +1,10 @@
 """Failure-aware recovery: retry policies, rescheduling, speculation.
 
-This module upgrades the blind round-robin recovery of
-:mod:`repro.cloud.faults` to the full resilience stack of the study:
+Every batch recovery path of the study lives here, on top of the fault
+model of :mod:`repro.cloud.faults`:
 
+* :class:`RoundRobinRecoveryBroker` — the blind baseline: each bounced
+  cloudlet is resubmitted at once to the next surviving VM in rotation.
 * :class:`RetryPolicy` — *when* to retry a bounced cloudlet.  Policies
   bound total execution attempts (``max_attempts``); exceeding the bound
   dead-letters the cloudlet (it is abandoned deterministically and
@@ -21,8 +23,9 @@ This module upgrades the blind round-robin recovery of
   of speculation: the copy is launched only after the original is
   withdrawn, so one cloudlet never runs twice concurrently.
 
-:func:`run_resilient` is the façade; with an empty fault plan, the default
-retry policy and speculation off it reproduces the plain
+:func:`run_resilient` is the façade; its ``recovery`` argument picks the
+broker.  With an empty fault plan either recovery (and, for rescheduling,
+the default retry policy with speculation off) reproduces the plain
 :class:`~repro.cloud.simulation.CloudSimulation` result bit-for-bit (a
 property test pins this).
 """
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import abc
 import time
-from typing import Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -359,7 +362,38 @@ class ReschedulingBroker(DatacenterBroker):
         )
 
 
+class RoundRobinRecoveryBroker(ReschedulingBroker):
+    """Blind recovery: resubmit each bounce to the next surviving VM.
+
+    The simplest self-healing rule, kept as the baseline that rescheduling
+    is measured against.  Retries are immediate and unbounded: the retry
+    policy is never consulted and nothing is dead-lettered.  The retry is
+    sent from the bounce handler itself, not from a retry timer, so it is
+    queued ahead of later events at the same instant.  The rotation cursor
+    walks *VM indices*, not positions of the shrinking alive array, so the
+    sequence stays stable across repeated failures.
+    """
+
+    _retry_cursor = 0  # the first ``+=`` turns this default into instance state
+
+    def _handle_bounce(self, c_idx: int) -> None:
+        self._bounce_time.setdefault(c_idx, self.now)
+        self.attempts[c_idx] += 1
+        self.retries += 1
+        num_vms = len(self.vms)
+        for _ in range(num_vms):
+            vm_idx = self._retry_cursor % num_vms
+            self._retry_cursor += 1
+            if self._alive[vm_idx]:
+                self._dispatch(c_idx, vm_idx)
+                return
+        raise RuntimeError("every VM has failed; cloudlets cannot be recovered")
+
+
 # -- façade --------------------------------------------------------------------
+
+Recovery = Literal["rescheduling", "round_robin"]
+_BROKERS = {"rescheduling": ReschedulingBroker, "round_robin": RoundRobinRecoveryBroker}
 
 
 def run_resilient(
@@ -368,22 +402,38 @@ def run_resilient(
     failures: Sequence[FaultEvent] = (),
     seed: int | None = 0,
     *,
+    recovery: Recovery = "rescheduling",
     retry_policy: RetryPolicy | None = None,
     speculation_multiple: float | None = None,
     execution_model: ExecutionModel = "space-shared",
 ) -> SimulationResult:
-    """Run a batch under a fault plan with scheduler-driven recovery.
+    """Run a batch under a fault plan and recover the bounced cloudlets.
 
-    Bounced cloudlets are re-placed by ``scheduler`` itself over the
-    surviving VMs, retries pace themselves per ``retry_policy`` (default:
-    seeded exponential backoff), and cloudlets exceeding ``max_attempts``
-    are dead-lettered (reported in ``info["dead_letter"]``; their
-    finish/exec entries stay at the -1 sentinel and the aggregate metrics
-    are computed over the completed subset).
+    With ``recovery="rescheduling"`` (the default) bounced cloudlets are
+    re-placed by ``scheduler`` itself over the surviving VMs, retries pace
+    themselves per ``retry_policy`` (default: seeded exponential backoff),
+    and cloudlets exceeding ``max_attempts`` are dead-lettered (reported in
+    ``info["dead_letter"]``; their finish/exec entries stay at the -1
+    sentinel and the aggregate metrics are computed over the completed
+    subset).
+
+    With ``recovery="round_robin"`` each bounce is resubmitted at once to
+    the next surviving VM (:class:`RoundRobinRecoveryBroker`); retries are
+    unbounded, so ``retry_policy`` and ``speculation_multiple`` must stay
+    unset, and a bounce with every VM dead raises ``RuntimeError``.
 
     With no failures, default policy and no speculation this reproduces
     :class:`~repro.cloud.simulation.CloudSimulation` output bit-for-bit.
     """
+    if recovery not in _BROKERS:
+        raise ValueError(f"unknown recovery {recovery!r}; expected one of {sorted(_BROKERS)}")
+    tuning = {"retry_policy": retry_policy, "speculation_multiple": speculation_multiple}
+    given = [name for name, value in tuning.items() if value is not None]
+    if recovery == "round_robin" and given:
+        raise ValueError(
+            f"recovery='round_robin' retries at once and without limit; "
+            f"it takes no {' or '.join(given)}"
+        )
     validate_fault_plan(failures, scenario.num_vms)
 
     context = SchedulingContext.from_scenario(scenario, seed)
@@ -393,7 +443,7 @@ def run_resilient(
         scheduling_time = time.perf_counter() - t0
 
     env = build_simulation(scenario, execution_model=execution_model)
-    broker = ReschedulingBroker(
+    broker = _BROKERS[recovery](
         name="broker",
         vms=env.vms,
         cloudlets=env.cloudlets,
@@ -463,7 +513,9 @@ def run_resilient(
                 engine="des+resilience",
                 execution_model=execution_model,
                 num_planned_faults=len(failures),
+                **({"recovery": recovery} if recovery == "round_robin" else {}),
             ).to_dict(),
+            "recovery": recovery,
             "failures": len(failures),
             "retries": broker.retries,
             "reschedules": broker.reschedules,
@@ -487,5 +539,6 @@ __all__ = [
     "FixedDelayRetry",
     "ExponentialBackoffRetry",
     "ReschedulingBroker",
+    "RoundRobinRecoveryBroker",
     "run_resilient",
 ]

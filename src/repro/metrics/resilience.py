@@ -100,11 +100,10 @@ def recovery_metrics(
 
     Both results must come from the same (scenario, scheduler, seed)
     triple; the faulted run's ``info`` must carry the resilience counters
-    emitted by :func:`repro.cloud.resilience.run_resilient` or
-    :func:`repro.cloud.faults.run_with_failures` (missing counters default
-    to zero so plain runs can be compared too).  Degenerate inputs follow
-    the module's edge-case contract (``nan`` ratios, zero counters) rather
-    than raising.
+    emitted by :func:`repro.cloud.resilience.run_resilient` under either
+    recovery (missing counters default to zero so plain runs can be
+    compared too).  Degenerate inputs follow the module's edge-case
+    contract (``nan`` ratios, zero counters) rather than raising.
     """
     if baseline.scenario_name != faulted.scenario_name:
         raise ValueError(

@@ -25,7 +25,6 @@ import abc
 import numpy as np
 
 from repro.schedulers.base import Scheduler, SchedulingContext
-from repro.workloads.spec import ScenarioArrays
 
 
 class OnlineScheduler(abc.ABC):
@@ -113,26 +112,6 @@ class OnlineGreedyMCT(OnlineScheduler):
         return int(np.argmin(backlog + exec_times))
 
 
-def _subset_arrays(arrays: ScenarioArrays, cloudlet_indices: np.ndarray) -> ScenarioArrays:
-    """Array view restricted to a subset of cloudlets (VMs/DCs unchanged)."""
-    return ScenarioArrays(
-        cloudlet_length=arrays.cloudlet_length[cloudlet_indices],
-        cloudlet_pes=arrays.cloudlet_pes[cloudlet_indices],
-        cloudlet_file_size=arrays.cloudlet_file_size[cloudlet_indices],
-        cloudlet_output_size=arrays.cloudlet_output_size[cloudlet_indices],
-        vm_mips=arrays.vm_mips,
-        vm_pes=arrays.vm_pes,
-        vm_ram=arrays.vm_ram,
-        vm_bw=arrays.vm_bw,
-        vm_size=arrays.vm_size,
-        vm_datacenter=arrays.vm_datacenter,
-        dc_cost_per_mem=arrays.dc_cost_per_mem,
-        dc_cost_per_storage=arrays.dc_cost_per_storage,
-        dc_cost_per_bw=arrays.dc_cost_per_bw,
-        dc_cost_per_cpu=arrays.dc_cost_per_cpu,
-    )
-
-
 class BatchAdapter(OnlineScheduler):
     """Run a batch scheduler one arrival wave at a time.
 
@@ -159,7 +138,7 @@ class BatchAdapter(OnlineScheduler):
         """Solve one wave with the wrapped batch scheduler."""
         indices = np.asarray(cloudlet_indices, dtype=np.int64)
         sub_context = SchedulingContext(
-            arrays=_subset_arrays(context.arrays, indices),
+            arrays=context.arrays.take(indices, np.arange(context.num_vms)),
             rng=context.rng,
             scenario_name=context.scenario_name,
         )

@@ -268,8 +268,11 @@ class ScenarioArrays:
         Local index ``j`` of the result refers to global index
         ``vm_indices[j]`` (and likewise for cloudlets) — callers own the
         mapping back.  Datacenter cost vectors are kept whole because
-        ``vm_datacenter`` still indexes into them.  Used by failure-aware
-        rescheduling to re-run a scheduler over the surviving fleet.
+        ``vm_datacenter`` still indexes into them.  Used wherever a batch
+        scheduler solves part of a problem: failure-aware rescheduling
+        re-runs it over the surviving fleet, and the online
+        :class:`~repro.schedulers.online.BatchAdapter` over one arrival
+        wave on every VM.
         """
         ci = np.asarray(cloudlet_indices, dtype=np.int64)
         vi = np.asarray(vm_indices, dtype=np.int64)

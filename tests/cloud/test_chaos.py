@@ -138,6 +138,19 @@ class TestRunChaosSuite:
         assert c1.rescheduling.makespan == c2.rescheduling.makespan
         assert c1.rescheduling_recovery == c2.rescheduling_recovery
 
+    def test_round_robin_arm_measures_mttr(self):
+        scenario = heterogeneous_scenario(8, 60, seed=0)
+        report = run_chaos_suite(
+            scenario,
+            {"greedy": GreedyMinCompletionScheduler()},
+            seeds=(0,),
+            config=ChaosConfig(num_host_failures=1, num_stragglers=0),
+        )
+        cell = report.cells[0]
+        assert cell.round_robin_recovery.retries > 0
+        # Every blind retry finishes, after its bounce and by the makespan.
+        assert 0.0 < cell.round_robin_recovery.mttr <= cell.round_robin.makespan
+
 
 class TestHardening:
     """Validation added for PR 6: bad windows/plans fail fast and clearly."""

@@ -12,8 +12,8 @@ from repro.cloud.faults import (
     HostFailure,
     VmFailure,
     VmSlowdown,
-    run_with_failures,
 )
+from repro.cloud.resilience import run_resilient
 from repro.cloud.simulation import CloudSimulation
 from repro.schedulers import RoundRobinScheduler
 from repro.workloads.heterogeneous import heterogeneous_scenario
@@ -46,13 +46,16 @@ class TestVmFailureSpec:
 
 
 class TestRunWithFailures:
+    """Blind round-robin recovery: ``run_resilient(recovery="round_robin")``."""
+
     def test_all_cloudlets_still_finish(self):
         scenario = heterogeneous_scenario(8, 60, seed=1)
-        result = run_with_failures(
+        result = run_resilient(
             scenario,
             RoundRobinScheduler(),
             [VmFailure(0, at_time=5.0), VmFailure(3, at_time=10.0)],
             seed=1,
+            recovery="round_robin",
         )
         assert result.num_cloudlets == 60
         assert (result.finish_times > 0).all()
@@ -64,8 +67,9 @@ class TestRunWithFailures:
         # carried (no faster VM can absorb it for free).
         scenario = homogeneous_scenario(5, 100, seed=0)
         clean = CloudSimulation(scenario, RoundRobinScheduler(), seed=0).run()
-        faulty = run_with_failures(
-            scenario, RoundRobinScheduler(), [VmFailure(0, at_time=1.0)], seed=0
+        faulty = run_resilient(
+            scenario, RoundRobinScheduler(), [VmFailure(0, at_time=1.0)], seed=0,
+            recovery="round_robin",
         )
         assert faulty.makespan > clean.makespan
         assert faulty.info["retries"] > 0
@@ -73,15 +77,18 @@ class TestRunWithFailures:
     def test_no_failures_matches_plain_run(self):
         scenario = heterogeneous_scenario(6, 40, seed=2)
         clean = CloudSimulation(scenario, RoundRobinScheduler(), seed=2).run()
-        faulty = run_with_failures(scenario, RoundRobinScheduler(), [], seed=2)
+        faulty = run_resilient(
+            scenario, RoundRobinScheduler(), [], seed=2, recovery="round_robin"
+        )
         assert faulty.makespan == pytest.approx(clean.makespan)
         assert faulty.info["retries"] == 0
         np.testing.assert_array_equal(faulty.assignment, clean.assignment)
 
     def test_retries_avoid_dead_vms(self):
         scenario = homogeneous_scenario(4, 40, seed=0)
-        result = run_with_failures(
-            scenario, RoundRobinScheduler(), [VmFailure(2, at_time=0.5)], seed=0
+        result = run_resilient(
+            scenario, RoundRobinScheduler(), [VmFailure(2, at_time=0.5)], seed=0,
+            recovery="round_robin",
         )
         retried = result.assignment != np.arange(40) % 4
         # Every reassigned cloudlet landed off the dead VM.
@@ -93,11 +100,12 @@ class TestRunWithFailures:
     def test_failure_after_completion_is_harmless(self):
         scenario = homogeneous_scenario(4, 8, seed=0)
         clean = CloudSimulation(scenario, RoundRobinScheduler(), seed=0).run()
-        result = run_with_failures(
+        result = run_resilient(
             scenario,
             RoundRobinScheduler(),
             [VmFailure(1, at_time=clean.makespan + 100.0)],
             seed=0,
+            recovery="round_robin",
         )
         assert result.info["retries"] == 0
         assert result.makespan == pytest.approx(clean.makespan)
@@ -105,25 +113,28 @@ class TestRunWithFailures:
     def test_out_of_range_failure_rejected(self):
         scenario = homogeneous_scenario(4, 8, seed=0)
         with pytest.raises(ValueError, match="out of range"):
-            run_with_failures(
-                scenario, RoundRobinScheduler(), [VmFailure(99, 1.0)], seed=0
+            run_resilient(
+                scenario, RoundRobinScheduler(), [VmFailure(99, 1.0)], seed=0,
+                recovery="round_robin",
             )
 
     def test_waiting_time_reflects_recovery_delay(self):
         scenario = homogeneous_scenario(2, 20, seed=0)
         clean = CloudSimulation(scenario, RoundRobinScheduler(), seed=0).run()
-        faulty = run_with_failures(
-            scenario, RoundRobinScheduler(), [VmFailure(0, at_time=1.0)], seed=0
+        faulty = run_resilient(
+            scenario, RoundRobinScheduler(), [VmFailure(0, at_time=1.0)], seed=0,
+            recovery="round_robin",
         )
         assert faulty.average_waiting_time > clean.average_waiting_time
 
     def test_multiple_failures_cascade(self):
         scenario = homogeneous_scenario(6, 120, seed=0)
-        result = run_with_failures(
+        result = run_resilient(
             scenario,
             RoundRobinScheduler(),
             [VmFailure(i, at_time=1.0 + i) for i in range(5)],
             seed=0,
+            recovery="round_robin",
         )
         # Only VM 5 survives; everything must still complete there.
         assert result.num_cloudlets == 120
@@ -132,18 +143,20 @@ class TestRunWithFailures:
 
     def test_statuses_all_success_at_end(self):
         scenario = homogeneous_scenario(4, 30, seed=0)
-        result = run_with_failures(
-            scenario, RoundRobinScheduler(), [VmFailure(1, at_time=0.7)], seed=0
+        result = run_resilient(
+            scenario, RoundRobinScheduler(), [VmFailure(1, at_time=0.7)], seed=0,
+            recovery="round_robin",
         )
         assert (result.exec_times > 0).all()
 
     def test_recovering_failure_restores_the_vm(self):
         scenario = homogeneous_scenario(3, 30, seed=0)
-        result = run_with_failures(
+        result = run_resilient(
             scenario,
             RoundRobinScheduler(),
             [VmFailure(0, at_time=0.5, downtime=1.0)],
             seed=0,
+            recovery="round_robin",
         )
         assert result.info["recoveries"] == 1
         assert result.info["failed_vms"] == []
@@ -151,8 +164,9 @@ class TestRunWithFailures:
 
     def test_host_failure_blast_radius(self):
         scenario = homogeneous_scenario(4, 40, seed=0)
-        result = run_with_failures(
-            scenario, RoundRobinScheduler(), [HostFailure(0, at_time=0.6)], seed=0
+        result = run_resilient(
+            scenario, RoundRobinScheduler(), [HostFailure(0, at_time=0.6)], seed=0,
+            recovery="round_robin",
         )
         assert result.info["host_failures"] == 1
         assert 0 in result.info["failed_vms"]
@@ -160,11 +174,12 @@ class TestRunWithFailures:
 
     def test_slowdown_needs_no_retries(self):
         scenario = homogeneous_scenario(4, 40, seed=0)
-        result = run_with_failures(
+        result = run_resilient(
             scenario,
             RoundRobinScheduler(),
             [VmSlowdown(1, at_time=0.3, duration=4.0, factor=0.5)],
             seed=0,
+            recovery="round_robin",
         )
         assert result.info["retries"] == 0
         assert result.info["lost_mi"] == 0.0

@@ -2,28 +2,37 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.cloud.cloudlet import Cloudlet
+from repro.cloud.chaos import ChaosConfig, generate_fault_plan
+from repro.cloud.cloudlet import CloudletStatus
+from repro.cloud.datacenter import FaultNotice
 from repro.cloud.faults import (
     HostFailure,
-    ResilientBroker,
     VmFailure,
     VmSlowdown,
-    run_with_failures,
     validate_fault_plan,
 )
 from repro.cloud.resilience import (
     ExponentialBackoffRetry,
     FixedDelayRetry,
     ImmediateRetry,
+    RoundRobinRecoveryBroker,
     run_resilient,
 )
-from repro.cloud.simulation import CloudSimulation
-from repro.cloud.vm import Vm
+from repro.cloud.simulation import CloudSimulation, build_simulation
+from repro.core.eventqueue import Event
 from repro.core.rng import spawn_rng
-from repro.schedulers import GreedyMinCompletionScheduler, RoundRobinScheduler
+from repro.core.tags import EventTag
+from repro.schedulers import (
+    GreedyMinCompletionScheduler,
+    RoundRobinScheduler,
+    SchedulingContext,
+    make_scheduler,
+)
 from repro.workloads.heterogeneous import heterogeneous_scenario
 from repro.workloads.homogeneous import homogeneous_scenario
 
@@ -74,55 +83,99 @@ class TestRetryPolicies:
 
 
 class TestRetryCursorStability:
-    """Satellite fix: the rotation cursor walks VM indices, so the sequence
-    does not jump when the alive set shrinks mid-rotation."""
+    """Blind recovery's rotation cursor walks VM indices, so the sequence
+    does not jump when the alive set shrinks mid-rotation.
+
+    The broker is driven by the events a datacenter sends it: fault
+    notices, then bounced (``FAILED``) cloudlets.
+    """
 
     def _broker(self, num_vms=4):
-        return ResilientBroker(
+        scenario = homogeneous_scenario(num_vms, 1, seed=0)
+        env = build_simulation(scenario)
+        broker = RoundRobinRecoveryBroker(
             "b",
-            vms=[Vm(vm_id=i, mips=1000.0) for i in range(num_vms)],
-            cloudlets=[],
-            assignment=[],
-            vm_placement={i: 1 for i in range(num_vms)},
+            vms=env.vms,
+            cloudlets=env.cloudlets,
+            assignment=[0],
+            vm_placement=env.vm_placement,
+            scheduler=RoundRobinScheduler(),
+            context=SchedulingContext.from_scenario(scenario, 0),
+            retry_policy=ImmediateRetry(),
+            rng=spawn_rng(0, "t"),
         )
+        env.sim.register(broker)
+        return broker
+
+    @staticmethod
+    def _notify(broker, kind, *vm_ids):
+        notice = FaultNotice(kind, tuple(vm_ids))
+        broker.process_event(Event(0.0, -1, broker.id, EventTag.FAULT_NOTICE, notice))
+
+    @staticmethod
+    def _retry_picks(broker, count):
+        """Bounce the broker's cloudlet ``count`` times; return each retry VM."""
+        cloudlet = broker.cloudlets[0]
+        picks = []
+        for _ in range(count):
+            cloudlet.status = CloudletStatus.FAILED
+            broker.process_event(
+                Event(0.0, -1, broker.id, EventTag.CLOUDLET_RETURN, cloudlet)
+            )
+            picks.append(int(broker.final_assignment[0]))
+        return picks
 
     def test_round_robin_skips_dead(self):
         broker = self._broker()
-        broker.mark_failed_vm(1)
-        picks = [broker.choose_retry_vm(None) for _ in range(6)]
-        assert picks == [0, 2, 3, 0, 2, 3]
+        self._notify(broker, "vm-failed", 1)
+        assert self._retry_picks(broker, 6) == [0, 2, 3, 0, 2, 3]
+        assert broker.retries == 6
 
     def test_sequence_stable_under_mid_rotation_failure(self):
         broker = self._broker()
-        broker.mark_failed_vm(1)
-        assert [broker.choose_retry_vm(None) for _ in range(2)] == [0, 2]
-        broker.mark_failed_vm(0)
+        self._notify(broker, "vm-failed", 1)
+        assert self._retry_picks(broker, 2) == [0, 2]
+        self._notify(broker, "vm-failed", 0)
         # The cursor keeps walking indices: 3, then wraps past dead 0/1 to 2.
-        assert [broker.choose_retry_vm(None) for _ in range(2)] == [3, 2]
+        assert self._retry_picks(broker, 2) == [3, 2]
 
     def test_recovery_rejoins_rotation(self):
         broker = self._broker()
-        broker.mark_failed_vm(2)
-        assert [broker.choose_retry_vm(None) for _ in range(3)] == [0, 1, 3]
-        broker.mark_recovered_vm(2)
-        assert [broker.choose_retry_vm(None) for _ in range(4)] == [0, 1, 2, 3]
+        self._notify(broker, "vm-failed", 2)
+        assert self._retry_picks(broker, 3) == [0, 1, 3]
+        self._notify(broker, "vm-recovered", 2)
+        assert self._retry_picks(broker, 4) == [0, 1, 2, 3]
 
     def test_all_dead_raises(self):
         broker = self._broker(2)
-        broker.mark_failed_vm(0)
-        broker.mark_failed_vm(1)
+        self._notify(broker, "vm-failed", 0, 1)
         with pytest.raises(RuntimeError, match="every VM has failed"):
-            broker.choose_retry_vm(None)
+            self._retry_picks(broker, 1)
+
+
+#: Zero-fault cases; a case id names its recovery unless it is the default.
+ZERO_FAULT_CASES = [
+    pytest.param(
+        scheduler_cls,
+        recovery,
+        id=scheduler_cls.__name__
+        + ("" if recovery == "rescheduling" else f"-{recovery}"),
+    )
+    for recovery in ("rescheduling", "round_robin")
+    for scheduler_cls in (RoundRobinScheduler, GreedyMinCompletionScheduler)
+]
 
 
 class TestZeroFaultReproduction:
     """Property: an empty fault plan reproduces the plain DES run bit-for-bit."""
 
-    @pytest.mark.parametrize("make_scheduler", [RoundRobinScheduler, GreedyMinCompletionScheduler])
-    def test_bit_for_bit(self, make_scheduler):
+    @pytest.mark.parametrize("scheduler_cls, recovery", ZERO_FAULT_CASES)
+    def test_bit_for_bit(self, scheduler_cls, recovery):
         scenario = heterogeneous_scenario(8, 80, seed=4)
-        plain = CloudSimulation(scenario, make_scheduler(), seed=4).run()
-        resilient = run_resilient(scenario, make_scheduler(), [], seed=4)
+        plain = CloudSimulation(scenario, scheduler_cls(), seed=4).run()
+        resilient = run_resilient(
+            scenario, scheduler_cls(), [], seed=4, recovery=recovery
+        )
         np.testing.assert_array_equal(resilient.assignment, plain.assignment)
         np.testing.assert_array_equal(resilient.submission_times, plain.submission_times)
         np.testing.assert_array_equal(resilient.start_times, plain.start_times)
@@ -227,7 +280,9 @@ class TestRecoveryAndStragglers:
             vm_datacenter=(0,),
         )
         plan = [VmSlowdown(0, at_time=5.0, duration=10.0, factor=0.5)]
-        result = run_with_failures(scenario, RoundRobinScheduler(), plan, seed=0)
+        result = run_resilient(
+            scenario, RoundRobinScheduler(), plan, seed=0, recovery="round_robin"
+        )
         assert result.finish_times[0] == pytest.approx(15.0)
 
     def test_straggler_slows_but_loses_nothing(self):
@@ -327,7 +382,9 @@ class TestReschedulingBeatsBlindRecovery:
         scheduler = GreedyMinCompletionScheduler()
         baseline = CloudSimulation(scenario, scheduler, seed=5).run()
         plan = [VmFailure(0, at_time=2.0), VmFailure(4, at_time=3.0)]
-        blind = run_with_failures(scenario, scheduler, plan, seed=5)
+        blind = run_resilient(
+            scenario, scheduler, plan, seed=5, recovery="round_robin"
+        )
         smart = run_resilient(
             scenario, scheduler, plan, seed=5,
             retry_policy=ImmediateRetry(max_attempts=8),
@@ -335,3 +392,87 @@ class TestReschedulingBeatsBlindRecovery:
         assert smart.info["dead_letter"] == []
         assert smart.makespan / baseline.makespan < blind.makespan / baseline.makespan
         assert smart.info["reschedules"] >= 1
+
+
+class TestRoundRobinRecoveryPins:
+    """Blind recovery's decisions, pinned exactly on four chaos cells.
+
+    Heterogeneous 12×120 at seed 1 under a recovering crash, a host crash
+    and a straggler, drawn as :func:`run_chaos_suite` draws its plans.  A
+    pin is the SHA-256 of (final assignment, start times, finish times)
+    plus the retry count and the kernel's processed-event count.
+    """
+
+    CONFIG = ChaosConfig(
+        num_vm_failures=1, num_host_failures=1, num_stragglers=1, recover_fraction=1.0
+    )
+
+    @pytest.mark.parametrize(
+        "name, execution_model, sha256, retries, events",
+        [
+            ("basetest", "space-shared",
+             "ae864c62b666f8b37b2b3fa055a9c67aa08d4625d71da5643d4662d2f60f2cf3", 6, 405),
+            ("greedy-mct", "space-shared",
+             "23b5f13504aa1c8d84684030e972e9967bb83f14e0526b31775fe09a360f5f94", 22, 437),
+            ("honeybee", "space-shared",
+             "02aff9fc83d5ec20d7d786892459683b615e18343df99b99403c1080b4e32f57", 38, 469),
+            ("rbs", "time-shared",
+             "3df6224406a3c4f02bcee26b69d6e37dddd9d5a14f73a118960ee5ce45daf452", 22, 437),
+        ],
+        ids=["basetest", "greedy-mct", "honeybee", "rbs-time-shared"],
+    )
+    def test_decisions_pinned(self, name, execution_model, sha256, retries, events):
+        scenario = heterogeneous_scenario(12, 120, seed=1)
+        clean = CloudSimulation(
+            scenario, make_scheduler(name), seed=1, execution_model=execution_model
+        ).run()
+        plan = generate_fault_plan(
+            scenario, clean.makespan, self.CONFIG, spawn_rng(1, f"chaos/{scenario.name}")
+        )
+        result = run_resilient(
+            scenario, make_scheduler(name), plan, seed=1,
+            recovery="round_robin", execution_model=execution_model,
+        )
+        digest = hashlib.sha256()
+        digest.update(np.asarray(result.assignment, dtype=np.int64).tobytes())
+        digest.update(np.asarray(result.start_times, dtype=np.float64).tobytes())
+        digest.update(np.asarray(result.finish_times, dtype=np.float64).tobytes())
+        assert digest.hexdigest() == sha256
+        assert result.info["retries"] == retries
+        assert result.events_processed == events
+
+
+class TestRecoveryArgument:
+    @staticmethod
+    def _run(**kwargs):
+        scenario = homogeneous_scenario(2, 4, seed=0)
+        return run_resilient(scenario, RoundRobinScheduler(), [], seed=0, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            ({"retry_policy": ImmediateRetry()}, "retry_policy"),
+            ({"speculation_multiple": 3.0}, "speculation_multiple"),
+            (
+                {"retry_policy": ImmediateRetry(), "speculation_multiple": 3.0},
+                "retry_policy or speculation_multiple",
+            ),
+        ],
+        ids=["retry_policy", "speculation_multiple", "both"],
+    )
+    def test_round_robin_rejects_rescheduling_settings(self, kwargs, named):
+        with pytest.raises(ValueError, match=f"takes no {named}$"):
+            self._run(recovery="round_robin", **kwargs)
+
+    def test_unknown_recovery_rejected(self):
+        with pytest.raises(ValueError, match="unknown recovery 'blind'"):
+            self._run(recovery="blind")
+
+    def test_recovery_is_recorded(self):
+        blind, resched = self._run(recovery="round_robin"), self._run()
+        assert blind.info["recovery"] == "round_robin"
+        assert resched.info["recovery"] == "rescheduling"
+        # Only the non-default recovery enters the manifest, which is
+        # enough to give the two recoveries different fingerprints.
+        assert blind.info["manifest"]["extra"]["recovery"] == "round_robin"
+        assert "recovery" not in resched.info["manifest"]["extra"]
