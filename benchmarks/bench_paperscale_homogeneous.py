@@ -259,10 +259,9 @@ def main(
             "(needs >= 'shards' cores; cpu_count is recorded for that) and "
             "lean shard execution — on constant workloads multi-shard runs "
             "skip the per-chunk float folds the merge rebuilds from counts, "
-            "so sharding can beat serial even on one core. rbs is the "
-            "exception: its walk is strictly sequential, so the carry "
-            "planner re-walks the whole horizon serially before workers "
-            "start, and one-core sharding stays a net loss. peak RSS is the "
+            "so sharding can beat serial even on one core. rbs plans each "
+            "carry from the boundary's partial sampling round, so its "
+            "workers are the only ones to walk their ranges. peak RSS is the "
             "ru_maxrss high-water mark, max across parent and shard workers; "
             "the 100M point runs serial-only and must sit inside the 512 MiB "
             "stream-smoke budget."

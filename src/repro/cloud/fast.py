@@ -772,9 +772,9 @@ class StreamingSimulation:
                 chunk_size=stream.chunk_size,
                 num_chunks=num_chunks,
             ).to_dict(),
-            # The last shard's assigner ends in the serial run's final
-            # state, so its diagnostics are the serial diagnostics.
-            **outcomes[-1].assigner_info,
+            **self.scheduler.merge_info(
+                [outcome.assigner_info for outcome in outcomes], n
+            ),
         }
         if telemetry_before is not None:
             info["telemetry"] = _TEL.snapshot().diff(telemetry_before).to_dict()

@@ -36,8 +36,7 @@ from repro.schedulers.streaming import ChunkAssigner, StreamingScheduler
 from repro.workloads.spec import ScenarioArrays
 from repro.workloads.streaming import ScenarioChunks
 
-#: batch width for the RNG fast-forward pre-pass (decoupled from the
-#: stream's chunk size so tiny chunks never degenerate to scalar draws).
+#: batch width of the RNG discard pre-pass: bounded memory, few calls.
 _DRAW_BATCH = 65_536
 
 
@@ -52,15 +51,24 @@ class BiasedWalk:
       capacity — or it cannot hold until ``g`` wraps to 0, after which
       ``omega - g >= 1`` forever, so the walk is ``q - g0`` forced hops
       followed by a cyclic scan from group 0.
-    * Between capacity events the scan target is a pure lookup of the
-      start group (first open group cyclically at-or-after it), so whole
-      runs of cloudlets resolve with one table indexing; the table is
-      only rebuilt when a group depletes or the round replenishes.
+    * Every sampling round consumes exactly ``total`` cloudlets and gives
+      group ``g`` exactly ``sizes[g]``, so rounds are independent.  A call
+      lays its cloudlets out as rows, one per round (the rest of the
+      current round, whole rounds, a partial last round), and resolves
+      every row at once.
+    * Within a row the scan target is a pure lookup of the start group
+      (first open group cyclically at-or-after it) until a group
+      depletes, so a row has at most ``q`` *epochs*, each ending where its
+      first group closes.  A group fed only by its own start value closes
+      at a directly indexed occurrence of that value; a group that also
+      absorbs closed groups' values is found by a binary search over the
+      per-value position lists, vectorised across rows.  Each cloudlet's
+      group is then one gather from the per-row epoch tables.
 
-    State (per-group NID, free total, cyclic cursors, hop count) persists
-    across :meth:`walk` calls, so chunked walks concatenate to the
-    monolithic walk exactly (the scalar walk in
-    ``tests/schedulers/oracles.py`` is the reference).
+    State (per-group NID, free total, cyclic cursors) persists across
+    :meth:`walk` calls, so chunked walks concatenate to the monolithic
+    walk exactly (the scalar walk in ``tests/schedulers/oracles.py`` is
+    the reference).
     """
 
     def __init__(self, groups: "list[np.ndarray]") -> None:
@@ -71,77 +79,123 @@ class BiasedWalk:
         self.nid = self.sizes.copy()
         self.free_total = self.total
         self.cursor = np.zeros(self.q, dtype=np.int64)
-        self.walks_total = 0
-
-    def _first_open_lut(self) -> np.ndarray:
-        """``lut[s]`` = first group with capacity cyclically at-or-after ``s``."""
-        open_idx = np.flatnonzero(self.nid > 0)
-        pos = np.searchsorted(open_idx, np.arange(self.q))
-        return open_idx[np.where(pos < open_idx.size, pos, 0)]
 
     def walk(self, omegas: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, int]:
         """Assign one slice of cloudlets; returns ``(vm_indices, hops)``."""
         omegas = np.asarray(omegas, dtype=np.int64)
         starts = np.asarray(starts, dtype=np.int64)
         k = omegas.shape[0]
-        out = np.empty(k, dtype=np.int64)
         if k == 0:
-            return out, 0
-        q, nid, sizes = self.q, self.nid, self.sizes
-        wrapped = omegas <= starts
-        s = np.where(wrapped, 0, starts)
-        hops = int(np.where(wrapped, q - starts, 0).sum())
-        choice = np.empty(k, dtype=np.int64)
-        free_total = self.free_total
-        i = 0
-        while i < k:
-            if free_total == 0:
-                nid[:] = sizes
-                free_total = self.total
-            lut = self._first_open_lut()
-            j = min(k, i + free_total)
-            cand = lut[s[i:j]]
-            counts = np.bincount(cand, minlength=q)
-            accept = j - i
-            # A group can deplete mid-segment, invalidating the table for
-            # later items; truncate at the earliest depleting assignment.
-            for g in np.flatnonzero((nid > 0) & (counts >= nid)):
-                t = int(np.flatnonzero(cand == g)[nid[g] - 1])
-                accept = min(accept, t + 1)
-            acc = cand[:accept]
-            choice[i : i + accept] = acc
-            if accept != j - i:
-                counts = np.bincount(acc, minlength=q)
-            nid -= counts
-            free_total -= accept
-            hops += int(((acc - s[i : i + accept]) % q).sum())
-            i += accept
+            return np.empty(0, dtype=np.int64), 0
+        q = self.q
+        direct = omegas > starts
+        s = starts * direct  # scan start: group 0 after a forced wrap
+        choice = self._choose(s)
+        # Per cloudlet: choice - start, plus q for a forced wrap or a scan
+        # past group q - 1 (never both: a wrapped scan starts at group 0).
+        wraps = k - np.count_nonzero(direct) + np.count_nonzero(choice < s)
+        hops = int(choice.sum() - starts.sum()) + q * int(wraps)
         # Step 6: inside a group the VMs are used cyclically.
+        out = np.empty(k, dtype=np.int64)
         for g in range(q):
             idx = np.flatnonzero(choice == g)
-            if idx.size == 0:
-                continue
-            size = int(sizes[g])
-            start = int(self.cursor[g])
-            out[idx] = self.groups[g][(start + np.arange(idx.size)) % size]
-            self.cursor[g] = (start + idx.size) % size
-        self.free_total = free_total
-        self.walks_total += hops
+            if idx.size:
+                cursor = int(self.cursor[g])
+                out[idx] = np.resize(np.roll(self.groups[g], -cursor), idx.size)
+                self.cursor[g] = (cursor + idx.size) % self.sizes[g]
         return out, hops
+
+    def _choose(self, s: np.ndarray) -> np.ndarray:
+        """Each cloudlet's group, given its scan start; advances NID."""
+        q, total, k = self.q, self.total, s.shape[0]
+        # Round coordinates: cloudlet i sits at position i + offset, and
+        # row r (round r of this call) spans positions [lo[r], hi[r]).
+        fresh = self.free_total in (0, total)
+        offset = 0 if fresh else total - self.free_total
+        stop = offset + k
+        rows = -(-stop // total)
+        lo = np.arange(rows, dtype=np.int64) * total
+        hi = np.minimum(lo + total, stop)
+        lo[0] = offset
+        rem = np.tile(self.sizes, (rows, 1))
+        if not fresh:
+            rem[0] = self.nid
+
+        # Per-value position lists as one sorted key array: value v at
+        # position p has key v * stop + p.
+        value_base = np.arange(q, dtype=np.int64) * stop
+        keys = np.concatenate(
+            [np.flatnonzero(s == v) + (value_base[v] + offset) for v in range(q)]
+        )
+
+        def rank(p: np.ndarray) -> np.ndarray:
+            """``[r, v]``: cloudlets with start value v before position p[r]."""
+            needles = (value_base[:, None] + p).ravel()
+            return np.searchsorted(keys, needles).reshape(q, rows).T
+
+        row_groups = np.arange(rows)[:, None] * q
+        both = np.arange(2 * q)
+        top = rank(hi)
+        start, filled = lo, rank(lo)
+        ends, tables = [], []
+        while (start < hi).any():
+            is_open = rem > 0
+            # lut[r, v]: first open group cyclically at-or-after v.
+            after = np.where(np.tile(is_open, 2), both, 2 * q)
+            lut = np.minimum.accumulate(after[:, ::-1], axis=1)[:, ::-1][:, :q] % q
+            group_of = (row_groups + lut).ravel()
+            fed = np.bincount(group_of, minlength=rows * q).reshape(rows, q)
+
+            def taken(ranks: np.ndarray) -> np.ndarray:
+                """``[r, g]``: cloudlets group g takes from start to ``ranks``."""
+                weights = (ranks - filled).ravel()
+                counts = np.bincount(group_of, weights=weights, minlength=rows * q)
+                return counts.reshape(rows, q)
+
+            # The epoch ends by the pigeonhole bound and by the directly
+            # indexed closing occurrence of every self-fed group.
+            own = is_open & (fed == 1)
+            nth = filled + rem - 1
+            own &= nth < top
+            close = keys[np.where(own, nth, 0)] - value_base + 1
+            bound = np.minimum(hi, start + (rem - is_open).sum(axis=1) + 1)
+            bound = np.minimum(bound, np.where(own, close, bound[:, None]).min(axis=1))
+            # Binary-search the groups absorbing closed groups' values.
+            multi = is_open & (fed > 1) & (is_open.sum(axis=1) > 1)[:, None]
+            a, b = np.where(multi.any(axis=1), start, bound - 1), bound
+            while True:
+                gap = b - a > 1
+                if not gap.any():
+                    break
+                mid = (a + b) >> 1
+                hit = ((taken(rank(mid)) >= rem) & multi).any(axis=1)
+                b = np.where(gap & hit, mid, b)
+                a = np.where(gap & ~hit, mid, a)
+            reached = rank(b)
+            rem = rem - taken(reached).astype(np.int64)
+            ends.append(b)
+            tables.append(lut)
+            start, filled = b, reached
+
+        self.nid[:] = rem[-1]
+        self.free_total = int(rem[-1].sum())
+        epochs = np.repeat(
+            np.arange(rows * len(ends)), np.diff(np.column_stack([lo, *ends])).ravel()
+        )
+        return np.stack(tables, axis=1).ravel()[epochs * q + s]
 
     def state_dict(self) -> "dict[str, object]":
         """Picklable snapshot of the mutable walk state (O(q) sized).
 
         The group tables are derivable from the fleet, so only the
-        per-round capacities, cyclic cursors and hop counter travel —
-        restoring them via :meth:`load_state` resumes the walk exactly
-        where a serial walk would stand (the shard-carry contract).
+        per-round capacities and cyclic cursors travel — restoring them
+        via :meth:`load_state` resumes the walk exactly where a serial
+        walk would stand (the shard-carry contract).
         """
         return {
             "nid": self.nid.copy(),
             "free_total": int(self.free_total),
             "cursor": self.cursor.copy(),
-            "walks_total": int(self.walks_total),
         }
 
     def load_state(self, state: "dict[str, object]") -> None:
@@ -149,7 +203,6 @@ class BiasedWalk:
         self.nid[:] = np.asarray(state["nid"], dtype=np.int64)
         self.free_total = int(state["free_total"])  # type: ignore[arg-type]
         self.cursor[:] = np.asarray(state["cursor"], dtype=np.int64)
-        self.walks_total = int(state["walks_total"])  # type: ignore[arg-type]
 
 
 def _generator_from_state(state: "dict[str, Any]") -> np.random.Generator:
@@ -164,6 +217,58 @@ def _generator_from_state(state: "dict[str, Any]") -> np.random.Generator:
     bit_gen = bit_cls()
     bit_gen.state = state
     return np.random.Generator(bit_gen)
+
+
+def _skip_draws(gen: np.random.Generator, q: int, k: int) -> None:
+    """Move ``gen`` past ``k`` bounded draws over ``q`` values, in place.
+
+    numpy draws an int64 from at most 2**32 values out of 32-bit halves of
+    the bit generator's 64-bit outputs, buffering the spare half
+    (``has_uint32``/``uinteger`` in the state), and Lemire's method never
+    rejects when ``q`` is a power of two.  So for PCG64 and such ``q`` the
+    draws use up a buffered half first, then ``k // 2`` whole outputs —
+    reached with ``PCG64.advance`` in O(1) — and one drawn value when an
+    odd count remains.  ``q == 1`` draws nothing.  Any other ``q`` or bit
+    generator discards the draws in bounded batches; rejection sampling
+    consumes the bit stream per element, so batches land on the same
+    state.  ``uinteger`` is dead while ``has_uint32`` is 0 and may then
+    differ from a drawing generator's; every later draw is identical.
+    """
+    if q == 1 or k == 0:
+        return
+    bit_gen = gen.bit_generator
+    if type(bit_gen) is np.random.PCG64 and q & (q - 1) == 0 and q <= 2**32:
+        if bit_gen.state["has_uint32"]:
+            gen.integers(0, q, size=1)
+            k -= 1
+        if k > 1:
+            bit_gen.advance(k // 2)
+        if k % 2:
+            gen.integers(0, q, size=1)
+        return
+    while k > 0:
+        block = min(k, _DRAW_BATCH)
+        gen.integers(0, q, size=block)
+        k -= block
+
+
+def _carry(
+    omega_gen: np.random.Generator,
+    starts_gen: np.random.Generator,
+    walk: BiasedWalk,
+    start: int,
+) -> dict[str, Any]:
+    """The carry ``open(stream, rng, carry)`` resumes from at cloudlet ``start``."""
+    return {
+        "omega_state": omega_gen.bit_generator.state,
+        "starts_state": starts_gen.bit_generator.state,
+        "walk": walk.state_dict(),
+        "start": start,
+    }
+
+
+def _walk_info(q: int, hops: int, n: int) -> dict[str, Any]:
+    return {"num_groups": q, "mean_walk_length": hops / n if n else 0.0, "walk_hops": hops}
 
 
 class RandomBiasedSamplingScheduler(StreamingScheduler):
@@ -184,12 +289,13 @@ class RandomBiasedSamplingScheduler(StreamingScheduler):
     (rejection sampling retries per value), so chunked draws concatenate
     bit-identically to one ``size=n`` draw.  ``open()`` exploits this to
     stay O(num_vms + chunk_size): it parks a clone at the ω position,
-    fast-forwards the caller's generator past all ``n`` ω draws (a
-    discarding pre-pass in bounded batches), and then draws ω from the
-    clone and the start groups from the caller's generator lazily per
-    chunk.  After the last chunk the caller's generator stands exactly
-    ``2n`` draws on, as after one monolithic ω + start draw.  The walk's
-    O(q) state carries across chunks and shard boundaries.
+    moves the caller's generator past all ``n`` ω draws
+    (:func:`_skip_draws`: O(1) for PCG64 and power-of-two ``q``, a
+    discarding pre-pass otherwise), and then draws ω from the clone and
+    the start groups from the caller's generator lazily per chunk.
+    After the last chunk the caller's generator stands exactly ``2n``
+    draws on, as after one monolithic ω + start draw.  The walk's O(q)
+    state carries across chunks and shard boundaries.
     """
 
     def __init__(self, num_groups: int | None = None) -> None:
@@ -201,32 +307,29 @@ class RandomBiasedSamplingScheduler(StreamingScheduler):
     def name(self) -> str:
         return "rbs"
 
+    def _walk(self, num_vms: int) -> BiasedWalk:
+        """Steps 1-2: a fresh walk over ``q`` contiguous VM groups."""
+        q = self.num_groups if self.num_groups is not None else min(4, num_vms)
+        q = min(q, num_vms)
+        return BiasedWalk(
+            [chunk for chunk in np.array_split(np.arange(num_vms), q) if chunk.size]
+        )
+
     def open(
         self,
         stream: ScenarioChunks,
         rng: np.random.Generator,
         carry: "dict[str, Any] | None" = None,
     ) -> ChunkAssigner:
-        n, m = stream.num_cloudlets, stream.num_vms
-        q = self.num_groups if self.num_groups is not None else min(4, m)
-        q = min(q, m)
-        groups = [
-            chunk for chunk in np.array_split(np.arange(m), q) if chunk.size
-        ]
-        q = len(groups)
-        walk = BiasedWalk(groups)
+        n = stream.num_cloudlets
+        walk = self._walk(stream.num_vms)
+        q = walk.q
 
         if carry is None:
             omega_gen = _generator_from_state(rng.bit_generator.state)
-            # Fast-forward past the n ω draws so the caller's generator
-            # stands where the monolithic starts draw begins.  Rejection
-            # sampling consumes the bit stream per element, so batched
-            # discarding lands on the identical state.
-            remaining = n
-            while remaining > 0:
-                block = min(remaining, _DRAW_BATCH)
-                rng.integers(1, q + 1, size=block)
-                remaining -= block
+            # Move the caller's generator past the n ω draws, to where the
+            # monolithic starts draw begins.
+            _skip_draws(rng, q, n)
             starts_gen = rng
             start = 0
         else:
@@ -238,67 +341,76 @@ class RandomBiasedSamplingScheduler(StreamingScheduler):
         class Assigner(ChunkAssigner):
             def __init__(self) -> None:
                 self._pos = start
+                self._hops = 0
 
             def assign(self, chunk: ScenarioArrays, offset: int) -> np.ndarray:
-                return self.assign_range(offset, chunk.num_cloudlets)
-
-            def assign_range(self, offset: int, k: int) -> np.ndarray:
-                # The walk needs only the lazy draws, never the cloudlet
-                # columns — plan_carries exploits this to advance through
-                # the horizon without generating any chunk.
                 if offset != self._pos:
                     raise ValueError(
                         "rbs assigner is sequential: expected offset "
                         f"{self._pos}, got {offset}"
                     )
+                k = chunk.num_cloudlets
                 omegas = omega_gen.integers(1, q + 1, size=k)
                 starts = starts_gen.integers(0, q, size=k)
                 with _TEL.span("rbs.walk"):
-                    out, walks = walk.walk(omegas, starts)
+                    out, hops = walk.walk(omegas, starts)
                 if _TEL.enabled:
-                    _TEL.count("rbs.walk_hops", walks)
+                    _TEL.count("rbs.walk_hops", hops)
+                self._hops += hops
                 self._pos = offset + k
                 return out
 
             def info(self) -> dict[str, Any]:
-                return {
-                    "num_groups": q,
-                    "mean_walk_length": walk.walks_total / n if n else 0.0,
-                }
+                # Hops walked by this assigner only: a carried-in one
+                # reports its shard's, and merge_info sums them.
+                return _walk_info(q, self._hops, n)
 
             def carry_out(self) -> dict[str, Any]:
-                return {
-                    "omega_state": omega_gen.bit_generator.state,
-                    "starts_state": starts_gen.bit_generator.state,
-                    "walk": walk.state_dict(),
-                    "start": self._pos,
-                }
+                return _carry(omega_gen, starts_gen, walk, self._pos)
 
         return Assigner()
 
     def plan_carries(
         self, stream: ScenarioChunks, rng: np.random.Generator, plans
     ) -> "list[dict[str, Any] | None]":
-        """Serial walk pre-pass snapshotting RNG + walk state per boundary.
+        """Each boundary's carry, walked from its partial sampling round.
 
-        The walk is strictly sequential (NID depletion depends on every
-        earlier draw), so boundary states come from advancing a serial
-        assigner — in draw batches, never materialising assignments.
-        Workers then re-walk only their own range; the planner's pass is
-        the serial-schedule cost every carry-planning scheduler pays.
+        Every round consumes exactly ``total`` cloudlets and gives group
+        ``g`` exactly ``sizes[g]``, so at a round boundary every NID is
+        full again and every cursor is back at 0.  The walk state at
+        boundary ``b`` is therefore a fresh walk over the cloudlets of the
+        round holding cloudlet ``b - 1``.  The planner positions an ω clone
+        and a starts clone at that round's first draw with
+        :func:`_skip_draws`, walks those at most ``total`` cloudlets and
+        snapshots: O(shards · num_vms) with PCG64 and power-of-two ``q``,
+        no chunk generated and no earlier round walked.  Hops are not
+        carried; each shard reports its own and :meth:`merge_info` sums
+        them.  The caller's generator is left untouched.
         """
-        assigner = self.open(stream, rng)
+        n = stream.num_cloudlets
+        entry = rng.bit_generator.state
         carries: "list[dict[str, Any] | None]" = []
-        for i, plan in enumerate(plans):
-            carries.append(assigner.carry_out())
-            if i == len(plans) - 1:
-                break
-            pos = plan.start
-            while pos < plan.stop:
-                k = min(_DRAW_BATCH, plan.stop - pos)
-                assigner.assign_range(pos, k)
-                pos += k
+        for plan in plans:
+            walk = self._walk(stream.num_vms)
+            b = plan.start
+            head = (b - 1) // walk.total * walk.total if b else 0
+            omega_gen = _generator_from_state(entry)
+            _skip_draws(omega_gen, walk.q, head)
+            starts_gen = _generator_from_state(entry)
+            _skip_draws(starts_gen, walk.q, n + head)
+            walk.walk(
+                omega_gen.integers(1, walk.q + 1, size=b - head),
+                starts_gen.integers(0, walk.q, size=b - head),
+            )
+            carries.append(_carry(omega_gen, starts_gen, walk, b))
         return carries
+
+    def merge_info(
+        self, infos: "list[dict[str, Any]]", num_cloudlets: int
+    ) -> dict[str, Any]:
+        """Sum the shards' integer hops; divide by ``n`` once."""
+        hops = sum(info["walk_hops"] for info in infos)
+        return _walk_info(infos[-1]["num_groups"], hops, num_cloudlets)
 
 
 __all__ = ["BiasedWalk", "RandomBiasedSamplingScheduler"]

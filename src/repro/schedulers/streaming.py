@@ -164,6 +164,17 @@ class StreamingScheduler(Scheduler):
                 assigner.assign(chunk, offset)
         return carries
 
+    def merge_info(
+        self, infos: "list[dict[str, Any]]", num_cloudlets: int
+    ) -> dict[str, Any]:
+        """Run diagnostics from the shards' ``ChunkAssigner.info()``, in order.
+
+        The last shard's assigner ends in the serial run's final state, so
+        by default its diagnostics are the serial diagnostics.  Schedulers
+        whose diagnostics add up across shards override this.
+        """
+        return infos[-1]
+
 
 # -- fallback for in-memory-only schedulers ---------------------------------
 

@@ -167,11 +167,16 @@ def test_peak_rss_gauge_is_max_across_workers():
 
 
 def test_sharded_telemetry_merges_worker_spans():
-    sharded = _telemetry_for(2)
-    # Worker-side spans (the per-chunk scheduling work) must fold into the
-    # parent registry rather than vanish with the pool processes.
-    assert any(name.startswith("sim.schedule") for name in sharded.spans)
-    assert sharded.counters.get("rbs.walk_hops", 0) > 0
+    serial = _telemetry_for(None)
+    assert serial.counters.get("rbs.walk_hops", 0) > 0
+    for shards in (2, 3):
+        sharded = _telemetry_for(shards)
+        # Worker-side spans (the per-chunk scheduling work) must fold into
+        # the parent registry rather than vanish with the pool processes.
+        assert any(name.startswith("sim.schedule") for name in sharded.spans)
+        # Each cloudlet's hops count once, in the worker that walks it:
+        # the carry planner's walks do not count.
+        assert sharded.counters["rbs.walk_hops"] == serial.counters["rbs.walk_hops"]
 
 
 # -- cache invariance ---------------------------------------------------------

@@ -8,7 +8,10 @@ and fast paths; these slow loops are what they are pinned against
 (``tests/properties/test_streaming_properties.py``), on inputs well
 beyond the exactly representable domain.
 
-Every oracle returns ``(assignment, info)`` like ``SchedulingResult``.
+Every scheduler oracle returns ``(assignment, info)`` like
+``SchedulingResult``.  For RBS's parts, :func:`rbs_walk_oracle` is the
+scalar walk alone and :func:`rbs_carries_oracle` the serial re-walk
+reference for its shard carries (``tests/schedulers/test_rbs.py``).
 """
 
 from __future__ import annotations
@@ -110,28 +113,27 @@ def honeybee_oracle(
     }
 
 
-def rbs_oracle(context: SchedulingContext, num_groups: "int | None" = None):
-    """Algorithm 3 after one monolithic draw: all ``n`` ω, then all ``n`` starts.
+def _rbs_groups(num_vms: int, num_groups: "int | None") -> "list[list[int]]":
+    q = min(num_groups if num_groups is not None else min(4, num_vms), num_vms)
+    return [g.tolist() for g in np.array_split(np.arange(num_vms), q) if g.size]
 
-    The walk is the per-cloudlet loop on plain lists: hop until the
-    execution test ``ω > g`` (threshold ``g + 1``) passes on a group with
-    capacity, replenishing every NID when the fleet is drained.
+
+def rbs_walk_oracle(groups: "list[list[int]]", omegas: list, starts: list):
+    """Algorithm 3's per-cloudlet walk on plain lists.
+
+    Hop until the execution test ``ω > g`` (threshold ``g + 1``) passes on
+    a group with capacity, replenishing every NID when the fleet is
+    drained.  Returns ``(assignment, hops, state)``; ``state`` holds the
+    final ``nid``, ``free_total`` and ``cursor``.
     """
-    n, m = context.num_cloudlets, context.num_vms
-    q = min(num_groups if num_groups is not None else min(4, m), m)
-    groups = [g.tolist() for g in np.array_split(np.arange(m), q) if g.size]
     q = len(groups)
     sizes = [len(g) for g in groups]
     nid = list(sizes)
     free_total = sum(sizes)
     cursor = [0] * q
-
-    omegas = context.rng.integers(1, q + 1, size=n).tolist()
-    starts = context.rng.integers(0, q, size=n).tolist()
-    assignment = np.empty(n, dtype=np.int64)
+    assignment = np.empty(len(omegas), dtype=np.int64)
     hops = 0
-    for i in range(n):
-        omega, g = omegas[i], starts[i]
+    for i, (omega, g) in enumerate(zip(omegas, starts)):
         if free_total == 0:
             nid = list(sizes)
             free_total = sum(sizes)
@@ -143,7 +145,59 @@ def rbs_oracle(context: SchedulingContext, num_groups: "int | None" = None):
         cursor[g] = (cursor[g] + 1) % sizes[g]
         nid[g] -= 1
         free_total -= 1
-    return assignment, {"num_groups": q, "mean_walk_length": hops / n if n else 0.0}
+    return assignment, hops, {"nid": nid, "free_total": free_total, "cursor": cursor}
+
+
+def generator_at(state: dict) -> np.random.Generator:
+    """A fresh generator positioned at a captured ``bit_generator.state``."""
+    bit_gen = getattr(np.random, state["bit_generator"])()
+    bit_gen.state = state
+    return np.random.Generator(bit_gen)
+
+
+def rbs_oracle(context: SchedulingContext, num_groups: "int | None" = None):
+    """Algorithm 3 after one monolithic draw: all ``n`` ω, then all ``n`` starts."""
+    n = context.num_cloudlets
+    groups = _rbs_groups(context.num_vms, num_groups)
+    q = len(groups)
+    omegas = context.rng.integers(1, q + 1, size=n).tolist()
+    starts = context.rng.integers(0, q, size=n).tolist()
+    assignment, hops, _ = rbs_walk_oracle(groups, omegas, starts)
+    return assignment, {
+        "num_groups": q,
+        "mean_walk_length": hops / n if n else 0.0,
+        "walk_hops": hops,
+    }
+
+
+def rbs_carries_oracle(stream, rng: np.random.Generator, plans, num_groups=None):
+    """RBS's state at every shard boundary by the serial re-walk.
+
+    For each plan starting at cloudlet ``b``: an ω generator ``b`` draws
+    past ``rng``, a starts generator ``n + b`` draws past it, and the walk
+    state after the scalar walk over cloudlets ``[0, b)`` — the whole
+    horizon before the boundary, drawn and walked from the start.
+    ``rng`` itself is not advanced.
+    """
+    n = stream.num_cloudlets
+    groups = _rbs_groups(stream.num_vms, num_groups)
+    q = len(groups)
+    entry = rng.bit_generator.state
+    omegas = generator_at(entry).integers(1, q + 1, size=n).tolist()
+    starts_gen = generator_at(entry)
+    starts_gen.integers(1, q + 1, size=n)
+    starts = starts_gen.integers(0, q, size=n).tolist()
+    carries = []
+    for plan in plans:
+        b = plan.start
+        omega_gen = generator_at(entry)
+        omega_gen.integers(1, q + 1, size=b)
+        starts_gen = generator_at(entry)
+        starts_gen.integers(1, q + 1, size=n)
+        starts_gen.integers(0, q, size=b)
+        _, _, state = rbs_walk_oracle(groups, omegas[:b], starts[:b])
+        carries.append({"omega_gen": omega_gen, "starts_gen": starts_gen, **state})
+    return carries
 
 
 #: oracle per registry name of the schedulers that stream natively.

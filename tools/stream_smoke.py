@@ -16,8 +16,9 @@ streaming scheduler and asserts the contract the docs promise:
 3. **Telemetry** — ``stream.chunks`` / ``stream.peak_rss`` gauges are
    populated when telemetry is on.
 4. **Shard invariance** (``--shards N``) — the same points run sharded
-   produce bit-identical results, and the merged peak-RSS figure (max
-   across shard workers) still fits the budget.  The homogeneous
+   produce bit-identical results and the same ``info`` diagnostics
+   (apart from the shard count, peak RSS and telemetry), and the merged
+   peak-RSS figure (max across shard workers) still fits the budget.  The homogeneous
    workload is constant-cloudlet, so the merge is exact at any shard
    count (see docs/performance.md, "Sharded streaming").
 
@@ -45,6 +46,8 @@ NUM_VMS = 1_000
 SEED = 0
 #: chunk sizes checked for metric invariance (second one re-run per scheduler).
 CHUNK_SIZES = (8_192, 65_536)
+#: ``info`` keys a sharded run reports differently from the serial run.
+SHARD_VARIANT_INFO = ("shards", "peak_rss_bytes", "telemetry")
 
 
 def run_one(name: str, num_cloudlets: int, chunk_size: int, shards: int | None = None):
@@ -120,6 +123,16 @@ def main(argv: list[str] | None = None) -> int:
                     raise AssertionError(f"{name}: vm_finish_times not shard-invariant")
                 if sharded.vm_costs.tobytes() != result.vm_costs.tobytes():
                     raise AssertionError(f"{name}: vm_costs not shard-invariant")
+                serial_info, sharded_info = (
+                    {k: v for k, v in info.items() if k not in SHARD_VARIANT_INFO}
+                    for info in (result.info, sharded.info)
+                )
+                if sharded_info != serial_info:
+                    keys = sorted(
+                        k for k in serial_info.keys() | sharded_info.keys()
+                        if serial_info.get(k) != sharded_info.get(k)
+                    )
+                    raise AssertionError(f"{name}: info not shard-invariant: {keys}")
                 if sharded.peak_rss_bytes > budget_bytes:
                     raise AssertionError(
                         f"{name} (--shards {args.shards}): worker peak RSS "
