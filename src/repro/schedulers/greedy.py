@@ -97,7 +97,10 @@ class GreedyMinCompletionScheduler(StreamingScheduler):
 
     The general path carries the per-VM ``ready`` vector across chunks and
     takes ``argmin(ready + length * inv_capacity)`` per cloudlet (lowest
-    VM index on ties).  Uniform fleets (equal MIPS and PEs) give every VM
+    VM index on ties) with three numpy calls into one buffer preallocated
+    by ``open()``; call overhead, not the O(m) arithmetic, bounds it.  The
+    sums are the scalar form's doubles, so decisions equal the scalar
+    oracle bit for bit.  Uniform fleets (equal MIPS and PEs) give every VM
     the same execution time, so :class:`_ReadyLevels` answers the same
     argmin exactly in O(log m), dropping the O(n·m) scan.  Uniform fleets
     with *constant* cloudlet lengths collapse further: every VM starts at
@@ -188,13 +191,19 @@ class GreedyMinCompletionScheduler(StreamingScheduler):
 
             return Assigner()
 
+        completion = np.empty(m)
+
         class Assigner(ChunkAssigner):
             def assign(self, chunk: ScenarioArrays, offset: int) -> np.ndarray:
-                lengths = chunk.cloudlet_length
-                out = np.empty(lengths.shape[0], dtype=np.int64)
-                for i in range(lengths.shape[0]):
-                    completion = ready + lengths[i] * inv_capacity
-                    j = int(np.argmin(completion))
+                lengths = chunk.cloudlet_length.tolist()
+                out = np.empty(len(lengths), dtype=np.int64)
+                multiply, add, argmin = np.multiply, np.add, completion.argmin
+                for i, length in enumerate(lengths):
+                    # inv * length rounds like length * inv: IEEE
+                    # multiplication commutes bitwise.
+                    multiply(inv_capacity, length, out=completion)
+                    add(ready, completion, out=completion)
+                    j = argmin()
                     out[i] = j
                     ready[j] = completion[j]
                 return out

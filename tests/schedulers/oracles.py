@@ -27,8 +27,11 @@ def round_robin_oracle(context: SchedulingContext, start_offset: int = 0):
     return (np.arange(n, dtype=np.int64) + start_offset) % m, {}
 
 
-def greedy_oracle(context: SchedulingContext):
-    """Minimum completion time: one full argmin over the fleet per cloudlet."""
+def greedy_ready_oracle(context: SchedulingContext):
+    """Minimum completion time: one full argmin over the fleet per cloudlet.
+
+    Returns the assignment and the per-VM ``ready`` vector it ends with.
+    """
     arr = context.arrays
     n, m = context.num_cloudlets, context.num_vms
     ready = np.zeros(m)
@@ -39,6 +42,12 @@ def greedy_oracle(context: SchedulingContext):
         j = int(np.argmin(completion))
         assignment[i] = j
         ready[j] = completion[j]
+    return assignment, ready
+
+
+def greedy_oracle(context: SchedulingContext):
+    """:func:`greedy_ready_oracle` with the scheduler's ``info``."""
+    assignment, ready = greedy_ready_oracle(context)
     return assignment, {"estimated_makespan": float(ready.max())}
 
 

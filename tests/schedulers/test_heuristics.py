@@ -19,9 +19,9 @@ from repro.schedulers.random_assign import RandomScheduler
 from repro.schedulers.streaming import make_streaming_scheduler
 from repro.workloads.heterogeneous import heterogeneous_scenario
 from repro.workloads.spec import CloudletSpec, DatacenterSpec, ScenarioSpec, VmSpec
-from repro.workloads.streaming import ScenarioChunks
+from repro.workloads.streaming import ScenarioChunks, heterogeneous_stream
 
-from tests.schedulers.oracles import greedy_oracle
+from tests.schedulers.oracles import greedy_oracle, greedy_ready_oracle
 
 
 def ctx(scenario, seed=0):
@@ -70,6 +70,55 @@ class TestGreedy:
         assert estimate_makespan(
             greedy.assignment, arr.cloudlet_length, arr.vm_mips
         ) < estimate_makespan(rr.assignment, arr.cloudlet_length, arr.vm_mips)
+
+
+class TestGreedyAtBenchmarkShape:
+    """The general path on the ``hetero`` benchmark's stream: 1,000 mixed
+    VMs and 32,768 random lengths in two 16,384-cloudlet chunks, far past
+    the few hundred cloudlets the tests above reach."""
+
+    CHUNK = 16_384
+
+    @pytest.fixture(scope="class")
+    def bench(self):
+        stream = heterogeneous_stream(1000, 32768, chunk_size=self.CHUNK, seed=1)
+        context = ctx(stream.to_spec(), seed=1)
+        head = context.restrict(np.arange(self.CHUNK), np.arange(stream.num_vms))
+        return stream, context, greedy_ready_oracle(context), greedy_ready_oracle(head)
+
+    def test_streamed_decisions_and_carries_match_the_oracle(self, bench):
+        stream, context, (expected, ready), (_, head_ready) = bench
+        assigner = make_streaming_scheduler("greedy-mct").open(stream, context.rng)
+        picks, carries = [], []
+        for offset, chunk in stream:
+            picks.append(assigner.assign(chunk, offset))
+            carries.append(assigner.carry_out()["ready"])
+        assert np.concatenate(picks).tobytes() == expected.tobytes()
+        assert carries[0].tobytes() == head_ready.tobytes()
+        assert carries[-1].tobytes() == ready.tobytes()
+        assert assigner.info() == {"estimated_makespan": float(ready.max())}
+
+    def test_uneven_batches_match_the_oracle(self, bench):
+        """Batches of 1, 3, 64 and the rest, as the serve fleet submits them."""
+        stream, context, (expected, ready), _ = bench
+        arr = context.arrays
+        assigner = make_streaming_scheduler("greedy-mct").open(stream, context.rng)
+        bounds = [0, 1, 4, 68, stream.num_cloudlets]
+        picks = [
+            assigner.assign(
+                stream.chunk_arrays(
+                    cloudlet_length=arr.cloudlet_length[lo:hi],
+                    cloudlet_pes=arr.cloudlet_pes[lo:hi],
+                    cloudlet_file_size=arr.cloudlet_file_size[lo:hi],
+                    cloudlet_output_size=arr.cloudlet_output_size[lo:hi],
+                ),
+                lo,
+            )
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        assert [len(p) for p in picks] == [1, 3, 64, stream.num_cloudlets - 68]
+        assert np.concatenate(picks).tobytes() == expected.tobytes()
+        assert assigner.carry_out()["ready"].tobytes() == ready.tobytes()
 
 
 class TestGreedyUniformFleetTies:
