@@ -20,6 +20,7 @@ Run as a script to regenerate the committed results file::
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,7 @@ def main(out: "str | Path" = Path(__file__).parent.parent / "BENCH_serve.json") 
     """
     payload = {
         "benchmark": "serve_latency",
+        "cpu_count": os.cpu_count(),
         "fleet": {"num_vms": NUM_VMS, "family": "homogeneous", "seed": SEED},
         "trace": {"requests": REQUESTS, "rate_rps": RATE, "seed": SEED + 1},
         "slo": {

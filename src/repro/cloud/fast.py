@@ -479,9 +479,10 @@ _SHARD_POOL_SIZE = 0
 def _shard_pool(workers: int) -> ProcessPoolExecutor:
     """Persistent spawn pool shared by all sharded runs in this process.
 
-    Spawn-based workers cost ~100 ms each to boot; reusing one pool across
-    the points of a sweep amortises that to once per process.  The pool
-    grows (is recreated) when a run asks for more workers than it has.
+    A spawn-based worker takes ~0.4 s to boot and import the engine;
+    reusing one pool across the points of a sweep amortises that to once
+    per process.  The pool grows (is recreated) when a run asks for more
+    workers than it has.
     """
     global _SHARD_POOL, _SHARD_POOL_SIZE
     if _SHARD_POOL is None or _SHARD_POOL_SIZE < workers:

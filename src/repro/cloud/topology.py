@@ -9,9 +9,12 @@ made latency-aware in extension experiments.
 from __future__ import annotations
 
 import abc
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class NetworkTopology(abc.ABC):
@@ -67,6 +70,9 @@ class GraphTopology(NetworkTopology):
     """
 
     def __init__(self, graph: nx.Graph, default_latency: float = 0.0) -> None:
+        # Deferred so that importing repro.cloud does not load networkx.
+        import networkx as nx
+
         if default_latency < 0:
             raise ValueError("default_latency must be non-negative")
         self._default = float(default_latency)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,6 +52,10 @@ def confidence_interval(samples, confidence: float = 0.95) -> float:
     sem = arr.std(ddof=1) / np.sqrt(arr.size)
     if sem == 0:
         return 0.0
+    # Deferred: scipy.stats costs ~1 s and tens of MiB per interpreter, and
+    # nothing on the streaming, batch or serve paths needs it.
+    from scipy import stats as sps
+
     t_crit = sps.t.ppf((1 + confidence) / 2, df=arr.size - 1)
     return float(t_crit * sem)
 

@@ -14,11 +14,14 @@ GET      ``/v1/stats``                   alias of ``/v1/fleets``
 POST     ``/v1/fleets/{name}/submit``    ``{"offset": ..., "placements": [...]}``
 =======  ==============================  =======================================
 
-Connections are keep-alive by default.  Every client-side fault maps to
-a JSON 4xx via :class:`~repro.serve.protocol.ServeError` and the
-connection loop continues; unexpected exceptions map to a JSON 500 and
-are counted as ``serve.errors`` — the server loop itself never dies from
-a request (pinned in ``tests/serve/test_http.py``).
+Connections are keep-alive by default; a request sent with
+``Connection: close`` is closed after its answer, whatever the status.
+Bodies must come with ``Content-Length``: any ``Transfer-Encoding`` is
+refused with a 400.  Every client-side fault maps to a JSON 4xx via
+:class:`~repro.serve.protocol.ServeError` and the connection loop
+continues; unexpected exceptions map to a JSON 500 and are counted as
+``serve.errors`` — the server loop itself never dies from a request
+(pinned in ``tests/serve/test_http.py``).
 
 Two entry points: :func:`run_server` blocks the calling thread (the CLI
 ``serve`` target), and :func:`start_http_server` runs the loop on a
@@ -96,6 +99,12 @@ async def _read_request(
             raise ServeError(400, "bad-http", f"malformed header: {line[:80]!r}")
         headers[name.strip().lower()] = value.strip()
 
+    if "transfer-encoding" in headers:
+        # Chunked bodies are not parsed; reading on would take the chunk
+        # framing for the next request line.
+        raise ServeError(
+            400, "bad-http", "Transfer-Encoding is not supported; send a Content-Length body"
+        )
     body = b""
     if "content-length" in headers:
         try:
@@ -146,6 +155,7 @@ class ServeHTTP:
     ) -> None:
         try:
             while True:
+                keep_alive = True
                 try:
                     request = await _read_request(reader)
                     if request is None:
@@ -157,13 +167,13 @@ class ServeHTTP:
                     # Client fault: answer and, for protocol-level faults
                     # (we may be desynchronised mid-stream), drop the
                     # connection — the server loop itself stays up.
-                    keep_alive = exc.code not in ("bad-http", "body-too-large")
+                    if exc.code in ("bad-http", "body-too-large"):
+                        keep_alive = False
                     status, payload = exc.status, exc.to_payload()
                 except (ConnectionResetError, BrokenPipeError):
                     break
                 except Exception as exc:  # noqa: BLE001 - the loop must survive
                     _TEL.count("serve.errors")
-                    keep_alive = True
                     status, payload = 500, {"error": "internal", "detail": str(exc)}
                 writer.write(_encode_response(status, payload, keep_alive))
                 try:

@@ -12,7 +12,8 @@ are accepted:
   so 50k-request traces stay cheap to encode.
 
 Every client-side fault — undecodable JSON, an empty batch, a
-non-positive length, an oversized batch, a multi-PE cloudlet — raises
+non-positive or non-finite number (an integer past float range counts
+as infinite), an oversized batch, a multi-PE cloudlet — raises
 :class:`ServeError` carrying an HTTP 4xx status and a stable machine
 ``code``.  The HTTP layer converts the error into a JSON response and
 keeps the connection loop alive; nothing a client sends can crash the
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 from typing import Any, Mapping
 
 import numpy as np
@@ -81,15 +82,25 @@ def decode_json(body: bytes) -> Any:
     """Decode a request body, mapping decode failures to a 400."""
     try:
         return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers undecodable UTF-8, malformed JSON and integer
+        # literals past Python's int-conversion digit limit; RecursionError
+        # covers arrays or objects nested too deeply to decode.
         raise ServeError(400, "bad-json", f"request body is not valid JSON: {exc}")
 
 
-def _field(item: Mapping[str, Any], key: str, default: float, where: str) -> float:
-    value = item.get(key, default)
+def _number(value: Any, key: str, where: str) -> float:
+    """``value`` as a float; an integer past float range reads as inf."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ServeError(400, "bad-request", f"{where}: {key} must be a number")
-    value = float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return inf
+
+
+def _field(item: Mapping[str, Any], key: str, default: float, where: str) -> float:
+    value = _number(item.get(key, default), key, where)
     if not isfinite(value) or value < 0:
         raise ServeError(
             400, "bad-request", f"{where}: {key} must be finite and >= 0"
@@ -98,9 +109,7 @@ def _field(item: Mapping[str, Any], key: str, default: float, where: str) -> flo
 
 
 def _length(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ServeError(400, "bad-request", f"{where}: length must be a number")
-    value = float(value)
+    value = _number(value, "length", where)
     if not isfinite(value) or value <= 0:
         raise ServeError(400, "bad-request", f"{where}: length must be finite and > 0")
     return value

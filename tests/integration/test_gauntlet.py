@@ -14,6 +14,7 @@ by the ``gauntlet-smoke`` CI job; here we pin the driver's contracts:
 from __future__ import annotations
 
 import copy
+import os
 import sys
 from pathlib import Path
 
@@ -77,6 +78,14 @@ def test_rerun_is_bit_identical(record):
     # Decision/metric gates must pass on identity; timing gates are
     # meaningless at this tiny scale, so open them wide.
     assert not diff_records(record, again, throughput_tolerance=1.0, rss_tolerance=10.0)
+
+
+def test_record_carries_cpu_count_and_check_ignores_it(record):
+    assert record["cpu_count"] == os.cpu_count()
+    # Records written before the key existed still diff clean.
+    unstamped = {k: v for k, v in record.items() if k != "cpu_count"}
+    assert not diff_records(unstamped, record)
+    assert not diff_records(record, unstamped)
 
 
 def test_diff_fails_on_decision_drift(record):

@@ -14,6 +14,8 @@ import socket
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.obs.telemetry import TELEMETRY
 from repro.serve import FleetSpec, SchedulerService, start_http_server
 
 
@@ -33,6 +35,12 @@ def raw_request(handle, data: bytes) -> tuple[int, dict]:
 
 
 def _read_response(sock) -> tuple[int, dict]:
+    status, _, payload = _read_full_response(sock)
+    return status, payload
+
+
+def _read_full_response(sock) -> tuple[int, dict[str, str], dict]:
+    """Status, lower-cased headers and decoded body of one response."""
     buf = b""
     while b"\r\n\r\n" not in buf:
         chunk = sock.recv(65536)
@@ -40,20 +48,32 @@ def _read_response(sock) -> tuple[int, dict]:
             raise AssertionError(f"connection closed mid-response: {buf!r}")
         buf += chunk
     head, _, rest = buf.partition(b"\r\n\r\n")
-    lines = head.split(b"\r\n")
+    lines = head.decode("latin-1").split("\r\n")
     status = int(lines[0].split()[1])
-    length = 0
+    headers = {}
     for line in lines[1:]:
-        name, _, value = line.partition(b":")
-        if name.strip().lower() == b"content-length":
-            length = int(value)
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = int(headers.get("content-length", 0))
     while len(rest) < length:
         rest += sock.recv(65536)
-    return status, json.loads(rest[:length])
+    return status, headers, json.loads(rest[:length])
+
+
+def _closed_by_server(sock) -> bool:
+    """True once the server has closed its end (EOF or reset)."""
+    try:
+        return sock.recv(65536) == b""
+    except ConnectionResetError:
+        return True
 
 
 def http(handle, method: str, path: str, payload=None) -> tuple[int, dict]:
-    body = b"" if payload is None else json.dumps(payload).encode()
+    """One request on a fresh connection; ``bytes`` payloads go out as-is."""
+    if payload is None or isinstance(payload, bytes):
+        body = payload or b""
+    else:
+        body = json.dumps(payload).encode()
     head = (
         f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
         f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
@@ -174,6 +194,70 @@ class TestMalformedInputsNeverKillTheLoop:
         status, payload = raw_request(handle, head)
         assert status == 413
         assert payload["error"] == "body-too-large"
+        assert http(handle, "GET", "/healthz")[0] == 200
+
+    def test_oversized_numbers_are_400_not_500(self, server):
+        service, handle = server
+        too_big = 10**400  # a JSON integer past float range
+        bodies = [
+            ({"cloudlets": [too_big]}, "bad-request"),
+            ({"cloudlets": [{"length": 1.0, "file_size": too_big}]}, "bad-request"),
+            ({"count": 2, "length": too_big}, "bad-request"),
+            # Past Python's 4,300-digit int-conversion limit.
+            (b'{"cloudlets": [1' + b"0" * 5000 + b"]}", "bad-json"),
+        ]
+        with obs.enabled(True):
+            before = TELEMETRY.snapshot().counters.get("serve.errors", 0)
+            for body, code in bodies:
+                status, payload = http(handle, "POST", "/v1/fleets/edge/submit", body)
+                assert (status, payload["error"]) == (400, code)
+            after = TELEMETRY.snapshot().counters.get("serve.errors", 0)
+        assert after == before
+        assert service.fleet("edge").offset == 0
+        assert http(handle, "GET", "/healthz")[0] == 200
+
+    def test_chunked_request_gets_one_bad_http_and_a_close(self, server):
+        service, handle = server
+        body = json.dumps({"count": 1, "length": 7.0}).encode()
+        chunked = (
+            "POST /v1/fleets/edge/submit HTTP/1.1\r\nHost: t\r\n"
+            "Transfer-Encoding: chunked\r\n\r\n"
+        ).encode() + f"{len(body):x}\r\n".encode() + body + b"\r\n0\r\n\r\n"
+        with socket.create_connection((handle.host, handle.port), timeout=5) as sock:
+            sock.sendall(chunked)
+            status, headers, payload = _read_full_response(sock)
+            assert (status, payload["error"]) == (400, "bad-http")
+            assert "Content-Length" in payload["detail"]
+            assert headers["connection"] == "close"
+            # No second answer: the chunk framing is never read as a request.
+            assert _closed_by_server(sock)
+        assert service.fleet("edge").offset == 0
+        assert http(handle, "GET", "/healthz")[0] == 200
+
+    def test_internal_error_keeps_the_requested_close(self, server, monkeypatch):
+        service, handle = server
+
+        def explode(name, payload):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(service, "submit", explode)
+        body = json.dumps({"count": 1, "length": 7.0}).encode()
+        with obs.enabled(True):
+            before = TELEMETRY.snapshot().counters.get("serve.errors", 0)
+            with socket.create_connection((handle.host, handle.port), timeout=5) as sock:
+                sock.sendall(
+                    (
+                        "POST /v1/fleets/edge/submit HTTP/1.1\r\nHost: t\r\n"
+                        f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
+                    ).encode()
+                    + body
+                )
+                status, headers, payload = _read_full_response(sock)
+                assert (status, payload["error"]) == (500, "internal")
+                assert headers["connection"] == "close"
+                assert _closed_by_server(sock)
+            after = TELEMETRY.snapshot().counters.get("serve.errors", 0)
+        assert after == before + 1
         assert http(handle, "GET", "/healthz")[0] == 200
 
     def test_rejected_batches_do_not_advance_admission(self, server):

@@ -25,6 +25,7 @@ from repro.serve import (
     parse_submission,
 )
 from repro.serve.loadgen import TraceSpec, build_trace, replay_inprocess, assert_bit_identical
+from repro.serve.protocol import decode_json
 
 
 def make_service(**overrides):
@@ -234,6 +235,14 @@ class TestParseSubmission:
             ({"count": 1}, "bad-request"),
             ({"count": 1, "length": 1.0, "cloudlets": []}, "bad-request"),
             ({"count": 10**9, "length": 1.0}, "batch-too-large"),
+            # JSON integers past float range: float() would overflow.
+            ({"cloudlets": [10**400]}, "bad-request"),
+            ({"cloudlets": [-(10**400)]}, "bad-request"),
+            ({"cloudlets": [{"length": 10**400}]}, "bad-request"),
+            ({"cloudlets": [{"length": 1.0, "file_size": 10**400}]}, "bad-request"),
+            ({"cloudlets": [{"length": 1.0, "output_size": 10**400}]}, "bad-request"),
+            ({"count": 1, "length": 10**400}, "bad-request"),
+            ({"count": 1, "length": 1.0, "file_size": 10**400}, "bad-request"),
         ],
     )
     def test_malformed_submissions(self, payload, code):
@@ -241,6 +250,32 @@ class TestParseSubmission:
             parse_submission(payload)
         assert excinfo.value.code == code
         assert 400 <= excinfo.value.status < 500
+
+    def test_oversized_integers_decode_and_validate(self):
+        # Within the int-conversion digit limit, the literal decodes and
+        # the length check turns it away like any non-finite value.
+        big = decode_json(b'{"cloudlets": [1' + b"0" * 400 + b"]}")
+        with pytest.raises(ServeError) as excinfo:
+            parse_submission(big)
+        assert (excinfo.value.status, excinfo.value.code) == (400, "bad-request")
+        assert "finite" in excinfo.value.message
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"{not json",
+            b"\xff\xfe",
+            # Longer than Python's 4,300-digit int-conversion limit.
+            b'{"cloudlets": [1' + b"0" * 5000 + b"]}",
+            # Nested past the decoder's recursion limit.
+            b"[" * 100_000,
+        ],
+        ids=["malformed", "not-utf8", "int-digit-limit", "too-deep"],
+    )
+    def test_undecodable_bodies_are_bad_json(self, body):
+        with pytest.raises(ServeError) as excinfo:
+            decode_json(body)
+        assert (excinfo.value.status, excinfo.value.code) == (400, "bad-json")
 
     def test_service_survives_rejected_submissions(self):
         spec, service = make_service()

@@ -48,13 +48,16 @@ Usage::
 committed smoke-scale record diffs directly in CI.  It ends with two
 summary lines — decisions (hash and makespan, k/N rows matching) and
 throughput/RSS — so the machine-independent decision oracle reads on its
-own even when a slower host fails the resource gates.
+own even when a slower host fails the resource gates.  The record also
+stamps the host's ``cpu_count`` for reading timings like for like; no
+gate compares it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -272,6 +275,7 @@ def run_gauntlet(config: dict) -> dict:
         "config": config,
         "rows": rows,
         "peak_rss_mb": round(peak_rss_bytes() / 2**20, 1),
+        "cpu_count": os.cpu_count(),
     }
 
 
