@@ -11,8 +11,9 @@ The package is organised as:
 
 ``repro.cloud``
     A CloudSim-equivalent cloud model built on the kernel: datacenters,
-    hosts, virtual machines, cloudlets (tasks), brokers, provisioners,
-    time-/space-shared execution models and network topologies.
+    hosts, virtual machines, cloudlets (tasks), brokers, provisioners and
+    time-/space-shared execution models, over CloudSim's default
+    delay-free network.
 
 ``repro.schedulers``
     The paper's schedulers — Base Test (cyclic/round-robin), Ant Colony

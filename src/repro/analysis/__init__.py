@@ -2,19 +2,13 @@
 
 from repro.analysis.ascii_plot import ascii_plot
 from repro.analysis.gantt import gantt_chart
-from repro.analysis.compare import CheckResult, check_figure, paper_shape_checks
+from repro.analysis.compare import CheckResult, check_figure
 from repro.analysis.queueing import (
     erlang_c,
     mm1_mean_sojourn,
     mm1_mean_wait,
     mmc_mean_sojourn,
     mmc_mean_wait,
-)
-from repro.analysis.report_md import (
-    markdown_figure,
-    markdown_report,
-    markdown_table,
-    write_markdown_report,
 )
 from repro.analysis.tables import format_table, write_csv
 
@@ -24,11 +18,6 @@ __all__ = [
     "write_csv",
     "CheckResult",
     "check_figure",
-    "paper_shape_checks",
-    "markdown_table",
-    "markdown_figure",
-    "markdown_report",
-    "write_markdown_report",
     "erlang_c",
     "mm1_mean_sojourn",
     "mm1_mean_wait",

@@ -203,12 +203,4 @@ def check_figure(data: FigureData) -> list[CheckResult]:
     return checker(data)
 
 
-def paper_shape_checks(figures: dict[str, FigureData]) -> list[CheckResult]:
-    """Run all available checks over a collection of figure results."""
-    results: list[CheckResult] = []
-    for data in figures.values():
-        results.extend(check_figure(data))
-    return results
-
-
-__all__ = ["CheckResult", "check_figure", "paper_shape_checks"]
+__all__ = ["CheckResult", "check_figure"]

@@ -54,13 +54,11 @@ from repro.cloud.online import OnlineBroker, OnlineCloudSimulation
 from repro.cloud.power import (
     PowerModel,
     PowerModelLinear,
-    PowerModelSqrt,
     batch_energy,
     energy_of_result,
 )
 from repro.cloud.resilience import (
     ExponentialBackoffRetry,
-    FixedDelayRetry,
     ImmediateRetry,
     ReschedulingBroker,
     RetryPolicy,
@@ -74,16 +72,9 @@ from repro.cloud.simulation import (
     build_simulation,
     quick_run,
 )
-from repro.cloud.topology import (
-    DelayMatrixTopology,
-    GraphTopology,
-    NetworkTopology,
-    ZeroLatencyTopology,
-)
 from repro.cloud.vm import Vm
 from repro.cloud.vm_allocation import (
     VmAllocationConsolidating,
-    VmAllocationFirstFit,
     VmAllocationLeastUsed,
     VmAllocationPolicy,
     VmAllocationRoundRobin,
@@ -100,14 +91,9 @@ __all__ = [
     "CloudletSchedulerSpaceShared",
     "CloudletSchedulerTimeShared",
     "VmAllocationPolicy",
-    "VmAllocationFirstFit",
     "VmAllocationLeastUsed",
     "VmAllocationRoundRobin",
     "VmAllocationConsolidating",
-    "NetworkTopology",
-    "ZeroLatencyTopology",
-    "DelayMatrixTopology",
-    "GraphTopology",
     "CloudSimulation",
     "SimulationResult",
     "FastSimulation",
@@ -116,7 +102,6 @@ __all__ = [
     "OnlineCloudSimulation",
     "PowerModel",
     "PowerModelLinear",
-    "PowerModelSqrt",
     "batch_energy",
     "energy_of_result",
     "VmFailure",
@@ -127,7 +112,6 @@ __all__ = [
     "validate_fault_plan",
     "RetryPolicy",
     "ImmediateRetry",
-    "FixedDelayRetry",
     "ExponentialBackoffRetry",
     "ReschedulingBroker",
     "RoundRobinRecoveryBroker",

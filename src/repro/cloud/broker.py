@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.cloud.cloudlet import Cloudlet, CloudletStatus
-from repro.cloud.topology import NetworkTopology, ZeroLatencyTopology
 from repro.cloud.vm import Vm
 from repro.core.entity import Entity
 from repro.core.eventqueue import Event
@@ -39,9 +38,9 @@ class DatacenterBroker(Entity):
     vm_placement:
         ``vm index -> datacenter entity id``; decides where each VM is
         created.
-    topology:
-        Network topology used to delay submissions (default: zero latency,
-        the paper's setting).
+
+    Every message leaves without delay: CloudSim's default, delay-free
+    topology, the paper's setting.
     """
 
     def __init__(
@@ -51,7 +50,6 @@ class DatacenterBroker(Entity):
         cloudlets: Sequence[Cloudlet],
         assignment: Sequence[int],
         vm_placement: Mapping[int, int],
-        topology: NetworkTopology | None = None,
     ) -> None:
         super().__init__(name)
         if len(assignment) != len(cloudlets):
@@ -69,7 +67,6 @@ class DatacenterBroker(Entity):
         self.cloudlets = list(cloudlets)
         self.assignment = list(assignment)
         self.vm_placement = dict(vm_placement)
-        self.topology = topology or ZeroLatencyTopology()
 
         self._acks_outstanding = 0
         self._failed_vms: list[Vm] = []
@@ -82,9 +79,7 @@ class DatacenterBroker(Entity):
         """Fire all VM creation requests at t=0."""
         self._acks_outstanding = len(self.vms)
         for idx, vm in enumerate(self.vms):
-            dc_id = self.vm_placement[idx]
-            delay = self.topology.latency(self.id, dc_id)
-            self.send(dc_id, delay, EventTag.VM_CREATE, data=vm)
+            self.send_now(self.vm_placement[idx], EventTag.VM_CREATE, data=vm)
         if not self.vms:
             self._submit_cloudlets()
 
@@ -121,8 +116,7 @@ class DatacenterBroker(Entity):
             vm = self.vms[self.assignment[c_idx]]
             dc_id = self.vm_placement[self.assignment[c_idx]]
             cloudlet.vm_id = vm.vm_id
-            delay = self.topology.latency(self.id, dc_id)
-            self.send(dc_id, delay, EventTag.CLOUDLET_SUBMIT, data=cloudlet)
+            self.send_now(dc_id, EventTag.CLOUDLET_SUBMIT, data=cloudlet)
 
     def _process_return(self, event: Event) -> None:
         cloudlet: Cloudlet = event.data

@@ -31,10 +31,8 @@ class DatacenterCharacteristics:
         $/MB transferred (``CostPerBandwidth``, 0.01-0.05).
     cost_per_cpu:
         $/second of PE time (``CostPerPrcessing``, fixed at 3).
-    arch, os, vmm:
+    arch, os, vmm, timezone:
         Descriptive fields kept for CloudSim parity.
-    timezone:
-        Offset used by latency-aware topologies.
     """
 
     cost_per_mem: float = 0.05

@@ -1,7 +1,7 @@
 """Analytic fast path for batch space-shared execution.
 
-The paper's workloads submit every cloudlet at t=0 over a zero-latency
-topology, and the default execution model is space-shared FIFO.  Under
+The paper's workloads submit every cloudlet at t=0 without network
+delay, and the default execution model is space-shared FIFO.  Under
 those conditions the DES outcome is a closed form: on a single-PE VM the
 ``k``-th assigned cloudlet starts when the ``k-1``-th finishes, so start
 and finish times are per-VM prefix sums of execution times.
@@ -28,17 +28,20 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.cloud.simulation import (
+    SimulationResult,
+    cloudlet_costs,
+    run_info,
+    simulation_result,
+    timed_schedule,
+)
 from repro.core.rng import spawn_rng
-from repro.metrics.definitions import makespan as makespan_metric
-from repro.metrics.definitions import processing_cost, time_imbalance
-from repro.obs.manifest import capture_manifest
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.obs.telemetry import TelemetrySnapshot
 from repro.schedulers.base import Scheduler, SchedulingContext
-from repro.workloads.spec import ScenarioArrays, ScenarioSpec
+from repro.workloads.spec import ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cloud.simulation import SimulationResult
     from repro.schedulers.streaming import StreamingScheduler
     from repro.workloads.streaming import ScenarioChunks, ShardPlan
 
@@ -117,9 +120,7 @@ class FastSimulation:
         self.scheduler = scheduler
         self.seed = seed
 
-    def run(self) -> "SimulationResult":
-        from repro.cloud.simulation import SimulationResult, compute_batch_costs
-
+    def run(self) -> SimulationResult:
         scenario = self.scenario
         context = SchedulingContext.from_scenario(scenario, self.seed)
         # Reuse the context's ScenarioArrays instead of materialising a
@@ -128,11 +129,7 @@ class FastSimulation:
         arr = context.arrays
 
         telemetry_before = _TEL.snapshot() if _TEL.enabled else None
-
-        with _TEL.span("sim.schedule"):
-            t0 = time.perf_counter()
-            decision = self.scheduler.schedule_checked(context)
-            scheduling_time = time.perf_counter() - t0
+        decision, scheduling_time = timed_schedule(self.scheduler, context)
 
         assignment = decision.assignment
         with _TEL.span("sim.execute"):
@@ -158,37 +155,14 @@ class FastSimulation:
                     start[members] = s
                     finish[members] = f
 
-        costs = compute_batch_costs(scenario, assignment)
-        per_task = finish - start
-        info = {
-            "engine": "fast",
-            "execution_model": "space-shared",
-            "manifest": capture_manifest(
-                scenario=scenario,
-                scheduler=self.scheduler,
-                seed=self.seed,
-                engine="fast",
-                execution_model="space-shared",
-            ).to_dict(),
-            **decision.info,
-        }
-        if telemetry_before is not None:
-            info["telemetry"] = _TEL.snapshot().diff(telemetry_before).to_dict()
-        return SimulationResult(
-            scenario_name=scenario.name,
-            scheduler_name=decision.scheduler_name,
-            scheduling_time=scheduling_time,
-            makespan=makespan_metric(start, finish),
-            time_imbalance=time_imbalance(per_task),
-            total_cost=float(costs.sum()),
-            assignment=assignment,
-            submission_times=np.zeros_like(start),
-            start_times=start,
-            finish_times=finish,
-            exec_times=per_task,
-            costs=costs,
-            events_processed=0,
-            info=info,
+        costs = cloudlet_costs(arr, assignment)
+        info = run_info(
+            "fast", scenario, self.scheduler, self.seed, telemetry_before,
+            decision.info,
+        )
+        return simulation_result(
+            scenario.name, decision.scheduler_name, scheduling_time,
+            assignment, start, finish, costs, info,
         )
 
 
@@ -201,25 +175,6 @@ def peak_rss_bytes() -> int:
     """
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return int(rss) if sys.platform == "darwin" else int(rss) * 1024
-
-
-def _chunk_costs(chunk: ScenarioArrays, assignment: np.ndarray) -> np.ndarray:
-    """Per-cloudlet processing cost of one chunk (mirrors
-    :func:`repro.cloud.simulation.compute_batch_costs` element-for-element,
-    but over chunk arrays instead of a full spec)."""
-    dc = chunk.vm_datacenter[assignment]
-    return processing_cost(
-        lengths=chunk.cloudlet_length,
-        vm_mips=chunk.vm_mips[assignment],
-        vm_ram=chunk.vm_ram[assignment],
-        vm_size=chunk.vm_size[assignment],
-        file_sizes=chunk.cloudlet_file_size,
-        output_sizes=chunk.cloudlet_output_size,
-        cost_per_cpu=chunk.dc_cost_per_cpu[dc],
-        cost_per_mem=chunk.dc_cost_per_mem[dc],
-        cost_per_storage=chunk.dc_cost_per_storage[dc],
-        cost_per_bw=chunk.dc_cost_per_bw[dc],
-    )
 
 
 @dataclass
@@ -427,8 +382,8 @@ def execute_shard(
                 parts["assignment"].append(np.asarray(assignment, dtype=np.int64))
                 parts["start"].append(start + carried)
                 parts["finish"].append(finish + carried)
-                parts["costs"].append(_chunk_costs(chunk, assignment))
-            cost_chunk = parts["costs"][-1] if collect else _chunk_costs(chunk, assignment)
+                parts["costs"].append(cloudlet_costs(chunk, assignment))
+            cost_chunk = parts["costs"][-1] if collect else cloudlet_costs(chunk, assignment)
             np.add.at(vm_costs, assignment, cost_chunk)
             counts += np.bincount(assignment, minlength=m)
             exec_min = min(exec_min, float(exec_chunk.min()))
@@ -720,21 +675,12 @@ class StreamingSimulation:
                 # exactly-merged integer counts makes the sharded accumulators
                 # bit-identical to serial even off the dyadic domain (the
                 # partial-sum merge above reassociates by shard boundary).
-                src = stream.cloudlets
-                dc = stream.vm_datacenter
-                exec_const = np.full(m, src.length, dtype=float) / stream.vm_mips
-                cost_const = processing_cost(
-                    lengths=np.full(m, src.length, dtype=float),
-                    vm_mips=stream.vm_mips,
-                    vm_ram=stream.vm_ram,
-                    vm_size=stream.vm_size,
-                    file_sizes=np.full(m, src.file_size, dtype=float),
-                    output_sizes=np.full(m, src.output_size, dtype=float),
-                    cost_per_cpu=stream.dc_cost_per_cpu[dc],
-                    cost_per_mem=stream.dc_cost_per_mem[dc],
-                    cost_per_storage=stream.dc_cost_per_storage[dc],
-                    cost_per_bw=stream.dc_cost_per_bw[dc],
+                # The constants: one cloudlet per VM, priced like any chunk.
+                one_each = stream.chunk_arrays(
+                    **stream.cloudlets.open_pass(stream.seed).take(m)
                 )
+                exec_const = one_each.cloudlet_length / stream.vm_mips
+                cost_const = cloudlet_costs(one_each, np.arange(m))
                 backlog = _repeated_add_fold(exec_const, counts)
                 vm_costs = _repeated_add_fold(cost_const, counts)
                 # Lean shards also skip the exec-time envelope; every
@@ -756,53 +702,30 @@ class StreamingSimulation:
             _TEL.gauge("stream.chunks", num_chunks)
             _TEL.gauge("stream.peak_rss", peak_rss)
 
-        info: dict[str, Any] = {
-            "engine": "stream",
-            "execution_model": "space-shared",
-            "chunk_size": stream.chunk_size,
-            "num_chunks": num_chunks,
-            "shards": len(plans),
-            "streaming_native": self.scheduler.streaming_native,
-            "peak_rss_bytes": peak_rss,
-            "manifest": capture_manifest(
-                scenario=stream,
-                scheduler=self.scheduler,
-                seed=self.seed,
-                engine="stream",
-                execution_model="space-shared",
-                chunk_size=stream.chunk_size,
-                num_chunks=num_chunks,
-            ).to_dict(),
-            **self.scheduler.merge_info(
-                [outcome.assigner_info for outcome in outcomes], n
-            ),
-        }
-        if telemetry_before is not None:
-            info["telemetry"] = _TEL.snapshot().diff(telemetry_before).to_dict()
+        info = run_info(
+            "stream", stream, self.scheduler, self.seed, telemetry_before,
+            {
+                "chunk_size": stream.chunk_size,
+                "num_chunks": num_chunks,
+                "shards": len(plans),
+                "streaming_native": self.scheduler.streaming_native,
+                "peak_rss_bytes": peak_rss,
+                **self.scheduler.merge_info(
+                    [outcome.assigner_info for outcome in outcomes], n
+                ),
+            },
+            chunk_size=stream.chunk_size,
+            num_chunks=num_chunks,
+        )
 
         if self.collect:
-            from repro.cloud.simulation import SimulationResult
-
-            assignment_all = np.concatenate(collected["assignment"])
-            start_all = np.concatenate(collected["start"])
-            finish_all = np.concatenate(collected["finish"])
-            costs_all = np.concatenate(collected["costs"])
-            per_task = finish_all - start_all
-            return SimulationResult(
-                scenario_name=stream.name,
-                scheduler_name=self.scheduler.name,
-                scheduling_time=scheduling_time,
-                makespan=makespan_metric(start_all, finish_all),
-                time_imbalance=time_imbalance(per_task),
-                total_cost=float(costs_all.sum()),
-                assignment=assignment_all,
-                submission_times=np.zeros_like(start_all),
-                start_times=start_all,
-                finish_times=finish_all,
-                exec_times=per_task,
-                costs=costs_all,
-                events_processed=0,
-                info=info,
+            assignment, start, finish, costs = (
+                np.concatenate(collected[k])
+                for k in ("assignment", "start", "finish", "costs")
+            )
+            return simulation_result(
+                stream.name, self.scheduler.name, scheduling_time,
+                assignment, start, finish, costs, info,
             )
 
         # Bounded aggregates.  Every VM's first cloudlet starts at t=0, so

@@ -27,15 +27,18 @@ from repro.cloud.simulation import (
     ExecutionModel,
     SimulationResult,
     build_simulation,
-    compute_batch_costs,
+    cloudlet_costs,
+    cloudlet_times,
     make_cloudlet_scheduler,
+    run_info,
+    simulation_result,
 )
 from repro.cloud.vm import Vm
 from repro.core.entity import Entity
 from repro.core.eventqueue import Event
 from repro.core.rng import spawn_rng
 from repro.core.tags import EventTag
-from repro.metrics.definitions import makespan, time_imbalance
+from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.schedulers.base import SchedulingContext
 from repro.schedulers.online import BatchAdapter, OnlineScheduler
 from repro.workloads.arrivals import ArrivalProcess, BatchArrivals
@@ -227,6 +230,7 @@ class OnlineCloudSimulation:
     def run(self) -> SimulationResult:
         scenario = self.scenario
         context = SchedulingContext.from_scenario(scenario, self.seed)
+        telemetry_before = _TEL.snapshot() if _TEL.enabled else None
 
         compiled = None
         arrivals = self.arrivals
@@ -297,48 +301,39 @@ class OnlineCloudSimulation:
             )
             sim.register(loop)
 
-        sim.run()
+        with _TEL.span("sim.execute"):
+            sim.run()
         if not broker.all_finished:
             raise RuntimeError(
                 f"online run drained with {len(broker.finished)}/"
                 f"{len(cloudlets)} cloudlets finished"
             )
 
-        start = np.array([c.exec_start_time for c in cloudlets])
-        finish = np.array([c.finish_time for c in cloudlets])
-        costs = compute_batch_costs(scenario, broker.assignment)
-        info: dict = {
-            "engine": "online-des",
-            "policy": self.policy.name,
-            "execution_model": self.execution_model,
-        }
+        _, start, finish = cloudlet_times(cloudlets)
+        fields: dict = {"policy": self.policy.name}
         if compiled is not None:
-            info["timeline"] = compiled.name
-            info["faults"] = len(fault_plan)
+            fields["timeline"] = compiled.name
+            fields["faults"] = len(fault_plan)
             if fault_plan:
-                info["first_fault_time"] = compiled.first_fault_time
+                fields["first_fault_time"] = compiled.first_fault_time
         if controlled:
-            info["retries"] = broker.retries
-            info["lost_mi"] = float(sum(dc.lost_mi for dc in env.datacenters))
-            info["recoveries"] = int(sum(dc.recoveries for dc in env.datacenters))
-            info["standby_vms"] = standby
+            fields["retries"] = broker.retries
+            fields["lost_mi"] = float(sum(dc.lost_mi for dc in env.datacenters))
+            fields["recoveries"] = int(sum(dc.recoveries for dc in env.datacenters))
+            fields["standby_vms"] = standby
         if loop is not None:
-            info["control"] = loop.summary()
-        return SimulationResult(
-            scenario_name=scenario.name,
-            scheduler_name=self.policy.name,
-            scheduling_time=broker.decision_seconds,
-            makespan=makespan(start, finish),
-            time_imbalance=time_imbalance(finish - start),
-            total_cost=float(costs.sum()),
-            assignment=broker.assignment,
-            submission_times=arrival_times,
-            start_times=start,
-            finish_times=finish,
-            exec_times=finish - start,
-            costs=costs,
-            events_processed=sim.events_processed,
-            info=info,
+            fields["control"] = loop.summary()
+        info = run_info(
+            "online-des", scenario, self.policy, self.seed, telemetry_before,
+            fields, self.execution_model, arrivals=type(arrivals).__name__,
+            timeline=fields.get("timeline"), standby_vms=standby,
+            control=self.control is not None,
+        )
+        return simulation_result(
+            scenario.name, self.policy.name, broker.decision_seconds,
+            broker.assignment, start, finish,
+            cloudlet_costs(context.arrays, broker.assignment), info,
+            submission=arrival_times, events_processed=sim.events_processed,
         )
 
 

@@ -65,31 +65,6 @@ class PowerModelLinear(PowerModel):
         return self.idle_watts + (self.peak_watts - self.idle_watts) * u
 
 
-class PowerModelSqrt(PowerModel):
-    """Concave model: ``idle + (peak - idle) * sqrt(u)``.
-
-    Approximates servers whose power rises steeply at low load — the shape
-    CloudSim's ``PowerModelSqrt`` uses.
-    """
-
-    def __init__(self, idle_watts: float = 100.0, peak_watts: float = 250.0) -> None:
-        if idle_watts < 0 or peak_watts < idle_watts:
-            raise ValueError(
-                f"need 0 <= idle_watts <= peak_watts, got {idle_watts}, {peak_watts}"
-            )
-        self.idle_watts = idle_watts
-        self.peak_watts = peak_watts
-
-    def power(self, utilization: float) -> float:
-        self._check(utilization)
-        u = min(max(utilization, 0.0), 1.0)
-        return self.idle_watts + (self.peak_watts - self.idle_watts) * float(np.sqrt(u))
-
-    def power_array(self, utilization: np.ndarray) -> np.ndarray:
-        u = np.clip(np.asarray(utilization, dtype=float), 0.0, 1.0)
-        return self.idle_watts + (self.peak_watts - self.idle_watts) * np.sqrt(u)
-
-
 def vm_busy_times(
     scenario: ScenarioSpec, assignment: np.ndarray, exec_times: np.ndarray
 ) -> np.ndarray:
@@ -142,7 +117,6 @@ def energy_of_result(result, scenario: ScenarioSpec, power_model: PowerModel | N
 __all__ = [
     "PowerModel",
     "PowerModelLinear",
-    "PowerModelSqrt",
     "vm_busy_times",
     "batch_energy",
     "energy_of_result",

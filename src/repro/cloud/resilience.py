@@ -46,15 +46,17 @@ from repro.cloud.simulation import (
     ExecutionModel,
     SimulationResult,
     build_simulation,
-    compute_batch_costs,
+    cloudlet_costs,
+    cloudlet_times,
     make_cloudlet_scheduler,
+    run_info,
+    simulation_result,
+    timed_schedule,
 )
 from repro.core.eventqueue import Event
 from repro.core.rng import spawn_rng
-from repro.obs.manifest import capture_manifest
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.core.tags import EventTag
-from repro.metrics.definitions import makespan, time_imbalance
 from repro.schedulers.base import Scheduler, SchedulingContext
 from repro.workloads.spec import ScenarioSpec
 
@@ -94,19 +96,6 @@ class ImmediateRetry(RetryPolicy):
 
     def _delay(self, attempt: int, rng: np.random.Generator) -> float:
         return 0.0
-
-
-class FixedDelayRetry(RetryPolicy):
-    """Constant pause before every retry."""
-
-    def __init__(self, delay: float = 1.0, max_attempts: int = 5) -> None:
-        super().__init__(max_attempts)
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        self.delay = delay
-
-    def _delay(self, attempt: int, rng: np.random.Generator) -> float:
-        return self.delay
 
 
 class ExponentialBackoffRetry(RetryPolicy):
@@ -182,9 +171,8 @@ class ReschedulingBroker(DatacenterBroker):
         retry_policy: RetryPolicy,
         rng: np.random.Generator,
         speculation_multiple: float | None = None,
-        topology=None,
     ) -> None:
-        super().__init__(name, vms, cloudlets, assignment, vm_placement, topology)
+        super().__init__(name, vms, cloudlets, assignment, vm_placement)
         if speculation_multiple is not None and speculation_multiple <= 1:
             raise ValueError(
                 f"speculation_multiple must exceed 1, got {speculation_multiple}"
@@ -277,17 +265,15 @@ class ReschedulingBroker(DatacenterBroker):
             cloudlet.reset_for_retry()
         self.final_assignment[c_idx] = vm_idx
         cloudlet.vm_id = self.vms[vm_idx].vm_id
-        dc_id = self.vm_placement[vm_idx]
-        delay = self.topology.latency(self.id, dc_id)
         estimate = self._exec_estimate(c_idx, vm_idx)
         self.backlog[vm_idx] += estimate
-        self.send(dc_id, delay, EventTag.CLOUDLET_SUBMIT, data=cloudlet)
+        self.send_now(self.vm_placement[vm_idx], EventTag.CLOUDLET_SUBMIT, data=cloudlet)
         if self.speculation_multiple is not None:
             # Expected completion = everything queued ahead plus this
             # cloudlet's own run; the watchdog fires at a multiple of it.
             horizon = max(float(self.backlog[vm_idx]), estimate)
             self.schedule_self(
-                delay + self.speculation_multiple * horizon,
+                self.speculation_multiple * horizon,
                 EventTag.TIMER,
                 data=("speculate", c_idx, int(self.attempts[c_idx])),
             )
@@ -437,10 +423,8 @@ def run_resilient(
     validate_fault_plan(failures, scenario.num_vms)
 
     context = SchedulingContext.from_scenario(scenario, seed)
-    with _TEL.span("sim.schedule"):
-        t0 = time.perf_counter()
-        decision = scheduler.schedule_checked(context)
-        scheduling_time = time.perf_counter() - t0
+    telemetry_before = _TEL.snapshot() if _TEL.enabled else None
+    decision, scheduling_time = timed_schedule(scheduler, context)
 
     env = build_simulation(scenario, execution_model=execution_model)
     broker = _BROKERS[recovery](
@@ -476,45 +460,12 @@ def run_resilient(
             f"{len(broker.dead_letter)} dead-lettered of {len(cloudlets)} cloudlets"
         )
 
-    submission = np.array([c.submission_time for c in cloudlets])
-    start = np.array([c.exec_start_time for c in cloudlets])
-    finish = np.array([c.finish_time for c in cloudlets])
+    submission, start, finish = cloudlet_times(cloudlets)
     completed = np.array([c.is_finished for c in cloudlets], dtype=bool)
-    costs = compute_batch_costs(scenario, broker.final_assignment)
-    costs = np.where(completed, costs, 0.0)
-    if completed.any():
-        run_makespan = makespan(start[completed], finish[completed])
-        imbalance = time_imbalance(finish[completed] - start[completed])
-    else:  # every cloudlet dead-lettered (pathological plans)
-        run_makespan = 0.0
-        imbalance = 0.0
     mttr = float(np.mean(broker.recovery_times)) if broker.recovery_times else 0.0
-    return SimulationResult(
-        scenario_name=scenario.name,
-        scheduler_name=decision.scheduler_name,
-        scheduling_time=scheduling_time,
-        makespan=run_makespan,
-        time_imbalance=imbalance,
-        total_cost=float(costs.sum()),
-        assignment=broker.final_assignment,
-        submission_times=submission,
-        start_times=start,
-        finish_times=finish,
-        exec_times=finish - start,
-        costs=costs,
-        events_processed=env.sim.events_processed,
-        info={
-            "engine": "des+resilience",
-            "execution_model": execution_model,
-            "manifest": capture_manifest(
-                scenario=scenario,
-                scheduler=scheduler,
-                seed=seed,
-                engine="des+resilience",
-                execution_model=execution_model,
-                num_planned_faults=len(failures),
-                **({"recovery": recovery} if recovery == "round_robin" else {}),
-            ).to_dict(),
+    info = run_info(
+        "des+resilience", scenario, scheduler, seed, telemetry_before,
+        {
             "recovery": recovery,
             "failures": len(failures),
             "retries": broker.retries,
@@ -530,13 +481,22 @@ def run_resilient(
             "mttr": mttr,
             **decision.info,
         },
+        execution_model,
+        num_planned_faults=len(failures),
+        **({"recovery": recovery} if recovery == "round_robin" else {}),
+    )
+    return simulation_result(
+        scenario.name, decision.scheduler_name, scheduling_time,
+        broker.final_assignment, start, finish,
+        cloudlet_costs(context.arrays, broker.final_assignment), info,
+        submission=submission, completed=completed,
+        events_processed=env.sim.events_processed,
     )
 
 
 __all__ = [
     "RetryPolicy",
     "ImmediateRetry",
-    "FixedDelayRetry",
     "ExponentialBackoffRetry",
     "ReschedulingBroker",
     "RoundRobinRecoveryBroker",

@@ -1,10 +1,16 @@
-"""One-call scenario execution.
+"""One-call scenario execution, and the run reducer every engine shares.
 
 :class:`CloudSimulation` wires a :class:`~repro.workloads.spec.ScenarioSpec`
 and a scheduler into the DES kernel: it times the scheduling decision
 (the paper's *scheduling time*), builds datacenters/hosts/VMs/cloudlets,
 runs the event loop and reduces the outcome to a
 :class:`SimulationResult` carrying the paper's four metrics.
+
+Every engine façade (DES, analytic fast path, streaming, online,
+resilient) reduces its run through the same four functions here:
+:func:`timed_schedule` (scheduling time), :func:`cloudlet_costs`
+(processing cost), :func:`simulation_result` (Eq. 12/13 and total cost)
+and :func:`run_info` (manifest plus telemetry diff).
 """
 
 from __future__ import annotations
@@ -24,11 +30,11 @@ from repro.cloud.cloudlet_scheduler import (
 )
 from repro.cloud.datacenter import Datacenter
 from repro.cloud.host import Host
-from repro.cloud.topology import NetworkTopology
 from repro.cloud.vm import Vm
 from repro.core.engine import Simulation
 from repro.obs.manifest import capture_manifest
 from repro.obs.telemetry import TELEMETRY as _TEL
+from repro.obs.telemetry import TelemetrySnapshot
 from repro.metrics.definitions import (
     average_waiting_time,
     makespan,
@@ -36,8 +42,8 @@ from repro.metrics.definitions import (
     throughput,
     time_imbalance,
 )
-from repro.schedulers.base import Scheduler, SchedulingContext
-from repro.workloads.spec import ScenarioSpec
+from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult
+from repro.workloads.spec import ScenarioArrays, ScenarioSpec
 
 ExecutionModel = Literal["space-shared", "time-shared"]
 
@@ -155,22 +161,124 @@ def _json_safe(value) -> bool:
     return isinstance(value, (str, int, float, bool, type(None), list, dict))
 
 
-def compute_batch_costs(scenario: ScenarioSpec, assignment: np.ndarray) -> np.ndarray:
-    """Vectorised per-cloudlet processing cost for an assignment."""
-    arr = scenario.arrays()
-    vm = np.asarray(assignment, dtype=np.int64)
-    dc = arr.vm_datacenter[vm]
+def cloudlet_costs(arrays: ScenarioArrays, assignment: np.ndarray) -> np.ndarray:
+    """Per-cloudlet processing cost of ``assignment`` over ``arrays``.
+
+    The one pricing of every engine: whole scenarios, stream chunks, and
+    one cloudlet per VM when the shard merge rebuilds constant workloads.
+    """
+    dc = arrays.vm_datacenter[assignment]
     return processing_cost(
-        lengths=arr.cloudlet_length,
-        vm_mips=arr.vm_mips[vm],
-        vm_ram=arr.vm_ram[vm],
-        vm_size=arr.vm_size[vm],
-        file_sizes=arr.cloudlet_file_size,
-        output_sizes=arr.cloudlet_output_size,
-        cost_per_cpu=arr.dc_cost_per_cpu[dc],
-        cost_per_mem=arr.dc_cost_per_mem[dc],
-        cost_per_storage=arr.dc_cost_per_storage[dc],
-        cost_per_bw=arr.dc_cost_per_bw[dc],
+        lengths=arrays.cloudlet_length,
+        vm_mips=arrays.vm_mips[assignment],
+        vm_ram=arrays.vm_ram[assignment],
+        vm_size=arrays.vm_size[assignment],
+        file_sizes=arrays.cloudlet_file_size,
+        output_sizes=arrays.cloudlet_output_size,
+        cost_per_cpu=arrays.dc_cost_per_cpu[dc],
+        cost_per_mem=arrays.dc_cost_per_mem[dc],
+        cost_per_storage=arrays.dc_cost_per_storage[dc],
+        cost_per_bw=arrays.dc_cost_per_bw[dc],
+    )
+
+
+def timed_schedule(
+    scheduler: Scheduler, context: SchedulingContext
+) -> tuple[SchedulingResult, float]:
+    """Run ``scheduler.schedule_checked(context)`` under the ``sim.schedule``
+    span; returns the decision and its wall-clock seconds (paper metric 1)."""
+    with _TEL.span("sim.schedule"):
+        t0 = time.perf_counter()
+        decision = scheduler.schedule_checked(context)
+        return decision, time.perf_counter() - t0
+
+
+def run_info(
+    engine: str,
+    scenario: Any,
+    scheduler: Any,
+    seed: int | None,
+    telemetry_before: TelemetrySnapshot | None,
+    fields: dict[str, Any],
+    execution_model: str = "space-shared",
+    **manifest_extra: Any,
+) -> dict[str, Any]:
+    """The ``info`` of one run, for every engine façade.
+
+    Engine, execution model and run manifest (``manifest_extra`` lands in
+    its ``extra``), then the façade's own ``fields``; with telemetry on
+    (``telemetry_before`` taken at the start of the run), the run's
+    telemetry diff as ``info["telemetry"]``.
+    """
+    manifest = capture_manifest(
+        scenario=scenario, scheduler=scheduler, seed=seed, engine=engine,
+        execution_model=execution_model, **manifest_extra,
+    )
+    info = {
+        "engine": engine,
+        "execution_model": execution_model,
+        "manifest": manifest.to_dict(),
+        **fields,
+    }
+    if telemetry_before is not None:
+        info["telemetry"] = _TEL.snapshot().diff(telemetry_before).to_dict()
+    return info
+
+
+def cloudlet_times(cloudlets: list[Cloudlet]) -> tuple[np.ndarray, ...]:
+    """``(submission, start, finish)`` times of DES cloudlets, index-aligned."""
+    return tuple(
+        np.array([getattr(c, name) for c in cloudlets])
+        for name in ("submission_time", "exec_start_time", "finish_time")
+    )
+
+
+def simulation_result(
+    scenario_name: str,
+    scheduler_name: str,
+    scheduling_time: float,
+    assignment: np.ndarray,
+    start: np.ndarray,
+    finish: np.ndarray,
+    costs: np.ndarray,
+    info: dict[str, Any],
+    *,
+    submission: np.ndarray | None = None,
+    completed: np.ndarray | None = None,
+    events_processed: int = 0,
+) -> SimulationResult:
+    """Reduce one run's per-cloudlet times and costs to its result.
+
+    Exec times are ``finish - start``.  Makespan (Eq. 12), time imbalance
+    (Eq. 13) and total cost cover the ``completed`` cloudlets (default:
+    all); the others cost nothing, and a run that completed none reports
+    0 for both.  ``submission`` defaults to batch arrival at t=0.
+    """
+    exec_times = finish - start
+    done = slice(None)
+    if completed is not None:
+        costs = np.where(completed, costs, 0.0)
+        done = completed
+    if completed is None or completed.any():
+        run_makespan = makespan(start[done], finish[done])
+        imbalance = time_imbalance(exec_times[done])
+    else:  # every cloudlet dead-lettered (pathological fault plans)
+        run_makespan = imbalance = 0.0
+    return SimulationResult(
+        scenario_name=scenario_name,
+        scheduler_name=scheduler_name,
+        scheduling_time=scheduling_time,
+        makespan=run_makespan,
+        time_imbalance=imbalance,
+        total_cost=float(costs.sum()),
+        assignment=assignment,
+        submission_times=np.zeros_like(start) if submission is None else submission,
+        start_times=start,
+        finish_times=finish,
+        exec_times=exec_times,
+        costs=costs,
+        events_processed=events_processed,
+        info=info,
     )
 
 
@@ -299,10 +407,11 @@ class CloudSimulation:
         Root seed for the scheduler's random stream.
     execution_model:
         Per-VM cloudlet execution semantics (paper default: space-shared).
-    topology:
-        Optional network topology for submission latencies.
     trace:
         Record the kernel event trace (tests/debugging only).
+
+    Submissions reach their datacenter without delay: CloudSim's default,
+    delay-free topology, as in the paper.
     """
 
     def __init__(
@@ -311,7 +420,6 @@ class CloudSimulation:
         scheduler: Scheduler,
         seed: int | None = 0,
         execution_model: ExecutionModel = "space-shared",
-        topology: NetworkTopology | None = None,
         trace: bool = False,
     ) -> None:
         if execution_model not in ("space-shared", "time-shared"):
@@ -320,81 +428,47 @@ class CloudSimulation:
         self.scheduler = scheduler
         self.seed = seed
         self.execution_model = execution_model
-        self.topology = topology
         self.trace = trace
 
     def run(self) -> SimulationResult:
         """Schedule, simulate, and reduce to metrics."""
         scenario = self.scenario
         context = SchedulingContext.from_scenario(scenario, self.seed)
-
         telemetry_before = _TEL.snapshot() if _TEL.enabled else None
-
-        with _TEL.span("sim.schedule"):
-            t0 = time.perf_counter()
-            decision = self.scheduler.schedule_checked(context)
-            scheduling_time = time.perf_counter() - t0
+        decision, scheduling_time = timed_schedule(self.scheduler, context)
 
         with _TEL.span("sim.build"):
             env = build_simulation(
                 scenario, execution_model=self.execution_model, trace=self.trace
             )
-            sim, cloudlets = env.sim, env.cloudlets
             broker = DatacenterBroker(
                 name="broker",
                 vms=env.vms,
-                cloudlets=cloudlets,
+                cloudlets=env.cloudlets,
                 assignment=decision.assignment,
                 vm_placement=env.vm_placement,
-                topology=self.topology,
             )
-            sim.register(broker)
+            env.sim.register(broker)
         with _TEL.span("sim.execute"):
-            sim.run()
+            env.sim.run()
 
         if not broker.all_finished:
             raise RuntimeError(
                 f"simulation drained with {len(broker.finished)}/"
-                f"{len(cloudlets)} cloudlets finished"
+                f"{len(env.cloudlets)} cloudlets finished"
             )
 
         with _TEL.span("sim.reduce"):
-            submission = np.array([c.submission_time for c in cloudlets])
-            start = np.array([c.exec_start_time for c in cloudlets])
-            finish = np.array([c.finish_time for c in cloudlets])
-            exec_times = finish - start
-            costs = compute_batch_costs(scenario, decision.assignment)
-
-        info = {
-            "engine": "des",
-            "execution_model": self.execution_model,
-            "manifest": capture_manifest(
-                scenario=scenario,
-                scheduler=self.scheduler,
-                seed=self.seed,
-                engine="des",
-                execution_model=self.execution_model,
-            ).to_dict(),
-            **decision.info,
-        }
-        if telemetry_before is not None:
-            info["telemetry"] = _TEL.snapshot().diff(telemetry_before).to_dict()
-
-        return SimulationResult(
-            scenario_name=scenario.name,
-            scheduler_name=decision.scheduler_name,
-            scheduling_time=scheduling_time,
-            makespan=makespan(start, finish),
-            time_imbalance=time_imbalance(exec_times),
-            total_cost=float(costs.sum()),
-            assignment=decision.assignment,
-            submission_times=submission,
-            start_times=start,
-            finish_times=finish,
-            exec_times=exec_times,
-            costs=costs,
-            events_processed=sim.events_processed,
-            info=info,
+            submission, start, finish = cloudlet_times(env.cloudlets)
+            costs = cloudlet_costs(context.arrays, decision.assignment)
+        info = run_info(
+            "des", scenario, self.scheduler, self.seed, telemetry_before,
+            decision.info, self.execution_model,
+        )
+        return simulation_result(
+            scenario.name, decision.scheduler_name, scheduling_time,
+            decision.assignment, start, finish, costs, info,
+            submission=submission, events_processed=env.sim.events_processed,
         )
 
 
@@ -431,6 +505,10 @@ __all__ = [
     "build_simulation",
     "make_cloudlet_scheduler",
     "quick_run",
-    "compute_batch_costs",
+    "cloudlet_costs",
+    "cloudlet_times",
+    "run_info",
+    "simulation_result",
+    "timed_schedule",
     "build_hosts_for_datacenter",
 ]

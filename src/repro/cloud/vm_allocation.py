@@ -2,8 +2,8 @@
 
 Equivalent of CloudSim's ``VmAllocationPolicy`` hierarchy: when a broker asks
 a datacenter to create a VM, the policy picks the host.  The paper relies on
-the "simple" policy (least-used host first); first-fit and round-robin are
-provided for the ablation benches.
+the "simple" policy (least-used host first); round-robin and consolidating
+placement are the alternatives the energy studies compare.
 """
 
 from __future__ import annotations
@@ -41,16 +41,6 @@ class VmAllocationLeastUsed(VmAllocationPolicy):
                 best = host
                 best_free = host.free_pes
         return best
-
-
-class VmAllocationFirstFit(VmAllocationPolicy):
-    """First host (in id order) that fits."""
-
-    def select_host(self, hosts: Sequence[Host], vm: Vm) -> Host | None:
-        for host in hosts:
-            if host.is_suitable_for(vm):
-                return host
-        return None
 
 
 class VmAllocationRoundRobin(VmAllocationPolicy):
@@ -93,7 +83,6 @@ class VmAllocationConsolidating(VmAllocationPolicy):
 __all__ = [
     "VmAllocationPolicy",
     "VmAllocationLeastUsed",
-    "VmAllocationFirstFit",
     "VmAllocationRoundRobin",
     "VmAllocationConsolidating",
 ]

@@ -11,7 +11,7 @@ pushes millions of events through it in the heterogeneous scenario sweeps.
 from repro.core.engine import Simulation, SimulationError
 from repro.core.entity import Entity
 from repro.core.eventqueue import Event, EventQueue
-from repro.core.rng import RngStreams, spawn_rng
+from repro.core.rng import spawn_rng
 from repro.core.tags import EventTag
 
 __all__ = [
@@ -21,6 +21,5 @@ __all__ = [
     "Event",
     "EventQueue",
     "EventTag",
-    "RngStreams",
     "spawn_rng",
 ]

@@ -2,8 +2,8 @@
 
 Every stochastic component in the package (workload generators, ACO ants,
 RBS walk lengths, ...) draws from a :class:`numpy.random.Generator` obtained
-through :func:`spawn_rng` or :class:`RngStreams`.  Streams are derived from a
-root ``SeedSequence`` with a stable text label, so
+through :func:`spawn_rng`.  Streams are derived from a root
+``SeedSequence`` with a stable text label, so
 
 * two runs with the same ``(seed, label)`` are bit-identical, and
 * adding a new consumer never perturbs existing streams (unlike sharing one
@@ -13,7 +13,6 @@ root ``SeedSequence`` with a stable text label, so
 from __future__ import annotations
 
 import zlib
-from typing import Iterator
 
 import numpy as np
 
@@ -28,6 +27,12 @@ def spawn_rng(seed: int | None, label: str = "") -> np.random.Generator:
 
     ``seed=None`` produces OS entropy (non-reproducible) — allowed, but the
     experiment harness always passes explicit seeds.
+
+    >>> a, b = spawn_rng(42, "workload"), spawn_rng(42, "workload")
+    >>> bool((a.random(4) == b.random(4)).all())
+    True
+    >>> bool(spawn_rng(42, "aco").random() == spawn_rng(42, "workload").random())
+    False
     """
     if seed is None:
         return np.random.default_rng()
@@ -36,35 +41,4 @@ def spawn_rng(seed: int | None, label: str = "") -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_label_key(label),)))
 
 
-class RngStreams:
-    """A family of named, independent random streams under one root seed.
-
-    Examples
-    --------
-    >>> streams = RngStreams(seed=42)
-    >>> a = streams.get("workload")
-    >>> b = streams.get("aco")
-    >>> a is streams.get("workload")   # memoised
-    True
-    """
-
-    def __init__(self, seed: int | None) -> None:
-        self.seed = seed
-        self._cache: dict[str, np.random.Generator] = {}
-
-    def get(self, label: str) -> np.random.Generator:
-        """Return the (memoised) generator for ``label``."""
-        if label not in self._cache:
-            self._cache[label] = spawn_rng(self.seed, label)
-        return self._cache[label]
-
-    def fresh(self, label: str) -> np.random.Generator:
-        """Return a *new* generator for ``label`` (same sequence from the start)."""
-        return spawn_rng(self.seed, label)
-
-    def labels(self) -> Iterator[str]:
-        """Labels instantiated so far."""
-        return iter(self._cache)
-
-
-__all__ = ["spawn_rng", "RngStreams"]
+__all__ = ["spawn_rng"]

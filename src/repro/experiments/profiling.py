@@ -11,8 +11,7 @@ scheduling decision under both observability layers at once —
 The two render into a single :class:`ProfileReport` whose ``text`` starts
 with the span table and ends with the classic cProfile top-N — no separate
 telemetry bookkeeping, no ``cProfile`` boilerplate in experiment code.
-:func:`profile_simulation` does the same for a full pipeline run and
-:func:`profile_callable` for any zero-arg callable.
+:func:`profile_callable` does the same for any zero-arg callable.
 
 Examples
 --------
@@ -146,24 +145,4 @@ def profile_scheduling(
     )
 
 
-def profile_simulation(
-    scheduler: Scheduler,
-    scenario: ScenarioSpec,
-    seed: int | None = 0,
-    engine: str = "des",
-    sort: str = "cumulative",
-    top: int = 25,
-    telemetry: bool = True,
-) -> ProfileReport:
-    """Profile a full (schedule + simulate + metrics) pipeline run."""
-    from repro.experiments.runner import run_point
-
-    return profile_callable(
-        lambda: run_point(scenario, scheduler, seed=seed, engine=engine),  # type: ignore[arg-type]
-        sort=sort,
-        top=top,
-        telemetry=telemetry,
-    )
-
-
-__all__ = ["ProfileReport", "profile_callable", "profile_scheduling", "profile_simulation"]
+__all__ = ["ProfileReport", "profile_callable", "profile_scheduling"]

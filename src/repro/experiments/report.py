@@ -7,7 +7,6 @@ against the plots in the PDF.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.analysis.ascii_plot import ascii_plot
@@ -55,24 +54,8 @@ def save_figure(data: FigureData, out_dir: str | Path) -> Path:
     return write_csv(data.to_rows(), out_dir / f"{data.experiment_id}.csv")
 
 
-def save_figure_json(data: FigureData, out_dir: str | Path) -> Path:
-    """Persist a figure's aggregated series as JSON for later re-rendering."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{data.experiment_id}.json"
-    path.write_text(json.dumps(data.to_json_dict(), indent=2))
-    return path
-
-
-def load_figure_json(path: str | Path) -> FigureData:
-    """Reload a figure saved by :func:`save_figure_json`."""
-    return FigureData.from_json_dict(json.loads(Path(path).read_text()))
-
-
 __all__ = [
     "figure_rows",
     "render_figure",
     "save_figure",
-    "save_figure_json",
-    "load_figure_json",
 ]

@@ -8,11 +8,11 @@ Implements the paper's four measurements (Section VI-C):
   (Eq. 13),
 * processing cost — datacenter-priced resource usage (Section VI-C4),
 
-plus utilization/throughput helpers and summary statistics used by the
-experiment harness.
+plus waiting-time/throughput/fairness helpers and summary statistics
+used by the experiment harness.  The simulation façades time the
+scheduler themselves (:func:`repro.cloud.simulation.timed_schedule`).
 """
 
-from repro.metrics.collector import SchedulingTimer, time_scheduling
 from repro.metrics.definitions import (
     average_waiting_time,
     jain_fairness_index,
@@ -20,9 +20,6 @@ from repro.metrics.definitions import (
     processing_cost,
     throughput,
     time_imbalance,
-    total_processing_cost,
-    vm_load_counts,
-    vm_utilization,
 )
 from repro.metrics.resilience import (
     RecoveryMetrics,
@@ -44,13 +41,8 @@ __all__ = [
     "makespan",
     "time_imbalance",
     "processing_cost",
-    "total_processing_cost",
     "average_waiting_time",
     "throughput",
-    "vm_load_counts",
-    "vm_utilization",
-    "SchedulingTimer",
-    "time_scheduling",
     "SummaryStats",
     "summarize",
     "confidence_interval",

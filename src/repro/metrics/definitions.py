@@ -81,11 +81,6 @@ def processing_cost(
     )
 
 
-def total_processing_cost(*args, **kwargs) -> float:
-    """Sum of :func:`processing_cost` over the batch."""
-    return float(processing_cost(*args, **kwargs).sum())
-
-
 def average_waiting_time(submission_times, start_times) -> float:
     """Mean queueing delay between submission and execution start."""
     submitted = _as_float_array(submission_times, "submission_times")
@@ -109,14 +104,6 @@ def throughput(finish_times, horizon: float | None = None) -> float:
     return float(finishes.size / horizon)
 
 
-def vm_load_counts(assignment, num_vms: int) -> np.ndarray:
-    """Number of cloudlets assigned to each VM."""
-    arr = np.asarray(assignment, dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= num_vms):
-        raise ValueError("assignment contains out-of-range VM indices")
-    return np.bincount(arr, minlength=num_vms)
-
-
 def jain_fairness_index(loads) -> float:
     """Jain's fairness index over per-VM loads.
 
@@ -134,25 +121,11 @@ def jain_fairness_index(loads) -> float:
     return float(total_sq / denom)
 
 
-def vm_utilization(busy_time, horizon: float) -> np.ndarray:
-    """Per-VM busy fraction over ``horizon``."""
-    busy = np.asarray(busy_time, dtype=float)
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    util = busy / horizon
-    if np.any(util < -1e-9) or np.any(util > 1 + 1e-6):
-        raise ValueError("utilization out of [0, 1]; inconsistent inputs")
-    return np.clip(util, 0.0, 1.0)
-
-
 __all__ = [
     "makespan",
     "jain_fairness_index",
     "time_imbalance",
     "processing_cost",
-    "total_processing_cost",
     "average_waiting_time",
     "throughput",
-    "vm_load_counts",
-    "vm_utilization",
 ]

@@ -9,7 +9,7 @@ Three pieces, documented in depth in ``docs/observability.md``:
 * :mod:`repro.obs.manifest` — :class:`RunManifest` provenance records
   (seeds, scenario, scheduler config, package + host info) attached to
   every simulation result and sweep artifact.
-* :mod:`repro.obs.export` — JSONL/CSV exporters and the plain-text
+* :mod:`repro.obs.export` — the JSONL exporter and the plain-text
   renderer behind ``python -m repro.experiments report``.
 
 Example::
@@ -28,7 +28,6 @@ from repro.obs.export import (
     read_telemetry_jsonl,
     render_manifest,
     render_telemetry,
-    write_telemetry_csv,
     write_telemetry_jsonl,
 )
 from repro.obs.manifest import RunManifest, capture_manifest
@@ -66,7 +65,6 @@ __all__ = [
     "reset",
     "write_telemetry_jsonl",
     "read_telemetry_jsonl",
-    "write_telemetry_csv",
     "render_telemetry",
     "render_manifest",
 ]

@@ -1,9 +1,9 @@
-"""Telemetry exporters: JSONL and CSV writers, readers, and a text renderer.
+"""Telemetry exporters: a JSONL writer and reader, and a text renderer.
 
-JSONL is the canonical artifact format: one JSON object per line with a
+JSONL is the artifact format: one JSON object per line with a
 ``"kind"`` discriminator (``manifest`` / ``span`` / ``counter`` /
-``gauge``), so files stream, concatenate and grep cleanly.  CSV is a
-flat convenience export for spreadsheets.  :func:`render_telemetry`
+``gauge``), so files stream, concatenate and grep cleanly.
+:func:`render_telemetry`
 produces the human-readable per-phase timing table used by the
 ``python -m repro.experiments report`` subcommand and by
 :func:`repro.experiments.profiling.profile_callable`.
@@ -29,7 +29,6 @@ Example::
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Iterable
@@ -40,7 +39,6 @@ from repro.obs.telemetry import SpanStat, TelemetrySnapshot
 __all__ = [
     "write_telemetry_jsonl",
     "read_telemetry_jsonl",
-    "write_telemetry_csv",
     "render_telemetry",
     "render_manifest",
 ]
@@ -103,22 +101,6 @@ def read_telemetry_jsonl(
         else:
             raise ValueError(f"unknown telemetry record kind: {kind!r}")
     return TelemetrySnapshot(spans, counters, gauges), manifest
-
-
-def write_telemetry_csv(path: str | Path, snapshot: TelemetrySnapshot) -> Path:
-    """Flat CSV export: kind,name,count,total_s,value."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["kind", "name", "count", "total_s", "value"])
-        for name, stat in sorted(snapshot.spans.items()):
-            writer.writerow(["span", name, stat.count, f"{stat.total_s:.9f}", ""])
-        for name, value in sorted(snapshot.counters.items()):
-            writer.writerow(["counter", name, "", "", value])
-        for name, value in sorted(snapshot.gauges.items()):
-            writer.writerow(["gauge", name, "", "", value])
-    return path
 
 
 def _indented_span_rows(spans: dict[str, SpanStat]) -> Iterable[tuple[str, SpanStat]]:

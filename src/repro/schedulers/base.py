@@ -152,44 +152,9 @@ class Scheduler(abc.ABC):
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
-def estimated_vm_finish_times(
-    assignment: np.ndarray, exec_times: np.ndarray, num_vms: int
-) -> np.ndarray:
-    """Per-VM total of per-cloudlet execution-time estimates.
-
-    With every cloudlet submitted at t=0 and space-shared execution, a VM's
-    completion time is the sum of its cloudlets' execution times; the batch
-    makespan estimate is the max over VMs.  Used as the fitness/tour-quality
-    of the metaheuristic schedulers.
-    """
-    # bincount is the fused form of zeros + np.add.at: one C pass over the
-    # batch instead of buffered fancy-index accumulation (~5-10x faster at
-    # the paper's batch sizes), with identical left-to-right summation.
-    return np.bincount(assignment, weights=exec_times, minlength=num_vms)
-
-
-def estimate_makespan(
-    assignment: np.ndarray,
-    lengths: np.ndarray,
-    vm_mips: np.ndarray,
-    vm_pes: np.ndarray | None = None,
-) -> float:
-    """Makespan estimate of an assignment (all submissions at t=0).
-
-    Accounts for multi-PE VMs by dividing a VM's total work across its PEs
-    (a lower bound that is exact for single-PE VMs, the paper's setting).
-    """
-    num_vms = vm_mips.shape[0]
-    work = np.bincount(assignment, weights=lengths, minlength=num_vms)
-    capacity = vm_mips if vm_pes is None else vm_mips * vm_pes
-    return float((work / capacity).max())
-
-
 __all__ = [
     "Scheduler",
     "SchedulingContext",
     "SchedulingResult",
     "validate_assignment",
-    "estimated_vm_finish_times",
-    "estimate_makespan",
 ]

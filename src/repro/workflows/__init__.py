@@ -23,7 +23,6 @@ from repro.workflows.dag import (
     random_workflow,
 )
 from repro.workflows.schedulers import (
-    DeadlineWorkflowScheduler,
     HeftScheduler,
     RoundRobinWorkflowScheduler,
     WorkflowScheduler,
@@ -41,5 +40,4 @@ __all__ = [
     "WorkflowSimulation",
     "WorkflowResult",
     "workflow_costs",
-    "DeadlineWorkflowScheduler",
 ]

@@ -132,105 +132,8 @@ class HeftScheduler(WorkflowScheduler):
         return ranks
 
 
-class DeadlineWorkflowScheduler(WorkflowScheduler):
-    """Deadline-distributed cost-aware workflow scheduler.
-
-    After Rodriguez & Buyya's deadline-based provisioning (the paper's
-    reference [23]), simplified to the static fleet of this study: the
-    workflow deadline is distributed over tasks in proportion to their
-    upward-rank share of the critical path, and each task (in rank order)
-    takes the *cheapest* VM whose earliest finish meets its sub-deadline —
-    falling back to the earliest-finishing VM when none does.
-
-    A loose deadline therefore buys HBO-like cost savings; a tight one
-    collapses to HEFT-like behaviour.
-
-    Parameters
-    ----------
-    deadline:
-        Absolute workflow deadline in simulated seconds.  ``None``
-        synthesizes ``slack_factor ×`` the critical-path time at the mean
-        fleet speed.
-    slack_factor:
-        Slack used when synthesizing the deadline.
-    """
-
-    def __init__(self, deadline: float | None = None, slack_factor: float = 2.0) -> None:
-        if deadline is not None and deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {deadline}")
-        if slack_factor <= 0:
-            raise ValueError(f"slack_factor must be positive, got {slack_factor}")
-        self.deadline = deadline
-        self.slack_factor = slack_factor
-
-    @property
-    def name(self) -> str:
-        return "workflow-deadline"
-
-    def schedule(self, workflow: WorkflowSpec, scenario: ScenarioSpec) -> np.ndarray:
-        arr = scenario.arrays()
-        capacity = arr.vm_mips * arr.vm_pes
-        mean_capacity = float(capacity.mean())
-        mean_bw = float(arr.vm_bw[arr.vm_bw > 0].mean()) if (arr.vm_bw > 0).any() else 0.0
-
-        ranks = HeftScheduler._upward_ranks(workflow, mean_capacity, mean_bw)
-        total_path = float(ranks.max())
-        deadline = (
-            self.deadline
-            if self.deadline is not None
-            else self.slack_factor * workflow.critical_path_seconds(mean_capacity, None)
-        )
-        # Sub-deadline: the fraction of the critical path still ahead of a
-        # task maps to the fraction of the budget it may consume.
-        sub_deadline = {
-            t: deadline * (1.0 - (ranks[t] - workflow.tasks[t].length / mean_capacity) / total_path)
-            if total_path > 0
-            else deadline
-            for t in range(workflow.num_tasks)
-        }
-
-        dc = arr.vm_datacenter
-        # $ of running one second on each VM plus its fixed footprint.
-        vm_cost_rate = arr.dc_cost_per_cpu[dc] / (arr.vm_mips * arr.vm_pes)
-        vm_fixed = (
-            arr.dc_cost_per_mem[dc] * arr.vm_ram
-            + arr.dc_cost_per_storage[dc] * arr.vm_size
-        )
-
-        m = scenario.num_vms
-        order = sorted(range(workflow.num_tasks), key=lambda t: -ranks[t])
-        vm_ready = np.zeros(m)
-        finish = np.zeros(workflow.num_tasks)
-        assignment = np.full(workflow.num_tasks, -1, dtype=np.int64)
-        parents = {t: list(workflow.parents(t)) for t in range(workflow.num_tasks)}
-        for t in order:
-            exec_times = workflow.tasks[t].length / capacity
-            ready = vm_ready.copy()
-            for parent, data in parents[t]:
-                arrival = np.where(
-                    np.arange(m) == assignment[parent],
-                    finish[parent],
-                    finish[parent]
-                    + np.where(arr.vm_bw > 0, data / np.maximum(arr.vm_bw, 1e-12), 0.0),
-                )
-                ready = np.maximum(ready, arrival)
-            eft = ready + exec_times
-            cost = vm_cost_rate * workflow.tasks[t].length + vm_fixed
-            meets = eft <= sub_deadline[t] + 1e-9
-            if meets.any():
-                candidates = np.flatnonzero(meets)
-                j = int(candidates[np.argmin(cost[candidates])])
-            else:
-                j = int(np.argmin(eft))
-            assignment[t] = j
-            finish[t] = eft[j]
-            vm_ready[j] = eft[j]
-        return assignment
-
-
 __all__ = [
     "WorkflowScheduler",
     "RoundRobinWorkflowScheduler",
     "HeftScheduler",
-    "DeadlineWorkflowScheduler",
 ]

@@ -16,7 +16,6 @@ from repro.workloads.arrivals import (
     BurstyArrivals,
     DiurnalArrivals,
     PoissonArrivals,
-    UniformArrivals,
 )
 from repro.workloads.heterogeneous import heterogeneous_scenario
 from repro.workloads.homogeneous import homogeneous_scenario
@@ -69,7 +68,6 @@ __all__ = [
     "load_scenario",
     "ArrivalProcess",
     "BatchArrivals",
-    "UniformArrivals",
     "PoissonArrivals",
     "BurstyArrivals",
     "DiurnalArrivals",

@@ -4,7 +4,7 @@ The paper submits every cloudlet at t=0 (batch mode), but motivates the
 schedulers by their ability to "adapt to changes along with defined
 demand".  These processes generate per-cloudlet arrival times so the online
 extension (``repro.cloud.online``) can exercise exactly that: steady
-Poisson streams, fixed-rate streams, and bursty on/off load.
+Poisson streams, bursty on/off load and day/night cycles.
 
 All processes are deterministic given ``(rng, n)`` and return a
 non-decreasing float array of length ``n``.
@@ -40,22 +40,6 @@ class BatchArrivals(ArrivalProcess):
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         self._validate_n(n)
         return np.full(n, self.at)
-
-
-class UniformArrivals(ArrivalProcess):
-    """Evenly spaced arrivals: one every ``interval`` seconds."""
-
-    def __init__(self, interval: float, start: float = 0.0) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        if start < 0:
-            raise ValueError(f"start must be non-negative, got {start}")
-        self.interval = interval
-        self.start = start
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        self._validate_n(n)
-        return self.start + np.arange(n) * self.interval
 
 
 class PoissonArrivals(ArrivalProcess):
@@ -156,7 +140,6 @@ class DiurnalArrivals(ArrivalProcess):
 __all__ = [
     "ArrivalProcess",
     "BatchArrivals",
-    "UniformArrivals",
     "PoissonArrivals",
     "BurstyArrivals",
     "DiurnalArrivals",

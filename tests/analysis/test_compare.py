@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.compare import check_figure, paper_shape_checks
+from repro.analysis.compare import check_figure
 from repro.experiments.figures import FigureData
 
 
@@ -111,15 +111,6 @@ class TestFig45Checks:
 class TestHelpers:
     def test_unknown_figure_returns_empty(self):
         assert check_figure(make_data("fig9z", {"basetest": [1.0, 1.0, 1.0]})) == []
-
-    def test_paper_shape_checks_aggregates(self):
-        figures = {
-            "fig6a": make_data("fig6a", GOOD_FIG6A),
-            "fig6d": make_data("fig6d", GOOD_FIG6D),
-        }
-        results = paper_shape_checks(figures)
-        assert len(results) >= 4
-        assert all(r.passed for r in results)
 
     def test_check_result_str(self):
         checks = check_figure(make_data("fig6a", GOOD_FIG6A))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.cloud.broker import DatacenterBroker
@@ -10,7 +9,6 @@ from repro.cloud.characteristics import DatacenterCharacteristics
 from repro.cloud.cloudlet import Cloudlet
 from repro.cloud.datacenter import Datacenter
 from repro.cloud.host import Host
-from repro.cloud.topology import DelayMatrixTopology
 from repro.cloud.vm import Vm
 from repro.core.engine import Simulation
 
@@ -89,24 +87,6 @@ class TestProtocol:
         sim.register(broker)
         with pytest.raises(RuntimeError, match="rejected"):
             sim.run()
-
-    def test_submission_latency_shifts_start_times(self):
-        sim = Simulation()
-        dc = Datacenter("dc-0", hosts=[make_host()])
-        sim.register(dc)
-        vms = [Vm(vm_id=0, mips=1000.0)]
-        cloudlets = [Cloudlet(cloudlet_id=0, length=1000.0)]
-        topo = DelayMatrixTopology(np.array([[0.0, 0.0], [3.0, 0.0]]))
-        broker = DatacenterBroker(
-            "broker", vms=vms, cloudlets=cloudlets, assignment=[0],
-            vm_placement={0: dc.id}, topology=topo,
-        )
-        sim.register(broker)
-        sim.run()
-        # VM create at t=3, ack instant, submit +3 -> start at t=6.
-        assert cloudlets[0].exec_start_time == pytest.approx(6.0)
-        assert cloudlets[0].finish_time == pytest.approx(7.0)
-
 
 class TestValidation:
     def test_assignment_length_mismatch(self):

@@ -15,8 +15,18 @@ from repro.schedulers.online import (
     OnlineRandom,
     OnlineRoundRobin,
 )
-from repro.workloads.arrivals import BatchArrivals, PoissonArrivals, UniformArrivals
+from repro.workloads.arrivals import ArrivalProcess, BatchArrivals, PoissonArrivals
 from repro.workloads.heterogeneous import heterogeneous_scenario
+
+class EvenArrivals(ArrivalProcess):
+    """One arrival every ``interval`` seconds from t=0."""
+
+    def __init__(self, interval: float) -> None:
+        self.interval = interval
+
+    def sample(self, rng, n):
+        return np.arange(n) * self.interval
+
 
 ALL_POLICIES = [
     OnlineRoundRobin,
@@ -39,7 +49,7 @@ class TestPolicies:
 
     def test_round_robin_cycles(self, small_hetero):
         result = OnlineCloudSimulation(
-            small_hetero, OnlineRoundRobin(), arrivals=UniformArrivals(0.01), seed=0
+            small_hetero, OnlineRoundRobin(), arrivals=EvenArrivals(0.01), seed=0
         ).run()
         np.testing.assert_array_equal(result.assignment, np.arange(60) % 12)
 
@@ -64,7 +74,7 @@ class TestPolicies:
 
     def test_flow_time_accounts_for_arrivals(self, small_hetero):
         result = OnlineCloudSimulation(
-            small_hetero, OnlineGreedyMCT(), arrivals=UniformArrivals(1.0), seed=0
+            small_hetero, OnlineGreedyMCT(), arrivals=EvenArrivals(1.0), seed=0
         ).run()
         # Starts cannot precede arrivals.
         assert (result.start_times >= result.submission_times - 1e-9).all()
@@ -95,7 +105,7 @@ class TestBatchAdapter:
         result = OnlineCloudSimulation(
             small_hetero,
             BatchAdapter(RoundRobinScheduler()),
-            arrivals=UniformArrivals(0.5),
+            arrivals=EvenArrivals(0.5),
             seed=0,
         ).run()
         assert result.num_cloudlets == 60
@@ -111,7 +121,7 @@ class TestBatchAdapter:
         """Under sustained arrivals, backlog-aware greedy must beat a batch
         scheduler that re-solves each wave blindly."""
         scenario = heterogeneous_scenario(num_vms=8, num_cloudlets=240, seed=9)
-        arrivals = UniformArrivals(interval=0.05)
+        arrivals = EvenArrivals(interval=0.05)
         greedy = OnlineCloudSimulation(
             scenario, OnlineGreedyMCT(), arrivals=arrivals, seed=0
         ).run()

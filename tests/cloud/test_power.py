@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.cloud.power import (
     PowerModelLinear,
-    PowerModelSqrt,
     batch_energy,
     energy_of_result,
     vm_busy_times,
@@ -25,13 +24,6 @@ class TestPowerModels:
         assert model.power(1.0) == 250.0
         assert model.power(0.5) == 175.0
 
-    def test_sqrt_is_concave_above_linear(self):
-        lin = PowerModelLinear(100.0, 250.0)
-        sq = PowerModelSqrt(100.0, 250.0)
-        assert sq.power(0.25) > lin.power(0.25)
-        assert sq.power(0.0) == lin.power(0.0)
-        assert sq.power(1.0) == lin.power(1.0)
-
     def test_out_of_range_utilization_rejected(self):
         with pytest.raises(ValueError):
             PowerModelLinear().power(1.5)
@@ -40,14 +32,14 @@ class TestPowerModels:
         with pytest.raises(ValueError):
             PowerModelLinear(idle_watts=300.0, peak_watts=100.0)
         with pytest.raises(ValueError):
-            PowerModelSqrt(idle_watts=-1.0, peak_watts=10.0)
+            PowerModelLinear(idle_watts=-1.0, peak_watts=10.0)
 
     @given(st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=50))
     def test_power_array_matches_scalar(self, utils):
-        for model in (PowerModelLinear(), PowerModelSqrt()):
-            vectorised = model.power_array(np.array(utils))
-            scalar = [model.power(u) for u in utils]
-            np.testing.assert_allclose(vectorised, scalar)
+        model = PowerModelLinear()
+        vectorised = model.power_array(np.array(utils))
+        scalar = [model.power(u) for u in utils]
+        np.testing.assert_allclose(vectorised, scalar)
 
 
 class TestBatchEnergy:

@@ -18,7 +18,6 @@ from repro.cloud.faults import (
 )
 from repro.cloud.resilience import (
     ExponentialBackoffRetry,
-    FixedDelayRetry,
     ImmediateRetry,
     RoundRobinRecoveryBroker,
     run_resilient,
@@ -45,12 +44,6 @@ class TestRetryPolicies:
         assert policy.next_delay(3, rng) == 0.0
         assert policy.next_delay(4, rng) is None
 
-    def test_fixed_delay(self):
-        policy = FixedDelayRetry(delay=2.5, max_attempts=4)
-        rng = spawn_rng(0, "t")
-        assert policy.next_delay(2, rng) == 2.5
-        assert policy.next_delay(5, rng) is None
-
     def test_exponential_growth_and_cap(self):
         policy = ExponentialBackoffRetry(
             base_delay=1.0, factor=2.0, max_delay=5.0, jitter=0.0, max_attempts=10
@@ -74,8 +67,6 @@ class TestRetryPolicies:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             ImmediateRetry(max_attempts=0)
-        with pytest.raises(ValueError):
-            FixedDelayRetry(delay=-1.0)
         with pytest.raises(ValueError):
             ExponentialBackoffRetry(jitter=1.5)
         with pytest.raises(ValueError):
@@ -253,7 +244,10 @@ class TestRecoveryAndStragglers:
         plan = [VmFailure(0, at_time=1.0, downtime=2.0)]
         result = run_resilient(
             scenario, RoundRobinScheduler(), plan, seed=0,
-            retry_policy=FixedDelayRetry(delay=2.5, max_attempts=5),
+            # A constant 2.5 s pause before every retry.
+            retry_policy=ExponentialBackoffRetry(
+                base_delay=2.5, factor=1.0, jitter=0.0, max_attempts=5
+            ),
         )
         assert result.info["dead_letter"] == []
         assert result.info["recoveries"] == 1

@@ -8,7 +8,7 @@ import pytest
 from repro.cloud.simulation import (
     CloudSimulation,
     build_hosts_for_datacenter,
-    compute_batch_costs,
+    cloudlet_costs,
     quick_run,
 )
 from repro.schedulers import RoundRobinScheduler
@@ -40,7 +40,7 @@ class TestRun:
 
     def test_total_cost_matches_vectorised(self, tiny_scenario):
         result = CloudSimulation(tiny_scenario, RoundRobinScheduler(), seed=0).run()
-        costs = compute_batch_costs(tiny_scenario, result.assignment)
+        costs = cloudlet_costs(tiny_scenario.arrays(), result.assignment)
         assert result.total_cost == pytest.approx(costs.sum())
 
     def test_time_shared_model_runs(self, tiny_scenario):

@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.cloud.host import Host
 from repro.cloud.vm import Vm
 from repro.cloud.vm_allocation import (
-    VmAllocationFirstFit,
     VmAllocationLeastUsed,
     VmAllocationRoundRobin,
 )
@@ -50,20 +49,6 @@ class TestLeastUsed:
         assert policy.allocate(hs, vm(0))
         assert policy.select_host(hs, vm(1)) is None
         assert not policy.allocate(hs, vm(1))
-
-
-class TestFirstFit:
-    def test_prefers_lowest_id(self):
-        hs = hosts([2, 8])
-        assert VmAllocationFirstFit().select_host(hs, vm()) is hs[0]
-
-    def test_skips_full_hosts(self):
-        hs = hosts([1, 1])
-        policy = VmAllocationFirstFit()
-        policy.allocate(hs, vm(0))
-        v = vm(1)
-        policy.allocate(hs, v)
-        assert v.host is hs[1]
 
 
 class TestRoundRobin:

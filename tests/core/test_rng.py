@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.rng import RngStreams, spawn_rng
+from repro.core.rng import spawn_rng
 
 
 class TestSpawnRng:
@@ -35,27 +35,3 @@ class TestSpawnRng:
     def test_empty_label_is_valid(self):
         assert spawn_rng(7).random() == spawn_rng(7, "").random()
 
-
-class TestRngStreams:
-    def test_get_memoises(self):
-        streams = RngStreams(seed=9)
-        a = streams.get("a")
-        a.random(10)  # advance the stream
-        assert streams.get("a") is a
-
-    def test_fresh_restarts_sequence(self):
-        streams = RngStreams(seed=9)
-        first = streams.get("a").random(5)
-        fresh = streams.fresh("a").random(5)
-        assert np.array_equal(first, fresh)
-
-    def test_labels_lists_instantiated(self):
-        streams = RngStreams(seed=0)
-        streams.get("x")
-        streams.get("y")
-        assert sorted(streams.labels()) == ["x", "y"]
-
-    def test_streams_match_spawn(self):
-        assert np.array_equal(
-            RngStreams(seed=3).get("lbl").random(8), spawn_rng(3, "lbl").random(8)
-        )

@@ -8,7 +8,6 @@ from repro.experiments.profiling import (
     ProfileReport,
     profile_callable,
     profile_scheduling,
-    profile_simulation,
 )
 from repro.schedulers import RoundRobinScheduler
 from repro.workloads.heterogeneous import heterogeneous_scenario
@@ -38,8 +37,3 @@ class TestDomainWrappers:
         assert isinstance(report, ProfileReport)
         assert report.result.assignment.shape == (20,)
 
-    @pytest.mark.parametrize("engine", ["des", "fast"])
-    def test_profile_simulation(self, engine):
-        scenario = heterogeneous_scenario(5, 20, seed=0)
-        report = profile_simulation(RoundRobinScheduler(), scenario, engine=engine)
-        assert report.result.makespan > 0

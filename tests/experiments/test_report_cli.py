@@ -134,28 +134,6 @@ class TestCompareTarget:
 
 
 class TestFigureJsonRoundTrip:
-    def test_round_trip(self, figure_data, tmp_path):
-        from repro.experiments.report import load_figure_json, save_figure_json
-
-        path = save_figure_json(figure_data, tmp_path)
-        restored = load_figure_json(path)
-        assert restored.experiment_id == figure_data.experiment_id
-        assert restored.series == figure_data.series
-        assert restored.ci == figure_data.ci
-        assert restored.x == figure_data.x
-        assert restored.x_key == figure_data.x_key
-
-    def test_rerender_from_json(self, figure_data, tmp_path):
-        from repro.experiments.report import (
-            load_figure_json,
-            render_figure,
-            save_figure_json,
-        )
-
-        path = save_figure_json(figure_data, tmp_path)
-        text = render_figure(load_figure_json(path))
-        assert "hbo-cheapest" in text
-
     def test_unknown_version_rejected(self, figure_data):
         from repro.experiments.figures import FigureData
 

@@ -2,9 +2,10 @@
 
 Every spawned process (the serve process and each shard-pool worker)
 pays for what ``import repro`` loads.  scipy.stats and networkx together
-cost ~1 s of CPU and ~80 MiB per interpreter, and only
-``confidence_interval`` and ``GraphTopology`` use them, so both import
-lazily.  A fresh interpreter imports the streaming, batch and serve
+cost ~1 s of CPU and ~80 MiB per interpreter.  Only
+``confidence_interval`` uses scipy, and it imports it lazily; only the
+workflow DAG model (``repro.workflows``) uses networkx, and nothing on
+the hot path imports it.  A fresh interpreter imports the streaming, batch and serve
 modules, runs a 2-shard stream, and reports its own module set and that
 of one shard worker; neither may hold scipy or networkx.
 """

@@ -1,47 +1,11 @@
-"""Scheduling timer and summary statistics."""
+"""Summary statistics."""
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
 
-from repro.metrics.collector import SchedulingTimer, time_scheduling
 from repro.metrics.stats import SummaryStats, confidence_interval, summarize
-
-
-class TestSchedulingTimer:
-    def test_measure_records_samples(self):
-        timer = SchedulingTimer()
-        with timer.measure():
-            time.sleep(0.01)
-        with timer.measure():
-            pass
-        assert timer.count == 2
-        assert timer.last >= 0
-        assert timer.samples[0] >= 0.01
-        assert timer.total == pytest.approx(sum(timer.samples))
-        assert timer.mean() == pytest.approx(timer.total / 2)
-
-    def test_measure_records_on_exception(self):
-        timer = SchedulingTimer()
-        with pytest.raises(RuntimeError):
-            with timer.measure():
-                raise RuntimeError("boom")
-        assert timer.count == 1
-
-    def test_empty_timer_raises(self):
-        timer = SchedulingTimer()
-        with pytest.raises(ValueError):
-            _ = timer.last
-        with pytest.raises(ValueError):
-            timer.mean()
-
-    def test_time_scheduling_returns_result_and_elapsed(self):
-        result, elapsed = time_scheduling(lambda: 41 + 1)
-        assert result == 42
-        assert elapsed >= 0
 
 
 class TestStats:

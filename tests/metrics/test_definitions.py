@@ -13,9 +13,6 @@ from repro.metrics.definitions import (
     processing_cost,
     throughput,
     time_imbalance,
-    total_processing_cost,
-    vm_load_counts,
-    vm_utilization,
 )
 
 positive_times = st.lists(
@@ -94,21 +91,6 @@ class TestProcessingCost:
         )
         assert costs[0] == pytest.approx(6.0 + 25.6 + 5.0 + 6.0)
 
-    def test_total_is_sum(self):
-        kwargs = dict(
-            lengths=[1000.0, 2000.0],
-            vm_mips=[1000.0, 1000.0],
-            vm_ram=[0.0, 0.0],
-            vm_size=[0.0, 0.0],
-            file_sizes=[0.0, 0.0],
-            output_sizes=[0.0, 0.0],
-            cost_per_cpu=[1.0, 1.0],
-            cost_per_mem=[0.0, 0.0],
-            cost_per_storage=[0.0, 0.0],
-            cost_per_bw=[0.0, 0.0],
-        )
-        assert total_processing_cost(**kwargs) == pytest.approx(3.0)
-
     def test_zero_mips_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             processing_cost(
@@ -133,28 +115,6 @@ class TestWaitingAndThroughput:
     def test_throughput_bad_horizon(self):
         with pytest.raises(ValueError):
             throughput([1.0], horizon=0.0)
-
-
-class TestVmViews:
-    def test_load_counts(self):
-        np.testing.assert_array_equal(
-            vm_load_counts([0, 0, 2], num_vms=4), [2, 0, 1, 0]
-        )
-
-    def test_load_counts_out_of_range(self):
-        with pytest.raises(ValueError):
-            vm_load_counts([0, 9], num_vms=4)
-
-    def test_utilization(self):
-        np.testing.assert_allclose(
-            vm_utilization([5.0, 10.0], horizon=10.0), [0.5, 1.0]
-        )
-
-    def test_utilization_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            vm_utilization([20.0], horizon=10.0)
-        with pytest.raises(ValueError):
-            vm_utilization([1.0], horizon=0.0)
 
 
 class TestJainFairness:

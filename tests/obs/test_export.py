@@ -1,8 +1,7 @@
-"""Unit tests for the JSONL/CSV exporters and the text renderer."""
+"""Unit tests for the JSONL exporter and the text renderer."""
 
 from __future__ import annotations
 
-import csv
 import json
 
 import pytest
@@ -11,7 +10,6 @@ from repro.obs.export import (
     read_telemetry_jsonl,
     render_manifest,
     render_telemetry,
-    write_telemetry_csv,
     write_telemetry_jsonl,
 )
 from repro.obs.manifest import capture_manifest
@@ -68,22 +66,6 @@ class TestJsonl:
     def test_creates_parent_directories(self, tmp_path, snapshot):
         path = write_telemetry_jsonl(tmp_path / "deep" / "dir" / "t.jsonl", snapshot)
         assert path.exists()
-
-
-class TestCsv:
-    def test_header_and_rows(self, tmp_path, snapshot):
-        path = write_telemetry_csv(tmp_path / "t.csv", snapshot)
-        with path.open(newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["kind", "name", "count", "total_s", "value"]
-        by_kind = {}
-        for row in rows[1:]:
-            by_kind.setdefault(row[0], []).append(row)
-        assert len(by_kind["span"]) == 2
-        counter_row = by_kind["counter"][0]
-        assert counter_row[1] == "kernel.evaluations"
-        assert counter_row[4] == "10"
-        assert by_kind["gauge"][0][1] == "load"
 
 
 class TestRender:

@@ -7,6 +7,10 @@ These pin the two hard contracts of the observability layer:
   of committed / rejected;
 * **true no-op when disabled** — running the full pipeline with
   telemetry off records nothing and attaches no telemetry to results.
+
+It also pins provenance across every engine façade: each result's
+``info`` carries a manifest naming its engine, and a telemetry diff
+exactly when telemetry is on.
 """
 
 from __future__ import annotations
@@ -15,12 +19,18 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.cloud.control import ControlConfig
+from repro.cloud.fast import FastSimulation, StreamingSimulation
+from repro.cloud.online import OnlineCloudSimulation
+from repro.cloud.resilience import run_resilient
 from repro.cloud.simulation import CloudSimulation
 from repro.obs.telemetry import TELEMETRY
 from repro.optim import FitnessKernel, IncrementalLoads
 from repro.schedulers import make_scheduler
+from repro.schedulers.online import OnlineGreedyMCT
 from repro.workloads.heterogeneous import heterogeneous_scenario
 from repro.workloads.homogeneous import homogeneous_scenario
+from repro.workloads.streaming import ScenarioChunks
 
 
 @pytest.fixture
@@ -153,3 +163,64 @@ class TestPipelineTelemetry:
         assert observed.makespan == plain.makespan
         assert observed.time_imbalance == plain.time_imbalance
         assert observed.total_cost == plain.total_cost
+
+
+def _scenario():
+    return heterogeneous_scenario(4, 24, seed=3)
+
+
+#: engine façade -> (manifest engine name, run of one small scenario).
+ENGINES = {
+    "des": ("des", lambda: CloudSimulation(_scenario(), make_scheduler("rbs"), seed=5).run()),
+    "fast": ("fast", lambda: FastSimulation(_scenario(), make_scheduler("rbs"), seed=5).run()),
+    "stream": (
+        "stream",
+        lambda: StreamingSimulation(
+            ScenarioChunks.from_spec(_scenario(), chunk_size=10), make_scheduler("rbs"), seed=5
+        ).run(),
+    ),
+    "stream-collect": (
+        "stream",
+        lambda: StreamingSimulation(
+            ScenarioChunks.from_spec(_scenario(), chunk_size=10),
+            make_scheduler("rbs"),
+            seed=5,
+            collect=True,
+        ).run(),
+    ),
+    "online": (
+        "online-des",
+        lambda: OnlineCloudSimulation(_scenario(), OnlineGreedyMCT(), seed=5).run(),
+    ),
+    "online-control": (
+        "online-des",
+        lambda: OnlineCloudSimulation(
+            _scenario(), OnlineGreedyMCT(), seed=5, control=ControlConfig()
+        ).run(),
+    ),
+    "resilient-rescheduling": (
+        "des+resilience",
+        lambda: run_resilient(_scenario(), make_scheduler("rbs"), seed=5),
+    ),
+    "resilient-round_robin": (
+        "des+resilience",
+        lambda: run_resilient(
+            _scenario(), make_scheduler("rbs"), seed=5, recovery="round_robin"
+        ),
+    ),
+}
+
+
+class TestProvenanceAcrossEngines:
+    """Every façade reduces its run through one info builder."""
+
+    @pytest.mark.parametrize("facade", sorted(ENGINES))
+    def test_manifest_always_telemetry_only_when_enabled(self, facade):
+        engine, run = ENGINES[facade]
+        plain = run()
+        assert plain.info["manifest"]["engine"] == engine
+        assert "telemetry" not in plain.info
+        with obs.enabled():
+            observed = run()
+        assert observed.info["manifest"]["engine"] == engine
+        assert "sim.execute" in observed.info["telemetry"]["spans"]

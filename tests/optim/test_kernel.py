@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.optim import FitnessKernel, IncrementalLoads
-from repro.schedulers.base import estimate_makespan, estimated_vm_finish_times
 from repro.workloads.heterogeneous import heterogeneous_scenario
+from tests.schedulers.oracles import estimate_makespan, estimated_vm_finish_times
 
 
 @pytest.fixture(scope="module")

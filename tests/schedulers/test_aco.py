@@ -89,7 +89,7 @@ class TestBehaviour:
         assert counts[fastest] > counts[slowest]
 
     def test_beats_round_robin_makespan_estimate(self, small_hetero):
-        from repro.schedulers.base import estimate_makespan
+        from tests.schedulers.oracles import estimate_makespan
 
         context = ctx(small_hetero)
         arr = context.arrays

@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from repro.schedulers.annealing import SimulatedAnnealingScheduler
-from repro.schedulers.base import (
-    SchedulingContext,
-    estimate_makespan,
-    validate_assignment,
-)
+from repro.schedulers.base import SchedulingContext, validate_assignment
 from repro.schedulers.round_robin import RoundRobinScheduler
+from tests.schedulers.oracles import estimate_makespan
 
 
 def ctx(scenario, seed=0):

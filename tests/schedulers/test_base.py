@@ -8,10 +8,9 @@ import pytest
 from repro.schedulers.base import (
     SchedulingContext,
     SchedulingResult,
-    estimate_makespan,
-    estimated_vm_finish_times,
     validate_assignment,
 )
+from tests.schedulers.oracles import estimate_makespan, estimated_vm_finish_times
 from repro.schedulers.round_robin import RoundRobinScheduler
 
 

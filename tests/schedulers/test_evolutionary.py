@@ -5,14 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.schedulers.base import (
-    SchedulingContext,
-    estimate_makespan,
-    validate_assignment,
-)
+from repro.schedulers.base import SchedulingContext, validate_assignment
 from repro.schedulers.ga import GeneticAlgorithmScheduler
 from repro.schedulers.pso import ParticleSwarmScheduler
 from repro.schedulers.random_assign import RandomScheduler
+from tests.schedulers.oracles import estimate_makespan
 
 
 def ctx(scenario, seed=0):
@@ -55,7 +52,7 @@ class TestPsoBehaviour:
         ) < estimate_makespan(rnd.assignment, arr.cloudlet_length, arr.vm_mips)
 
     def test_cost_weight_reduces_cost(self, small_hetero):
-        from repro.cloud.simulation import compute_batch_costs
+        from repro.cloud.simulation import cloudlet_costs
 
         plain = ParticleSwarmScheduler(
             num_particles=20, max_iterations=30, cost_weight=0.0
@@ -63,8 +60,8 @@ class TestPsoBehaviour:
         costy = ParticleSwarmScheduler(
             num_particles=20, max_iterations=30, cost_weight=5.0
         ).schedule(ctx(small_hetero))
-        cost_plain = compute_batch_costs(small_hetero, plain.assignment).sum()
-        cost_costy = compute_batch_costs(small_hetero, costy.assignment).sum()
+        cost_plain = cloudlet_costs(small_hetero.arrays(), plain.assignment).sum()
+        cost_costy = cloudlet_costs(small_hetero.arrays(), costy.assignment).sum()
         assert cost_costy <= cost_plain * 1.02
 
     def test_deterministic(self, small_hetero):

@@ -66,13 +66,13 @@ class TestBehaviour:
         assert low.info["spills"] > high.info["spills"]
 
     def test_cheaper_than_round_robin(self, small_hetero):
-        from repro.cloud.simulation import compute_batch_costs
+        from repro.cloud.simulation import cloudlet_costs
         from repro.schedulers.round_robin import RoundRobinScheduler
 
         hbo = HoneyBeeScheduler().schedule(ctx(small_hetero))
         rr = RoundRobinScheduler().schedule(ctx(small_hetero))
-        cost_hbo = compute_batch_costs(small_hetero, hbo.assignment).sum()
-        cost_rr = compute_batch_costs(small_hetero, rr.assignment).sum()
+        cost_hbo = cloudlet_costs(small_hetero.arrays(), hbo.assignment).sum()
+        cost_rr = cloudlet_costs(small_hetero.arrays(), rr.assignment).sum()
         assert cost_hbo < cost_rr
 
     def test_homogeneous_balances_within_datacenters(self, small_homog):
@@ -93,7 +93,7 @@ class TestBehaviour:
     def test_completion_bias_improves_makespan_estimate(self):
         # On a batch with real VM-speed spread, completion-greedy scouts
         # must beat pure-backlog scouts on estimated makespan.
-        from repro.schedulers.base import estimate_makespan
+        from tests.schedulers.oracles import estimate_makespan
 
         scenario = heterogeneous_scenario(num_vms=40, num_cloudlets=400, seed=6)
         arr = scenario.arrays()

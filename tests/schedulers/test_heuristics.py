@@ -8,11 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.rng import spawn_rng
-from repro.schedulers.base import (
-    SchedulingContext,
-    estimate_makespan,
-    validate_assignment,
-)
+from repro.schedulers.base import SchedulingContext, validate_assignment
 from repro.schedulers.greedy import GreedyMinCompletionScheduler
 from repro.schedulers.maxmin import MaxMinScheduler, MinMinScheduler
 from repro.schedulers.random_assign import RandomScheduler
@@ -21,7 +17,7 @@ from repro.workloads.heterogeneous import heterogeneous_scenario
 from repro.workloads.spec import CloudletSpec, DatacenterSpec, ScenarioSpec, VmSpec
 from repro.workloads.streaming import ScenarioChunks, heterogeneous_stream
 
-from tests.schedulers.oracles import greedy_oracle, greedy_ready_oracle
+from tests.schedulers.oracles import estimate_makespan, greedy_oracle, greedy_ready_oracle
 
 
 def ctx(scenario, seed=0):

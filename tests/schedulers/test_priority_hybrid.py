@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cloud.simulation import compute_batch_costs
+from repro.cloud.simulation import cloudlet_costs
 from repro.schedulers.base import SchedulingContext, validate_assignment
 from repro.schedulers.hybrid import HybridObjective, HybridScheduler
 from repro.schedulers.priority import PriorityCostScheduler
@@ -34,8 +34,8 @@ class TestPriorityCost:
 
         pri = PriorityCostScheduler().schedule(ctx(small_hetero))
         rr = RoundRobinScheduler().schedule(ctx(small_hetero))
-        assert compute_batch_costs(small_hetero, pri.assignment).sum() < (
-            compute_batch_costs(small_hetero, rr.assignment).sum()
+        assert cloudlet_costs(small_hetero.arrays(), pri.assignment).sum() < (
+            cloudlet_costs(small_hetero.arrays(), rr.assignment).sum()
         )
 
     def test_single_band(self, small_hetero):

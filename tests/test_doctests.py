@@ -33,7 +33,6 @@ MODULES_WITH_EXAMPLES = [
     "repro.serve.service",
     "repro.serve.loadgen",
     "repro.experiments.profiling",
-    "repro.analysis.report_md",
     "repro.metrics.resilience",
 ]
 

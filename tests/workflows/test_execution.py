@@ -160,60 +160,3 @@ class TestWorkflowCosts:
             workflow_costs(wf, sc, result.assignment).sum()
         )
 
-
-class TestDeadlineWorkflowScheduler:
-    def test_validation(self):
-        from repro.workflows.schedulers import DeadlineWorkflowScheduler
-
-        with pytest.raises(ValueError):
-            DeadlineWorkflowScheduler(deadline=0.0)
-        with pytest.raises(ValueError):
-            DeadlineWorkflowScheduler(slack_factor=0.0)
-
-    def test_loose_deadline_buys_cost_savings(self):
-        from repro.workflows.schedulers import DeadlineWorkflowScheduler
-
-        wf = random_workflow(40, edge_probability=0.1, seed=3)
-        sc = heterogeneous_scenario(12, 10, seed=1)
-        heft = WorkflowSimulation(wf, sc, HeftScheduler()).run()
-        loose = WorkflowSimulation(
-            wf, sc, DeadlineWorkflowScheduler(slack_factor=10.0)
-        ).run()
-        assert loose.total_cost < heft.total_cost
-
-    def test_tight_deadline_approaches_heft_makespan(self):
-        from repro.workflows.schedulers import DeadlineWorkflowScheduler
-
-        wf = random_workflow(40, edge_probability=0.1, seed=3)
-        sc = heterogeneous_scenario(12, 10, seed=1)
-        heft = WorkflowSimulation(wf, sc, HeftScheduler()).run()
-        tight = WorkflowSimulation(
-            wf, sc, DeadlineWorkflowScheduler(deadline=1e-6)
-        ).run()
-        # With an unmeetable deadline every choice falls back to min-EFT.
-        assert tight.makespan <= heft.makespan * 1.3
-
-    def test_makespan_monotone_in_slack(self):
-        from repro.workflows.schedulers import DeadlineWorkflowScheduler
-
-        wf = random_workflow(40, edge_probability=0.1, seed=3)
-        sc = heterogeneous_scenario(12, 10, seed=1)
-        results = [
-            WorkflowSimulation(
-                wf, sc, DeadlineWorkflowScheduler(slack_factor=s)
-            ).run()
-            for s in (1.2, 4.0)
-        ]
-        assert results[0].makespan <= results[1].makespan
-        assert results[0].total_cost >= results[1].total_cost
-
-    def test_dependencies_still_respected(self):
-        from repro.workflows.schedulers import DeadlineWorkflowScheduler
-
-        wf = layered_workflow(4, 3, seed=4)
-        sc = heterogeneous_scenario(6, 10, seed=3)
-        result = WorkflowSimulation(
-            wf, sc, DeadlineWorkflowScheduler(slack_factor=3.0)
-        ).run()
-        for u, v, _ in wf.edges:
-            assert result.start_times[v] >= result.finish_times[u] - 1e-9

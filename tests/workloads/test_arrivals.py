@@ -12,13 +12,11 @@ from repro.workloads.arrivals import (
     BatchArrivals,
     BurstyArrivals,
     PoissonArrivals,
-    UniformArrivals,
 )
 
 ALL_PROCESSES = [
     BatchArrivals(),
     BatchArrivals(at=5.0),
-    UniformArrivals(interval=0.5),
     PoissonArrivals(rate=3.0),
     BurstyArrivals(burst_size=5, burst_rate=10.0, period=2.0),
 ]
@@ -52,18 +50,6 @@ class TestBatch:
     def test_negative_instant_rejected(self):
         with pytest.raises(ValueError):
             BatchArrivals(at=-1.0)
-
-
-class TestUniform:
-    def test_spacing(self):
-        times = UniformArrivals(interval=2.0, start=1.0).sample(spawn_rng(0, "a"), 4)
-        np.testing.assert_allclose(times, [1.0, 3.0, 5.0, 7.0])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            UniformArrivals(interval=0.0)
-        with pytest.raises(ValueError):
-            UniformArrivals(interval=1.0, start=-1.0)
 
 
 class TestPoisson:
