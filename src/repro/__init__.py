@@ -38,7 +38,7 @@ Quickstart
 
 >>> from repro import quick_run
 >>> from repro.schedulers import AntColonyScheduler
->>> result = quick_run(AntColonyScheduler(seed=7), num_vms=20, num_cloudlets=200, seed=1)
+>>> result = quick_run(AntColonyScheduler(), num_vms=20, num_cloudlets=200, seed=1)
 >>> result.makespan > 0
 True
 """

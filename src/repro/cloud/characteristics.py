@@ -64,14 +64,5 @@ class DatacenterCharacteristics:
             + self.cost_per_bw * (cloudlet.file_size + cloudlet.output_size)
         )
 
-    def cost_components(self, cloudlet: Cloudlet, vm: Vm) -> dict[str, float]:
-        """Itemised version of :meth:`cloudlet_cost` for reporting."""
-        return {
-            "cpu": self.cost_per_cpu * (cloudlet.length / vm.mips),
-            "mem": self.cost_per_mem * vm.ram,
-            "storage": self.cost_per_storage * vm.size,
-            "bw": self.cost_per_bw * (cloudlet.file_size + cloudlet.output_size),
-        }
-
 
 __all__ = ["DatacenterCharacteristics"]

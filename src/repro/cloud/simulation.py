@@ -42,7 +42,7 @@ from repro.metrics.definitions import (
     throughput,
     time_imbalance,
 )
-from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult
+from repro.schedulers.base import Scheduler, SchedulingContext
 from repro.workloads.spec import ScenarioArrays, ScenarioSpec
 
 ExecutionModel = Literal["space-shared", "time-shared"]
@@ -182,14 +182,16 @@ def cloudlet_costs(arrays: ScenarioArrays, assignment: np.ndarray) -> np.ndarray
     )
 
 
-def timed_schedule(
-    scheduler: Scheduler, context: SchedulingContext
-) -> tuple[SchedulingResult, float]:
-    """Run ``scheduler.schedule_checked(context)`` under the ``sim.schedule``
-    span; returns the decision and its wall-clock seconds (paper metric 1)."""
+def timed_schedule(scheduler: Any, *inputs: Any) -> tuple[Any, float]:
+    """Run ``scheduler.schedule_checked(*inputs)`` under the ``sim.schedule``
+    span; returns the decision and its wall-clock seconds (paper metric 1).
+
+    ``inputs`` is a batch scheduler's :class:`SchedulingContext`, or a
+    workflow scheduler's ``(workflow, scenario)``.
+    """
     with _TEL.span("sim.schedule"):
         t0 = time.perf_counter()
-        decision = scheduler.schedule_checked(context)
+        decision = scheduler.schedule_checked(*inputs)
         return decision, time.perf_counter() - t0
 
 

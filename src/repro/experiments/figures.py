@@ -39,41 +39,6 @@ class FigureData:
     #: column name of the x axis in tabular output.
     x_key: str = "num_vms"
 
-    def final_values(self) -> dict[str, float]:
-        """Mean at the largest x per scheduler (used by shape checks)."""
-        return {name: values[-1] for name, values in self.series.items()}
-
-    def to_json_dict(self) -> dict:
-        """JSON-serialisable form (raw records are not persisted)."""
-        return {
-            "format_version": 1,
-            "experiment_id": self.experiment_id,
-            "title": self.title,
-            "xlabel": self.xlabel,
-            "ylabel": self.ylabel,
-            "x": list(self.x),
-            "x_key": self.x_key,
-            "series": {k: list(v) for k, v in self.series.items()},
-            "ci": {k: list(v) for k, v in self.ci.items()},
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FigureData":
-        """Inverse of :meth:`to_json_dict`."""
-        version = data.get("format_version")
-        if version != 1:
-            raise ValueError(f"unsupported figure format version {version!r}")
-        return cls(
-            experiment_id=data["experiment_id"],
-            title=data["title"],
-            xlabel=data["xlabel"],
-            ylabel=data["ylabel"],
-            x=list(data["x"]),
-            series={k: list(v) for k, v in data["series"].items()},
-            ci={k: list(v) for k, v in data["ci"].items()},
-            x_key=data.get("x_key", "num_vms"),
-        )
-
     def to_rows(self) -> list[dict[str, float | int | str]]:
         """Long-format rows for CSV export."""
         rows: list[dict[str, float | int | str]] = []

@@ -12,9 +12,10 @@ five times over:
   (:class:`IncrementalLoads`), and vectorised batch evaluation for whole
   populations.
 * :mod:`repro.optim.loop` — :class:`IterativeOptimizer`, the shared
-  iteration driver: pluggable :class:`MoveOperator`, evaluation budget,
-  early-stop / stagnation policies, and a :class:`ConvergenceTrace`
-  (best-so-far fitness, evaluations, wall-clock) surfaced through
+  iteration driver: pluggable :class:`MoveOperator`, two stopping rules
+  (the iteration cap and stagnation patience), and a
+  :class:`ConvergenceTrace`, always recorded (best-so-far fitness,
+  evaluations, wall-clock), surfaced through
   ``SchedulingResult.info["convergence"]``.
 
 The execution layer — the process-pool sweep runner that fans the

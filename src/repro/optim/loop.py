@@ -2,11 +2,11 @@
 
 :class:`IterativeOptimizer` owns what every population/trajectory
 optimizer used to hand-roll: the iteration loop, best-so-far bookkeeping,
-the evaluation budget, early-stop/stagnation policies, and the
-:class:`ConvergenceTrace` that lets benches plot convergence curves
-instead of endpoints.  Algorithms plug in as :class:`MoveOperator`
-implementations that produce one candidate (the iteration's best) per
-step.
+the two stopping rules (the iteration cap and stagnation patience), and
+the :class:`ConvergenceTrace`, always recorded, that lets benches plot
+convergence curves instead of endpoints.  Algorithms plug in as
+:class:`MoveOperator` implementations that produce one candidate (the
+iteration's best) per step.
 
 Determinism contract: the driver itself draws no random numbers — all
 randomness flows through the generator handed to the operator — and it
@@ -132,9 +132,9 @@ class OptimizationOutcome:
     fitness: float
     iterations: int
     evaluations: int
-    #: why the loop ended: "max_iterations" | "stagnation" | "budget".
+    #: why the loop ended: "max_iterations" | "stagnation".
     stopped: str
-    trace: ConvergenceTrace | None
+    trace: ConvergenceTrace
     info: dict[str, Any] = field(default_factory=dict)
 
 
@@ -150,14 +150,9 @@ class IterativeOptimizer:
     patience:
         Stop after this many consecutive iterations without a strict
         improvement of the incumbent (``None`` disables).
-    max_evaluations:
-        Stop once this many fitness evaluations have been consumed
-        (``None`` disables; checked between iterations).
-    record_trace:
-        Collect a :class:`ConvergenceTrace` (entry 0 plus one entry per
-        ``record_every`` iterations and always the final iteration).
     record_every:
-        Trace granularity — record every k-th iteration (caps trace size
+        Trace granularity: the :class:`ConvergenceTrace` holds entry 0,
+        every k-th iteration and always the final one (caps trace size
         for move-per-iteration algorithms like annealing).
     """
 
@@ -166,25 +161,17 @@ class IterativeOptimizer:
         operator: MoveOperator,
         max_iterations: int,
         patience: int | None = None,
-        max_evaluations: int | None = None,
-        record_trace: bool = True,
         record_every: int = 1,
     ) -> None:
         if max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
         if patience is not None and patience < 1:
             raise ValueError(f"patience must be >= 1 or None, got {patience}")
-        if max_evaluations is not None and max_evaluations < 1:
-            raise ValueError(
-                f"max_evaluations must be >= 1 or None, got {max_evaluations}"
-            )
         if record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {record_every}")
         self.operator = operator
         self.max_iterations = max_iterations
         self.patience = patience
-        self.max_evaluations = max_evaluations
-        self.record_trace = record_trace
         self.record_every = record_every
 
     def run(self, rng: np.random.Generator) -> OptimizationOutcome:
@@ -200,7 +187,7 @@ class IterativeOptimizer:
     def _run(self, rng: np.random.Generator) -> OptimizationOutcome:
         op = self.operator
         t0 = time.perf_counter()
-        trace = ConvergenceTrace() if self.record_trace else None
+        trace = ConvergenceTrace()
 
         best_assignment: np.ndarray | None = None
         best_fitness = np.inf
@@ -213,8 +200,7 @@ class IterativeOptimizer:
                 assert init.assignment is not None
                 best_assignment = np.array(init.assignment, dtype=np.int64)
                 best_fitness = float(init.fitness)
-        if trace is not None:
-            trace.record(0, best_fitness, evaluations, time.perf_counter() - t0)
+        trace.record(0, best_fitness, evaluations, time.perf_counter() - t0)
 
         stale = 0
         stopped = "max_iterations"
@@ -232,22 +218,11 @@ class IterativeOptimizer:
                 stale = 0
             else:
                 stale += 1
-            stopping = False
-            if self.patience is not None and stale >= self.patience:
-                stopped = "stagnation"
-                stopping = True
-            if (
-                not stopping
-                and self.max_evaluations is not None
-                and evaluations >= self.max_evaluations
-            ):
-                stopped = "budget"
-                stopping = True
-            if trace is not None and (
-                stopping or k == self.max_iterations - 1 or (k + 1) % self.record_every == 0
-            ):
+            stopping = self.patience is not None and stale >= self.patience
+            if stopping or k == self.max_iterations - 1 or (k + 1) % self.record_every == 0:
                 trace.record(k + 1, best_fitness, evaluations, time.perf_counter() - t0)
             if stopping:
+                stopped = "stagnation"
                 break
 
         assignment, fitness = op.finalize(best_assignment, best_fitness)

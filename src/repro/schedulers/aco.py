@@ -69,6 +69,7 @@ from repro.schedulers.base import (
     Scheduler,
     SchedulingContext,
     SchedulingResult,
+    optimizer_result,
 )
 
 #: refuse to allocate per-pair pheromone/heuristic matrices bigger than
@@ -107,9 +108,6 @@ class AntColonyScheduler(Scheduler):
     patience:
         Stop early after this many iterations without improving the best
         tour (``None`` disables early stopping).
-    seed:
-        Extra seed decorrelating this instance from the context stream;
-        ``None`` uses the context stream as-is.
     max_matrix_cells:
         Safety cap on ``num_cloudlets * num_vms`` in ``"pair"`` layout.
     """
@@ -128,7 +126,6 @@ class AntColonyScheduler(Scheduler):
         tabu: TabuMode = "off",
         pheromone: PheromoneLayout = "pair",
         patience: int | None = None,
-        seed: int | None = None,
         max_matrix_cells: int = DEFAULT_MAX_MATRIX_CELLS,
     ) -> None:
         if num_ants < 1:
@@ -159,7 +156,6 @@ class AntColonyScheduler(Scheduler):
         self.tabu = tabu
         self.pheromone = pheromone
         self.patience = patience
-        self.seed = seed
         self.max_matrix_cells = max_matrix_cells
 
     @property
@@ -176,27 +172,17 @@ class AntColonyScheduler(Scheduler):
                 f"(> max_matrix_cells={self.max_matrix_cells}); use "
                 "pheromone='vm' or run a scaled-down sweep"
             )
-        rng = context.rng if self.seed is None else np.random.default_rng(
-            [self.seed, n, m]
-        )
-
         operator = _ColonyOperator(self, context)
         with _TEL.span("aco.schedule"):
             outcome = IterativeOptimizer(
-                operator, max_iterations=self.max_iterations, patience=self.patience
-            ).run(rng)
-        return SchedulingResult(
-            assignment=outcome.assignment,
-            scheduler_name=self.name,
-            info={
-                "iterations": outcome.iterations,
-                "best_tour_length": outcome.fitness,
-                "num_ants": self.num_ants,
-                "pheromone_layout": self.pheromone,
-                "evaluations": outcome.evaluations,
-                "stopped": outcome.stopped,
-                "convergence": outcome.trace.as_dict() if outcome.trace else None,
-            },
+                operator, self.max_iterations, patience=self.patience
+            ).run(context.rng)
+        return optimizer_result(
+            self,
+            outcome,
+            fitness_key="best_tour_length",
+            num_ants=self.num_ants,
+            pheromone_layout=self.pheromone,
         )
 
 

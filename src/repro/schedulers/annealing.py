@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.optim import Candidate, FitnessKernel, IncrementalLoads, IterativeOptimizer, MoveOperator
-from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult
+from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult, optimizer_result
 
 
 class _AnnealingOperator(MoveOperator):
@@ -43,7 +43,7 @@ class _AnnealingOperator(MoveOperator):
         self.current = self.state.makespan
         self.temperature = cfg.initial_temperature * max(self.current, 1e-12)
         # Pre-drawn move stream: the whole trajectory is fixed by the seed
-        # regardless of how the driver's budget/stop policies cut it short.
+        # up front, in three blocks.
         self.moves_i = rng.integers(0, n, size=cfg.iterations)
         self.moves_j = rng.integers(0, m, size=cfg.iterations)
         self.uniforms = rng.random(cfg.iterations)
@@ -91,11 +91,6 @@ class SimulatedAnnealingScheduler(Scheduler):
         estimate (scale-free).
     cooling:
         Geometric cooling factor per move, in (0, 1).
-    max_evaluations:
-        Optional shared evaluation budget — the driver stops once this
-        many fitness evaluations have been consumed.
-    seed:
-        Extra seed decorrelating this instance from the context stream.
     """
 
     def __init__(
@@ -103,8 +98,6 @@ class SimulatedAnnealingScheduler(Scheduler):
         iterations: int = 5000,
         initial_temperature: float = 0.2,
         cooling: float = 0.999,
-        max_evaluations: int | None = None,
-        seed: int | None = None,
     ) -> None:
         if iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -114,47 +107,23 @@ class SimulatedAnnealingScheduler(Scheduler):
             )
         if not 0 < cooling < 1:
             raise ValueError(f"cooling must be in (0, 1), got {cooling}")
-        if max_evaluations is not None and max_evaluations < 1:
-            raise ValueError(
-                f"max_evaluations must be >= 1 or None, got {max_evaluations}"
-            )
         self.iterations = iterations
         self.initial_temperature = initial_temperature
         self.cooling = cooling
-        self.max_evaluations = max_evaluations
-        self.seed = seed
 
     @property
     def name(self) -> str:
         return "annealing"
 
     def schedule(self, context: SchedulingContext) -> SchedulingResult:
-        n, m = context.num_cloudlets, context.num_vms
-        rng = context.rng if self.seed is None else np.random.default_rng(
-            [self.seed, n, m]
-        )
         operator = _AnnealingOperator(self, context)
         # No per-move span: one move is ~µs-scale, so the anneal is timed as
         # a whole and the kernel's delta counters carry the per-move story.
         with _TEL.span("annealing.anneal"):
             outcome = IterativeOptimizer(
-                operator,
-                max_iterations=self.iterations,
-                max_evaluations=self.max_evaluations,
-                record_every=max(1, self.iterations // 200),
-            ).run(rng)
-        return SchedulingResult(
-            assignment=outcome.assignment,
-            scheduler_name=self.name,
-            info={
-                "best_makespan_estimate": outcome.fitness,
-                "accepted_moves": outcome.info["accepted_moves"],
-                "iterations": self.iterations,
-                "evaluations": outcome.evaluations,
-                "stopped": outcome.stopped,
-                "convergence": outcome.trace.as_dict() if outcome.trace else None,
-            },
-        )
+                operator, self.iterations, record_every=max(1, self.iterations // 200)
+            ).run(context.rng)
+        return optimizer_result(self, outcome)
 
 
 __all__ = ["SimulatedAnnealingScheduler"]

@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.core.rng import spawn_rng
 from repro.workloads.spec import ScenarioArrays, ScenarioSpec
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.optim import OptimizationOutcome
 
 
 @dataclass(frozen=True)
@@ -152,9 +155,39 @@ class Scheduler(abc.ABC):
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
+def optimizer_result(
+    scheduler: Scheduler,
+    outcome: "OptimizationOutcome",
+    fitness_key: str = "best_makespan_estimate",
+    iterations_key: str = "iterations",
+    **fields: Any,
+) -> SchedulingResult:
+    """The result of one :class:`~repro.optim.IterativeOptimizer` run.
+
+    ``info`` holds the final fitness under ``fitness_key``, the iteration
+    count under ``iterations_key``, the operator's own diagnostics and the
+    scheduler's ``fields``, then ``evaluations``, ``stopped`` (why the
+    loop ended) and ``convergence`` (the trace).
+    """
+    return SchedulingResult(
+        assignment=outcome.assignment,
+        scheduler_name=scheduler.name,
+        info={
+            fitness_key: outcome.fitness,
+            iterations_key: outcome.iterations,
+            **outcome.info,
+            **fields,
+            "evaluations": outcome.evaluations,
+            "stopped": outcome.stopped,
+            "convergence": outcome.trace.as_dict(),
+        },
+    )
+
+
 __all__ = [
     "Scheduler",
     "SchedulingContext",
     "SchedulingResult",
+    "optimizer_result",
     "validate_assignment",
 ]

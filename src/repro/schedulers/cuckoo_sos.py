@@ -25,7 +25,7 @@ improvement — the ecosystem's fitness is non-increasing within a phase):
   cuckoo host-abandonment move.
 
 Continuous interaction arithmetic is rounded back to VM indices before
-evaluation, exactly like the GSA/PSOGSA discretisation.  The loop,
+evaluation by GSA's :func:`~repro.schedulers.gsa.discretise`.  The loop,
 incumbent bookkeeping and convergence trace come from
 :class:`repro.optim.IterativeOptimizer`.
 
@@ -53,7 +53,8 @@ import numpy as np
 
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.optim import Candidate, FitnessKernel, IterativeOptimizer, MoveOperator
-from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult
+from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult, optimizer_result
+from repro.schedulers.gsa import discretise
 
 
 def levy_sigma(beta: float) -> float:
@@ -79,15 +80,9 @@ class _CuckooSosOperator(MoveOperator):
         self.cfg = cfg
         self.context = context
 
-    def _discretise(self, positions: np.ndarray) -> np.ndarray:
-        m = self.context.num_vms
-        return np.clip(np.rint(positions), 0, m - 1).astype(np.int64)
-
     def _partners(self, rng: np.random.Generator) -> np.ndarray:
         """One distinct partner index per organism (j != i by shift)."""
         p = self.cfg.ecosystem_size
-        if p < 2:
-            return np.zeros(p, dtype=np.int64)
         shift = rng.integers(1, p, size=p)
         return (np.arange(p, dtype=np.int64) + shift) % p
 
@@ -131,7 +126,7 @@ class _CuckooSosOperator(MoveOperator):
             moved = self.population + rng.random((p, n)) * (
                 best[None, :] - mutual * benefit
             )
-            evaluations += self._accept(self._discretise(moved))
+            evaluations += self._accept(discretise(moved, m))
 
         best = self.population[int(np.argmin(self.fitness))].astype(np.float64)
         with _TEL.span("cuckoo_sos.commensalism"):
@@ -139,7 +134,7 @@ class _CuckooSosOperator(MoveOperator):
             moved = self.population + (rng.random((p, n)) * 2.0 - 1.0) * (
                 best[None, :] - self.population[partners]
             )
-            evaluations += self._accept(self._discretise(moved))
+            evaluations += self._accept(discretise(moved, m))
 
         with _TEL.span("cuckoo_sos.parasitism"):
             parasites = self.population.copy()
@@ -154,7 +149,7 @@ class _CuckooSosOperator(MoveOperator):
             flown = self.population + cfg.step_scale * steps * (
                 self.population - best[None, :]
             )
-            evaluations += self._accept(self._discretise(flown))
+            evaluations += self._accept(discretise(flown, m))
             abandon = int(cfg.abandon_fraction * p)
             if abandon:
                 # Worst nests, by stable fitness order — never the best.
@@ -187,11 +182,6 @@ class CuckooSosScheduler(Scheduler):
     abandon_fraction:
         Fraction of worst nests rebuilt at random each cycle, in
         ``[0, 1)``.
-    patience:
-        Stop early after this many cycles without improving the incumbent
-        (``None`` disables early stopping).
-    max_evaluations:
-        Optional shared evaluation budget across the run.
     """
 
     def __init__(
@@ -202,8 +192,6 @@ class CuckooSosScheduler(Scheduler):
         levy_beta: float = 1.5,
         step_scale: float = 1.0,
         abandon_fraction: float = 0.25,
-        patience: int | None = None,
-        max_evaluations: int | None = None,
     ) -> None:
         if ecosystem_size < 2:
             raise ValueError(f"ecosystem_size must be >= 2, got {ecosystem_size}")
@@ -219,20 +207,12 @@ class CuckooSosScheduler(Scheduler):
             raise ValueError(
                 f"abandon_fraction must be in [0, 1), got {abandon_fraction}"
             )
-        if patience is not None and patience < 1:
-            raise ValueError(f"patience must be >= 1 or None, got {patience}")
-        if max_evaluations is not None and max_evaluations < 1:
-            raise ValueError(
-                f"max_evaluations must be >= 1 or None, got {max_evaluations}"
-            )
         self.ecosystem_size = ecosystem_size
         self.max_iterations = max_iterations
         self.parasite_rate = parasite_rate
         self.levy_beta = levy_beta
         self.step_scale = step_scale
         self.abandon_fraction = abandon_fraction
-        self.patience = patience
-        self.max_evaluations = max_evaluations
 
     @property
     def name(self) -> str:
@@ -240,23 +220,8 @@ class CuckooSosScheduler(Scheduler):
 
     def schedule(self, context: SchedulingContext) -> SchedulingResult:
         operator = _CuckooSosOperator(self, context)
-        outcome = IterativeOptimizer(
-            operator,
-            max_iterations=self.max_iterations,
-            patience=self.patience,
-            max_evaluations=self.max_evaluations,
-        ).run(context.rng)
-        return SchedulingResult(
-            assignment=outcome.assignment,
-            scheduler_name=self.name,
-            info={
-                "best_makespan_estimate": outcome.fitness,
-                "iterations": outcome.iterations,
-                "evaluations": outcome.evaluations,
-                "stopped": outcome.stopped,
-                "convergence": outcome.trace.as_dict() if outcome.trace else None,
-            },
-        )
+        outcome = IterativeOptimizer(operator, self.max_iterations).run(context.rng)
+        return optimizer_result(self, outcome)
 
 
 __all__ = ["CuckooSosScheduler", "levy_sigma", "levy_steps"]

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.optim import Candidate, FitnessKernel, IterativeOptimizer, MoveOperator
-from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult
+from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult, optimizer_result
 
 
 class _GaOperator(MoveOperator):
@@ -127,11 +127,6 @@ class GeneticAlgorithmScheduler(Scheduler):
         Individuals per selection tournament.
     elitism:
         Copies of the best chromosome preserved each generation.
-    patience:
-        Stop early after this many generations without improving the best
-        fitness (``None`` disables early stopping).
-    max_evaluations:
-        Optional shared evaluation budget across the run.
     """
 
     def __init__(
@@ -142,8 +137,6 @@ class GeneticAlgorithmScheduler(Scheduler):
         mutation_rate: float = 0.01,
         tournament_size: int = 3,
         elitism: int = 1,
-        patience: int | None = None,
-        max_evaluations: int | None = None,
     ) -> None:
         if population_size < 2 or population_size % 2:
             raise ValueError(
@@ -159,20 +152,12 @@ class GeneticAlgorithmScheduler(Scheduler):
             raise ValueError(f"tournament_size must be >= 1, got {tournament_size}")
         if not 0 <= elitism < population_size:
             raise ValueError("elitism must be in [0, population_size)")
-        if patience is not None and patience < 1:
-            raise ValueError(f"patience must be >= 1 or None, got {patience}")
-        if max_evaluations is not None and max_evaluations < 1:
-            raise ValueError(
-                f"max_evaluations must be >= 1 or None, got {max_evaluations}"
-            )
         self.population_size = population_size
         self.generations = generations
         self.crossover_rate = crossover_rate
         self.mutation_rate = mutation_rate
         self.tournament_size = tournament_size
         self.elitism = elitism
-        self.patience = patience
-        self.max_evaluations = max_evaluations
 
     @property
     def name(self) -> str:
@@ -180,23 +165,8 @@ class GeneticAlgorithmScheduler(Scheduler):
 
     def schedule(self, context: SchedulingContext) -> SchedulingResult:
         operator = _GaOperator(self, context)
-        outcome = IterativeOptimizer(
-            operator,
-            max_iterations=self.generations,
-            patience=self.patience,
-            max_evaluations=self.max_evaluations,
-        ).run(context.rng)
-        return SchedulingResult(
-            assignment=outcome.assignment,
-            scheduler_name=self.name,
-            info={
-                "best_makespan_estimate": outcome.fitness,
-                "generations": outcome.iterations,
-                "evaluations": outcome.evaluations,
-                "stopped": outcome.stopped,
-                "convergence": outcome.trace.as_dict() if outcome.trace else None,
-            },
-        )
+        outcome = IterativeOptimizer(operator, self.generations).run(context.rng)
+        return optimizer_result(self, outcome, iterations_key="generations")
 
 
 __all__ = ["GeneticAlgorithmScheduler"]

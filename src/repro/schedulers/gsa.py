@@ -25,7 +25,8 @@ Fitness is the estimated batch makespan, evaluated for the whole
 discretised population at once by
 :meth:`repro.optim.FitnessKernel.batch_makespans`; the iteration loop,
 incumbent bookkeeping and convergence trace come from
-:class:`repro.optim.IterativeOptimizer`.
+:class:`repro.optim.IterativeOptimizer`.  PSOGSA reuses the swarm
+machinery (:class:`SwarmOperator`) and the force (:func:`gravity`).
 
 Examples
 --------
@@ -49,14 +50,21 @@ True
 
 from __future__ import annotations
 
+import abc
+
 import numpy as np
 
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.optim import Candidate, FitnessKernel, IterativeOptimizer, MoveOperator
-from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult
+from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult, optimizer_result
 
 #: softening constant keeping the force finite at zero distance.
 _EPS = 1e-12
+
+
+def discretise(positions: np.ndarray, num_vms: int) -> np.ndarray:
+    """Round continuous positions to VM indices in ``[0, num_vms - 1]``."""
+    return np.clip(np.rint(positions), 0, num_vms - 1).astype(np.int64)
 
 
 def agent_masses(fitness: np.ndarray) -> np.ndarray:
@@ -71,12 +79,7 @@ def agent_masses(fitness: np.ndarray) -> np.ndarray:
         raw = (worst - fitness) / (worst - best)
     else:
         raw = np.ones_like(fitness)
-    total = float(raw.sum())
-    if total <= 0:
-        # Only the worst agent(s) remain: give everything uniform mass so
-        # the force field stays defined.
-        return np.full_like(fitness, 1.0 / fitness.shape[0])
-    return raw / total
+    return raw / float(raw.sum())
 
 
 def kbest_size(iteration: int, max_iterations: int, population: int) -> int:
@@ -87,53 +90,77 @@ def kbest_size(iteration: int, max_iterations: int, population: int) -> int:
     return max(1, int(round(population - (population - 1) * frac)))
 
 
-class _GsaOperator(MoveOperator):
-    """One velocity/position update of the whole agent population per step."""
+def gravity(
+    X: np.ndarray,
+    fitness: np.ndarray,
+    G: float,
+    rng: np.random.Generator,
+    elite: np.ndarray | None = None,
+) -> np.ndarray:
+    """Mass-weighted pull of every agent toward the ``elite`` agents.
 
-    def __init__(self, cfg: "GravitationalSearchScheduler", context: SchedulingContext) -> None:
+    ``a_i = G · Σ_b w_ib · M_b · (x_b - x_i) / (R_ib + eps)`` with one
+    uniform draw ``w_ib`` per pair — the agent's own mass cancels between
+    force and acceleration, and the self-pair contributes nothing
+    (``x_i - x_i = 0``).  ``elite=None`` lets the whole population
+    attract.  It multiplies ``X`` by itself, not by a gathered copy:
+    numpy sends ``X @ X.T`` to a symmetric kernel that rounds differently
+    from the general product, and PSOGSA's decisions rest on it.
+    """
+    masses = agent_masses(fitness)
+    sq = np.einsum("ij,ij->i", X, X)
+    if elite is None:
+        E, sq_e, m_e = X, sq, masses
+    else:
+        E, sq_e, m_e = X[elite], sq[elite], masses[elite]
+    # Euclidean distances to the attracting agents via the Gram trick.
+    r2 = sq[:, None] + sq_e[None, :] - 2.0 * (X @ E.T)
+    dist = np.sqrt(np.maximum(r2, 0.0))
+    weights = rng.random((X.shape[0], E.shape[0])) * m_e[None, :] / (dist + _EPS)
+    return G * (weights @ E - weights.sum(axis=1)[:, None] * X)
+
+
+class SwarmOperator(MoveOperator):
+    """Agents at continuous positions in ``[0, num_vms - 1]^num_cloudlets``.
+
+    What GSA and PSOGSA share: the uniform start with zero velocities,
+    ``G(t) = G0 · exp(-alpha · t / T)``, and a step that runs :meth:`move`
+    then discretises and batch-evaluates the population.
+    """
+
+    #: telemetry span prefix, e.g. ``"gsa"``.
+    span: str
+
+    def __init__(self, cfg, context: SchedulingContext, size: int) -> None:
         self.cfg = cfg
         self.context = context
-
-    def _discretise(self, positions: np.ndarray) -> np.ndarray:
-        m = self.context.num_vms
-        return np.clip(np.rint(positions), 0, m - 1).astype(np.int64)
+        self.size = size
+        self.upper = float(context.num_vms - 1)
 
     def initialize(self, rng: np.random.Generator) -> Candidate:
-        cfg = self.cfg
-        n, m = self.context.num_cloudlets, self.context.num_vms
-        p = cfg.num_agents
+        p, n = self.size, self.context.num_cloudlets
         self.kernel = FitnessKernel(
             self.context.arrays, time_model="compute", max_matrix_cells=0
         )
-        self.positions = rng.uniform(0.0, float(m - 1), size=(p, n))
+        self.positions = rng.uniform(0.0, self.upper, size=(p, n))
         self.velocities = np.zeros((p, n))
-        ints = self._discretise(self.positions)
+        ints = discretise(self.positions, self.context.num_vms)
         self.fitness = self.kernel.batch_makespans(ints)
-        g = int(np.argmin(self.fitness))
-        return Candidate(ints[g], float(self.fitness[g]), evaluations=p)
+        return self._best(ints)
 
-    def _acceleration(
-        self, iteration: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Mass-weighted pull toward the ``Kbest`` elite, G(t)-scaled.
-
-        ``a_i = G · Σ_b w_ib · M_b · (x_b - x_i) / (R_ib + eps)`` — the
-        agent's own mass cancels between force and acceleration, and the
-        self-pair contributes nothing (``x_i - x_i = 0``).
-        """
+    def gravitational_constant(self, iteration: int) -> float:
+        """``G(t)`` at ``iteration``."""
         cfg = self.cfg
-        X = self.positions
-        p = X.shape[0]
-        G = cfg.g0 * float(np.exp(-cfg.alpha * iteration / cfg.max_iterations))
-        k = kbest_size(iteration, cfg.max_iterations, p) if cfg.elite_decay else p
-        elite = np.argsort(self.fitness, kind="stable")[:k]
-        masses = agent_masses(self.fitness)
-        # Euclidean distances to the elite via the Gram trick.
-        sq = np.einsum("ij,ij->i", X, X)
-        r2 = sq[:, None] + sq[elite][None, :] - 2.0 * (X @ X[elite].T)
-        dist = np.sqrt(np.maximum(r2, 0.0))
-        weights = rng.random((p, k)) * masses[elite][None, :] / (dist + _EPS)
-        return G * (weights @ X[elite] - weights.sum(axis=1)[:, None] * X)
+        return cfg.g0 * float(np.exp(-cfg.alpha * iteration / cfg.max_iterations))
+
+    @abc.abstractmethod
+    def move(
+        self,
+        iteration: int,
+        rng: np.random.Generator,
+        incumbent_assignment: np.ndarray | None,
+    ) -> None:
+        """Update ``velocities`` and ``positions`` in place."""
 
     def step(
         self,
@@ -142,20 +169,32 @@ class _GsaOperator(MoveOperator):
         incumbent_assignment: np.ndarray | None,
         incumbent_fitness: float,
     ) -> Candidate:
-        cfg = self.cfg
-        p, n = self.positions.shape
-        m = self.context.num_vms
-        with _TEL.span("gsa.position_update"):
-            accel = self._acceleration(iteration, rng)
-            self.velocities = rng.random((p, n)) * self.velocities + accel
-            self.positions = np.clip(
-                self.positions + self.velocities, 0.0, float(m - 1)
-            )
-        ints = self._discretise(self.positions)
-        with _TEL.span("gsa.fitness"):
+        with _TEL.span(f"{self.span}.position_update"):
+            self.move(iteration, rng, incumbent_assignment)
+        ints = discretise(self.positions, self.context.num_vms)
+        with _TEL.span(f"{self.span}.fitness"):
             self.fitness = self.kernel.batch_makespans(ints)
+        return self._best(ints)
+
+    def _best(self, ints: np.ndarray) -> Candidate:
         g = int(np.argmin(self.fitness))
-        return Candidate(ints[g], float(self.fitness[g]), evaluations=p)
+        return Candidate(ints[g], float(self.fitness[g]), evaluations=self.size)
+
+
+class _GsaOperator(SwarmOperator):
+    """One velocity/position update of the whole agent population per step."""
+
+    span = "gsa"
+
+    def move(self, iteration, rng, incumbent_assignment) -> None:
+        p, n = self.positions.shape
+        k = kbest_size(iteration, self.cfg.max_iterations, p)
+        elite = np.argsort(self.fitness, kind="stable")[:k]
+        accel = gravity(
+            self.positions, self.fitness, self.gravitational_constant(iteration), rng, elite
+        )
+        self.velocities = rng.random((p, n)) * self.velocities + accel
+        self.positions = np.clip(self.positions + self.velocities, 0.0, self.upper)
 
 
 class GravitationalSearchScheduler(Scheduler):
@@ -171,15 +210,6 @@ class GravitationalSearchScheduler(Scheduler):
         Initial gravitational constant ``G(0)``.
     alpha:
         Decay exponent of ``G(t) = G0 · exp(-alpha · t / T)``.
-    elite_decay:
-        Shrink the attracting elite (``Kbest``) linearly from the whole
-        population to one agent; ``False`` keeps every agent attracting
-        throughout (the original GSA ablation).
-    patience:
-        Stop early after this many iterations without improving the
-        incumbent (``None`` disables early stopping).
-    max_evaluations:
-        Optional shared evaluation budget across the run.
     """
 
     def __init__(
@@ -188,9 +218,6 @@ class GravitationalSearchScheduler(Scheduler):
         max_iterations: int = 50,
         g0: float = 1.0,
         alpha: float = 20.0,
-        elite_decay: bool = True,
-        patience: int | None = None,
-        max_evaluations: int | None = None,
     ) -> None:
         if num_agents < 2:
             raise ValueError(f"num_agents must be >= 2, got {num_agents}")
@@ -200,43 +227,26 @@ class GravitationalSearchScheduler(Scheduler):
             raise ValueError(f"g0 must be positive, got {g0}")
         if alpha < 0:
             raise ValueError(f"alpha must be non-negative, got {alpha}")
-        if patience is not None and patience < 1:
-            raise ValueError(f"patience must be >= 1 or None, got {patience}")
-        if max_evaluations is not None and max_evaluations < 1:
-            raise ValueError(
-                f"max_evaluations must be >= 1 or None, got {max_evaluations}"
-            )
         self.num_agents = num_agents
         self.max_iterations = max_iterations
         self.g0 = g0
         self.alpha = alpha
-        self.elite_decay = elite_decay
-        self.patience = patience
-        self.max_evaluations = max_evaluations
 
     @property
     def name(self) -> str:
         return "gsa"
 
     def schedule(self, context: SchedulingContext) -> SchedulingResult:
-        operator = _GsaOperator(self, context)
-        outcome = IterativeOptimizer(
-            operator,
-            max_iterations=self.max_iterations,
-            patience=self.patience,
-            max_evaluations=self.max_evaluations,
-        ).run(context.rng)
-        return SchedulingResult(
-            assignment=outcome.assignment,
-            scheduler_name=self.name,
-            info={
-                "best_makespan_estimate": outcome.fitness,
-                "iterations": outcome.iterations,
-                "evaluations": outcome.evaluations,
-                "stopped": outcome.stopped,
-                "convergence": outcome.trace.as_dict() if outcome.trace else None,
-            },
-        )
+        operator = _GsaOperator(self, context, self.num_agents)
+        outcome = IterativeOptimizer(operator, self.max_iterations).run(context.rng)
+        return optimizer_result(self, outcome)
 
 
-__all__ = ["GravitationalSearchScheduler", "agent_masses", "kbest_size"]
+__all__ = [
+    "GravitationalSearchScheduler",
+    "SwarmOperator",
+    "agent_masses",
+    "discretise",
+    "gravity",
+    "kbest_size",
+]

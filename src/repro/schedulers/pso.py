@@ -8,11 +8,9 @@ of a particle either keeps its value, jumps to the particle's personal
 best, jumps to the global best, or re-randomises (exploration), with
 probabilities derived from the inertia/cognitive/social coefficients.
 
-Fitness combines the two objectives the cited PSO works optimise — expected
-makespan and monetary cost — through ``cost_weight``.  The makespan term is
-evaluated for the whole swarm at once by
-:meth:`repro.optim.FitnessKernel.batch_makespans`; the iteration loop,
-global-best bookkeeping and convergence trace come from
+Fitness is the estimated batch makespan, evaluated for the whole swarm at
+once by :meth:`repro.optim.FitnessKernel.batch_makespans`; the iteration
+loop, global-best bookkeeping and convergence trace come from
 :class:`repro.optim.IterativeOptimizer`.
 """
 
@@ -26,6 +24,7 @@ from repro.schedulers.base import (
     Scheduler,
     SchedulingContext,
     SchedulingResult,
+    optimizer_result,
 )
 
 
@@ -39,32 +38,9 @@ class _PsoOperator(MoveOperator):
     # -- fitness -----------------------------------------------------------------
 
     def _fitness(self, positions: np.ndarray) -> np.ndarray:
-        """Vectorised fitness of a (particles, n) position block (lower = better)."""
+        """Estimated makespans of a (particles, n) position block."""
         with _TEL.span("pso.fitness"):
-            return self._fitness_inner(positions)
-
-    def _fitness_inner(self, positions: np.ndarray) -> np.ndarray:
-        cfg = self.cfg
-        arr = self.context.arrays
-        makespan = self.kernel.batch_makespans(positions)
-        if cfg.cost_weight == 0:
-            return makespan
-        p, n = positions.shape
-        dc = arr.vm_datacenter[positions]  # (p, n)
-        exec_secs = np.broadcast_to(arr.cloudlet_length, (p, n)) / (
-            arr.vm_mips[positions] * arr.vm_pes[positions]
-        )
-        cost = (
-            arr.dc_cost_per_cpu[dc] * exec_secs
-            + arr.dc_cost_per_mem[dc] * arr.vm_ram[positions]
-            + arr.dc_cost_per_storage[dc] * arr.vm_size[positions]
-            + arr.dc_cost_per_bw[dc]
-            * (arr.cloudlet_file_size + arr.cloudlet_output_size)
-        ).sum(axis=1)
-        # Normalise each objective by its swarm mean so the weight is scale-free.
-        mk = makespan / max(makespan.mean(), 1e-12)
-        co = cost / max(cost.mean(), 1e-12)
-        return mk + cfg.cost_weight * co
+            return self.kernel.batch_makespans(positions)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -136,14 +112,6 @@ class ParticleSwarmScheduler(Scheduler):
     mutation_rate:
         Per-component probability of a uniform random jump (keeps the
         swarm from collapsing).
-    cost_weight:
-        Weight of normalised monetary cost against normalised makespan in
-        the fitness (0 = pure makespan).
-    patience:
-        Stop early after this many iterations without improving the global
-        best (``None`` disables early stopping).
-    max_evaluations:
-        Optional shared evaluation budget across the run.
     """
 
     def __init__(
@@ -154,9 +122,6 @@ class ParticleSwarmScheduler(Scheduler):
         cognitive: float = 1.5,
         social: float = 1.5,
         mutation_rate: float = 0.02,
-        cost_weight: float = 0.0,
-        patience: int | None = None,
-        max_evaluations: int | None = None,
     ) -> None:
         if num_particles < 2:
             raise ValueError(f"num_particles must be >= 2, got {num_particles}")
@@ -170,23 +135,12 @@ class ParticleSwarmScheduler(Scheduler):
             raise ValueError("cognitive + social must be positive")
         if not 0 <= mutation_rate <= 1:
             raise ValueError(f"mutation_rate must be in [0, 1], got {mutation_rate}")
-        if cost_weight < 0:
-            raise ValueError(f"cost_weight must be non-negative, got {cost_weight}")
-        if patience is not None and patience < 1:
-            raise ValueError(f"patience must be >= 1 or None, got {patience}")
-        if max_evaluations is not None and max_evaluations < 1:
-            raise ValueError(
-                f"max_evaluations must be >= 1 or None, got {max_evaluations}"
-            )
         self.num_particles = num_particles
         self.max_iterations = max_iterations
         self.inertia = inertia
         self.cognitive = cognitive
         self.social = social
         self.mutation_rate = mutation_rate
-        self.cost_weight = cost_weight
-        self.patience = patience
-        self.max_evaluations = max_evaluations
 
     @property
     def name(self) -> str:
@@ -194,23 +148,8 @@ class ParticleSwarmScheduler(Scheduler):
 
     def schedule(self, context: SchedulingContext) -> SchedulingResult:
         operator = _PsoOperator(self, context)
-        outcome = IterativeOptimizer(
-            operator,
-            max_iterations=self.max_iterations,
-            patience=self.patience,
-            max_evaluations=self.max_evaluations,
-        ).run(context.rng)
-        return SchedulingResult(
-            assignment=outcome.assignment,
-            scheduler_name=self.name,
-            info={
-                "best_fitness": outcome.fitness,
-                "iterations": outcome.iterations,
-                "evaluations": outcome.evaluations,
-                "stopped": outcome.stopped,
-                "convergence": outcome.trace.as_dict() if outcome.trace else None,
-            },
-        )
+        outcome = IterativeOptimizer(operator, self.max_iterations).run(context.rng)
+        return optimizer_result(self, outcome, fitness_key="best_fitness")
 
 
 __all__ = ["ParticleSwarmScheduler"]

@@ -9,9 +9,8 @@ velocity update::
 
     v = rand ∘ w·v + c1·rand ∘ a_gsa + c2·rand ∘ (gbest - x)
 
-where ``a_gsa`` is the GSA mass-weighted force accumulation over the
-whole population (see :mod:`repro.schedulers.gsa` — the same folded
-matrix-product form, no (p, p, n) intermediate) and ``gbest`` is the
+where ``a_gsa`` is GSA's :func:`~repro.schedulers.gsa.gravity` with the
+whole population attracting (no elite shrinkage) and ``gbest`` is the
 driver's incumbent, i.e. the social memory GSA itself lacks.  The cited
 work is *binary* PSOGSA: positions are bit strings and a transfer
 function maps velocity magnitude to a flip probability.  This integer
@@ -20,8 +19,8 @@ re-randomisation with probability ``mutation_rate`` (the same device the
 discrete PSO baseline uses), which plays the bit-flip's role of keeping
 the swarm from collapsing onto ``gbest``.
 
-Fitness is the estimated batch makespan via
-:meth:`repro.optim.FitnessKernel.batch_makespans`; the loop, incumbent
+The swarm start, ``G(t)``, discretisation and batch evaluation are
+GSA's :class:`~repro.schedulers.gsa.SwarmOperator`; the loop, incumbent
 bookkeeping and convergence trace come from
 :class:`repro.optim.IterativeOptimizer`.
 
@@ -46,85 +45,36 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.obs.telemetry import TELEMETRY as _TEL
-from repro.optim import Candidate, FitnessKernel, IterativeOptimizer, MoveOperator
-from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult
-from repro.schedulers.gsa import _EPS, agent_masses
+from repro.optim import IterativeOptimizer
+from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult, optimizer_result
+from repro.schedulers.gsa import SwarmOperator, gravity
 
 
-class _PsoGsaOperator(MoveOperator):
+class _PsoGsaOperator(SwarmOperator):
     """One blended velocity/position update of the whole swarm per step."""
 
-    def __init__(self, cfg: "PsoGsaScheduler", context: SchedulingContext) -> None:
-        self.cfg = cfg
-        self.context = context
+    span = "psogsa"
 
-    def _discretise(self, positions: np.ndarray) -> np.ndarray:
-        m = self.context.num_vms
-        return np.clip(np.rint(positions), 0, m - 1).astype(np.int64)
-
-    def initialize(self, rng: np.random.Generator) -> Candidate:
-        cfg = self.cfg
-        n, m = self.context.num_cloudlets, self.context.num_vms
-        p = cfg.num_particles
-        self.kernel = FitnessKernel(
-            self.context.arrays, time_model="compute", max_matrix_cells=0
-        )
-        self.positions = rng.uniform(0.0, float(m - 1), size=(p, n))
-        self.velocities = np.zeros((p, n))
-        ints = self._discretise(self.positions)
-        self.fitness = self.kernel.batch_makespans(ints)
-        g = int(np.argmin(self.fitness))
-        return Candidate(ints[g], float(self.fitness[g]), evaluations=p)
-
-    def _gsa_acceleration(self, iteration: int, rng: np.random.Generator) -> np.ndarray:
-        """Whole-population GSA pull (PSOGSA uses no elite shrinkage)."""
-        cfg = self.cfg
-        X = self.positions
-        p = X.shape[0]
-        G = cfg.g0 * float(np.exp(-cfg.alpha * iteration / cfg.max_iterations))
-        masses = agent_masses(self.fitness)
-        sq = np.einsum("ij,ij->i", X, X)
-        r2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-        dist = np.sqrt(np.maximum(r2, 0.0))
-        weights = rng.random((p, p)) * masses[None, :] / (dist + _EPS)
-        return G * (weights @ X - weights.sum(axis=1)[:, None] * X)
-
-    def step(
-        self,
-        iteration: int,
-        rng: np.random.Generator,
-        incumbent_assignment: np.ndarray | None,
-        incumbent_fitness: float,
-    ) -> Candidate:
+    def move(self, iteration, rng, incumbent_assignment) -> None:
         cfg = self.cfg
         p, n = self.positions.shape
-        m = self.context.num_vms
-        with _TEL.span("psogsa.position_update"):
-            accel = self._gsa_acceleration(iteration, rng)
-            gbest = np.asarray(incumbent_assignment, dtype=np.float64)
-            self.velocities = (
-                rng.random((p, n)) * cfg.inertia * self.velocities
-                + cfg.accel_coeff * rng.random((p, n)) * accel
-                + cfg.social_coeff
-                * rng.random((p, n))
-                * (gbest[None, :] - self.positions)
+        accel = gravity(
+            self.positions, self.fitness, self.gravitational_constant(iteration), rng
+        )
+        gbest = np.asarray(incumbent_assignment, dtype=np.float64)
+        self.velocities = (
+            rng.random((p, n)) * cfg.inertia * self.velocities
+            + cfg.accel_coeff * rng.random((p, n)) * accel
+            + cfg.social_coeff
+            * rng.random((p, n))
+            * (gbest[None, :] - self.positions)
+        )
+        self.positions = np.clip(self.positions + self.velocities, 0.0, self.upper)
+        mutate = rng.random((p, n)) < cfg.mutation_rate
+        if mutate.any():
+            self.positions = np.where(
+                mutate, rng.uniform(0.0, self.upper, size=(p, n)), self.positions
             )
-            self.positions = np.clip(
-                self.positions + self.velocities, 0.0, float(m - 1)
-            )
-            mutate = rng.random((p, n)) < cfg.mutation_rate
-            if mutate.any():
-                self.positions = np.where(
-                    mutate,
-                    rng.uniform(0.0, float(m - 1), size=(p, n)),
-                    self.positions,
-                )
-        ints = self._discretise(self.positions)
-        with _TEL.span("psogsa.fitness"):
-            self.fitness = self.kernel.batch_makespans(ints)
-        g = int(np.argmin(self.fitness))
-        return Candidate(ints[g], float(self.fitness[g]), evaluations=p)
 
 
 class PsoGsaScheduler(Scheduler):
@@ -147,11 +97,6 @@ class PsoGsaScheduler(Scheduler):
     mutation_rate:
         Per-component probability of a uniform re-randomisation — the
         integer-encoding stand-in for the binary transfer function.
-    patience:
-        Stop early after this many iterations without improving the
-        incumbent (``None`` disables early stopping).
-    max_evaluations:
-        Optional shared evaluation budget across the run.
     """
 
     def __init__(
@@ -164,8 +109,6 @@ class PsoGsaScheduler(Scheduler):
         g0: float = 1.0,
         alpha: float = 20.0,
         mutation_rate: float = 0.02,
-        patience: int | None = None,
-        max_evaluations: int | None = None,
     ) -> None:
         if num_particles < 2:
             raise ValueError(f"num_particles must be >= 2, got {num_particles}")
@@ -183,12 +126,6 @@ class PsoGsaScheduler(Scheduler):
             raise ValueError(f"alpha must be non-negative, got {alpha}")
         if not 0 <= mutation_rate <= 1:
             raise ValueError(f"mutation_rate must be in [0, 1], got {mutation_rate}")
-        if patience is not None and patience < 1:
-            raise ValueError(f"patience must be >= 1 or None, got {patience}")
-        if max_evaluations is not None and max_evaluations < 1:
-            raise ValueError(
-                f"max_evaluations must be >= 1 or None, got {max_evaluations}"
-            )
         self.num_particles = num_particles
         self.max_iterations = max_iterations
         self.inertia = inertia
@@ -197,32 +134,15 @@ class PsoGsaScheduler(Scheduler):
         self.g0 = g0
         self.alpha = alpha
         self.mutation_rate = mutation_rate
-        self.patience = patience
-        self.max_evaluations = max_evaluations
 
     @property
     def name(self) -> str:
         return "psogsa"
 
     def schedule(self, context: SchedulingContext) -> SchedulingResult:
-        operator = _PsoGsaOperator(self, context)
-        outcome = IterativeOptimizer(
-            operator,
-            max_iterations=self.max_iterations,
-            patience=self.patience,
-            max_evaluations=self.max_evaluations,
-        ).run(context.rng)
-        return SchedulingResult(
-            assignment=outcome.assignment,
-            scheduler_name=self.name,
-            info={
-                "best_makespan_estimate": outcome.fitness,
-                "iterations": outcome.iterations,
-                "evaluations": outcome.evaluations,
-                "stopped": outcome.stopped,
-                "convergence": outcome.trace.as_dict() if outcome.trace else None,
-            },
-        )
+        operator = _PsoGsaOperator(self, context, self.num_particles)
+        outcome = IterativeOptimizer(operator, self.max_iterations).run(context.rng)
+        return optimizer_result(self, outcome)
 
 
 __all__ = ["PsoGsaScheduler"]

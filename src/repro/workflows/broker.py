@@ -13,20 +13,18 @@ matching the Eq. 6 convention of pricing transfers at the consumer.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from repro.cloud.cloudlet import Cloudlet, CloudletStatus
-from repro.cloud.datacenter import Datacenter
-from repro.cloud.simulation import build_hosts_for_datacenter
+from repro.cloud.simulation import build_simulation, run_info, timed_schedule
 from repro.cloud.vm import Vm
-from repro.core.engine import Simulation
 from repro.core.entity import Entity
 from repro.core.eventqueue import Event
 from repro.core.tags import EventTag
+from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.workloads.spec import ScenarioSpec
 from repro.workflows.dag import WorkflowSpec
 from repro.workflows.schedulers import WorkflowScheduler
@@ -213,34 +211,22 @@ class WorkflowSimulation:
 
     def run(self) -> WorkflowResult:
         workflow, scenario = self.workflow, self.scenario
+        telemetry_before = _TEL.snapshot() if _TEL.enabled else None
+        assignment, scheduling_time = timed_schedule(self.scheduler, workflow, scenario)
 
-        t0 = time.perf_counter()
-        assignment = self.scheduler.schedule_checked(workflow, scenario)
-        scheduling_time = time.perf_counter() - t0
-
-        sim = Simulation()
-        datacenters: list[Datacenter] = []
-        for dc_idx, dc_spec in enumerate(scenario.datacenters):
-            dc = Datacenter(
-                name=f"dc-{dc_idx}",
-                hosts=build_hosts_for_datacenter(scenario, dc_idx),
-                characteristics=dc_spec.characteristics,
+        with _TEL.span("sim.build"):
+            env = build_simulation(scenario)
+            broker = WorkflowBroker(
+                name="workflow-broker",
+                workflow=workflow,
+                scenario=scenario,
+                vms=env.vms,
+                assignment=assignment,
+                vm_placement=env.vm_placement,
             )
-            sim.register(dc)
-            datacenters.append(dc)
-        vms = [spec.build(vm_id=i) for i, spec in enumerate(scenario.vms)]
-        broker = WorkflowBroker(
-            name="workflow-broker",
-            workflow=workflow,
-            scenario=scenario,
-            vms=vms,
-            assignment=assignment,
-            vm_placement={
-                i: datacenters[scenario.vm_datacenter[i]].id for i in range(len(vms))
-            },
-        )
-        sim.register(broker)
-        sim.run()
+            env.sim.register(broker)
+        with _TEL.span("sim.execute"):
+            env.sim.run()
         if not broker.all_finished:
             raise RuntimeError("workflow drained with unfinished tasks (dependency bug)")
 
@@ -258,8 +244,11 @@ class WorkflowSimulation:
             finish_times=broker.finish,
             transfer_seconds=broker.transfer_seconds_total,
             total_cost=float(workflow_costs(workflow, scenario, assignment).sum()),
-            events_processed=sim.events_processed,
-            info={"engine": "workflow-des"},
+            events_processed=env.sim.events_processed,
+            info=run_info(
+                "workflow-des", scenario, self.scheduler, None, telemetry_before, {},
+                workflow=workflow.name,
+            ),
         )
 
 

@@ -32,13 +32,6 @@ class TestCost:
         # storage: 0.001*5000 = 5; bw: 0.01*600 = 6 -> total 42.6
         assert characteristics.cloudlet_cost(cloudlet, vm) == pytest.approx(42.6)
 
-    def test_components_sum_to_total(self, characteristics, vm, cloudlet):
-        parts = characteristics.cost_components(cloudlet, vm)
-        assert set(parts) == {"cpu", "mem", "storage", "bw"}
-        assert sum(parts.values()) == pytest.approx(
-            characteristics.cloudlet_cost(cloudlet, vm)
-        )
-
     def test_faster_vm_costs_less_cpu(self, characteristics, cloudlet):
         slow = Vm(vm_id=0, mips=500.0)
         fast = Vm(vm_id=1, mips=4000.0)

@@ -99,8 +99,7 @@ class TestAggregate:
             EXPERIMENTS["fig6a"], schedulers=("basetest", "rbs")
         )
         data = aggregate(definition, make_records(), [4, 8])
-        finals = data.final_values()
-        assert finals["basetest"] == pytest.approx(13.0)
+        assert data.series["basetest"][-1] == pytest.approx(13.0)
         rows = data.to_rows()
         assert len(rows) == 4  # 2 schedulers x 2 x-points
         assert rows[0]["experiment"] == "fig6a"

@@ -133,18 +133,6 @@ class TestCompareTarget:
         assert "unknown scheduler" in capsys.readouterr().err
 
 
-class TestFigureJsonRoundTrip:
-    def test_unknown_version_rejected(self, figure_data):
-        from repro.experiments.figures import FigureData
-
-        bad = figure_data.to_json_dict()
-        bad["format_version"] = 9
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError, match="format version"):
-            FigureData.from_json_dict(bad)
-
-
 class TestStormTarget:
     STORM_ARGS = [
         "storm",

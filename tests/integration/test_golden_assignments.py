@@ -8,14 +8,22 @@ in the ported inner loops shows up immediately.  The ``basetest``,
 separate batch implementations those schedulers had before their batch
 ``schedule()`` became a single-chunk streaming pass.
 
+With telemetry on, the seven optimizer schedulers also pin what a run
+reports: every ``info`` value (as a digest, leaving out the convergence
+trace's wall-clock seconds), the span paths and the counter names.
+
 If an intentional algorithmic change shifts these, regenerate the pins and
 document the before/after metrics in CHANGES.md.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
+from repro.obs.telemetry import TELEMETRY
 from repro.schedulers import make_scheduler
 from repro.schedulers.aco import AntColonyScheduler
 from repro.schedulers.base import SchedulingContext
@@ -86,6 +94,75 @@ GOLDEN_ASSIGNMENTS = {
     ("homog", "rbs", 123): "4016723502641375450123670123456701243567",
 }
 
+#: optimizer scheduler -> (span paths, counter names) of one run, telemetry on.
+OPTIMIZER_TELEMETRY = {
+    "antcolony": (
+        ["aco.schedule", "aco.schedule/optim.run", "aco.schedule/optim.run/aco.construct",
+         "aco.schedule/optim.run/aco.pheromone_update"],
+        ["kernel.rows_memoised", "kernel.rows_requested", "optim.evaluations",
+         "optim.iterations"],
+    ),
+    "annealing": (
+        ["annealing.anneal", "annealing.anneal/optim.run"],
+        ["kernel.delta_committed", "kernel.delta_proposed", "kernel.delta_rejected",
+         "kernel.rows_memoised", "kernel.rows_requested", "optim.evaluations",
+         "optim.iterations"],
+    ),
+    "cuckoo-sos": (
+        ["optim.run", "optim.run/cuckoo_sos.commensalism", "optim.run/cuckoo_sos.cuckoo",
+         "optim.run/cuckoo_sos.mutualism", "optim.run/cuckoo_sos.parasitism"],
+        ["kernel.evaluations", "optim.evaluations", "optim.iterations"],
+    ),
+    "ga": (
+        ["optim.run", "optim.run/ga.fitness", "optim.run/ga.variation"],
+        ["kernel.evaluations", "optim.evaluations", "optim.iterations"],
+    ),
+    "gsa": (
+        ["optim.run", "optim.run/gsa.fitness", "optim.run/gsa.position_update"],
+        ["kernel.evaluations", "optim.evaluations", "optim.iterations"],
+    ),
+    "pso": (
+        ["optim.run", "optim.run/pso.fitness", "optim.run/pso.position_update"],
+        ["kernel.evaluations", "optim.evaluations", "optim.iterations"],
+    ),
+    "psogsa": (
+        ["optim.run", "optim.run/psogsa.fitness", "optim.run/psogsa.position_update"],
+        ["kernel.evaluations", "optim.evaluations", "optim.iterations"],
+    ),
+}
+
+#: SHA-256 prefix of each optimizer run's ``info`` (see :func:`_info_digest`).
+GOLDEN_INFO = {
+    ("hetero", "annealing", 7): "561c35d675cd13b0",
+    ("hetero", "annealing", 123): "894b123338402533",
+    ("hetero", "antcolony", 7): "024a3c14d487afe7",
+    ("hetero", "antcolony", 123): "b3876359a0955a03",
+    ("hetero", "cuckoo-sos", 7): "6765fffe359a9a18",
+    ("hetero", "cuckoo-sos", 123): "fa337417111e2680",
+    ("hetero", "ga", 7): "9eb3fa03343e23c2",
+    ("hetero", "ga", 123): "1062d6e62f093ca5",
+    ("hetero", "gsa", 7): "246499387a256b81",
+    ("hetero", "gsa", 123): "c0b67676c577d693",
+    ("hetero", "pso", 7): "80c2e6f5a4d4186e",
+    ("hetero", "pso", 123): "9f5a9ba658f64ead",
+    ("hetero", "psogsa", 7): "46c202064b8bfe1f",
+    ("hetero", "psogsa", 123): "dc4da8b64f7805a1",
+    ("homog", "annealing", 7): "b7c3b4a895f5f059",
+    ("homog", "annealing", 123): "5e566e9cb2aa0198",
+    ("homog", "antcolony", 7): "0210739083d32c13",
+    ("homog", "antcolony", 123): "0210739083d32c13",
+    ("homog", "cuckoo-sos", 7): "7307d9efb6e739be",
+    ("homog", "cuckoo-sos", 123): "59dddd587822c583",
+    ("homog", "ga", 7): "dd320e1103bc3633",
+    ("homog", "ga", 123): "dd320e1103bc3633",
+    ("homog", "gsa", 7): "f30990b43aa01525",
+    ("homog", "gsa", 123): "f30990b43aa01525",
+    ("homog", "pso", 7): "d0d6b25bc2a6ff81",
+    ("homog", "pso", 123): "b07f026a288f209f",
+    ("homog", "psogsa", 7): "9045ba84508a075c",
+    ("homog", "psogsa", 123): "3d84d4aed36192c8",
+}
+
 # ACO variant coverage: every construction/pheromone/tabu code path.
 ACO_VARIANT_KWARGS = {
     "aco-vm": dict(num_ants=5, max_iterations=2, pheromone="vm"),
@@ -135,6 +212,16 @@ def _digits(assignment) -> str:
     return "".join(str(v) for v in assignment)
 
 
+def _info_digest(info: dict) -> str:
+    """Digest of every ``info`` value except the trace's wall-clock seconds."""
+    pinned = dict(info)
+    pinned["convergence"] = {
+        k: v for k, v in info["convergence"].items() if k != "wall_clock_s"
+    }
+    blob = json.dumps(pinned, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
 @pytest.mark.parametrize(
     ("cell", "name", "seed"),
     sorted(GOLDEN_ASSIGNMENTS),
@@ -143,8 +230,15 @@ def _digits(assignment) -> str:
 def test_golden_assignment_unchanged(cells, telemetry_state, cell, name, seed):
     context = SchedulingContext.from_scenario(cells[cell], seed=seed)
     scheduler = make_scheduler(name, **LIGHT_KWARGS.get(name, {}))
+    before = TELEMETRY.snapshot()
     result = scheduler.schedule_checked(context)
     assert _digits(result.assignment) == GOLDEN_ASSIGNMENTS[(cell, name, seed)]
+    if telemetry_state and name in OPTIMIZER_TELEMETRY:
+        recorded = TELEMETRY.snapshot().diff(before)
+        assert (sorted(recorded.spans), sorted(recorded.counters)) == (
+            OPTIMIZER_TELEMETRY[name]
+        )
+        assert _info_digest(result.info) == GOLDEN_INFO[(cell, name, seed)]
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,7 @@ from repro.obs.telemetry import TELEMETRY
 from repro.optim import FitnessKernel, IncrementalLoads
 from repro.schedulers import make_scheduler
 from repro.schedulers.online import OnlineGreedyMCT
+from repro.workflows import HeftScheduler, WorkflowSimulation, random_workflow
 from repro.workloads.heterogeneous import heterogeneous_scenario
 from repro.workloads.homogeneous import homogeneous_scenario
 from repro.workloads.streaming import ScenarioChunks
@@ -207,6 +208,12 @@ ENGINES = {
         lambda: run_resilient(
             _scenario(), make_scheduler("rbs"), seed=5, recovery="round_robin"
         ),
+    ),
+    "workflow": (
+        "workflow-des",
+        lambda: WorkflowSimulation(
+            random_workflow(12, seed=1), _scenario(), HeftScheduler()
+        ).run(),
     ),
 }
 

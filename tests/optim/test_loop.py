@@ -61,17 +61,6 @@ class TestStoppingPolicies:
         assert outcome.iterations == 3
         assert outcome.fitness == 9.0
 
-    def test_evaluation_budget_stop(self):
-        op, outcome = _run(
-            (10.0, 2),
-            [(9.0, 2), (8.0, 2), (7.0, 2)],
-            max_iterations=10,
-            max_evaluations=5,
-        )
-        assert outcome.stopped == "budget"
-        assert outcome.evaluations >= 5
-        assert outcome.iterations == 2
-
     def test_strict_improvement_ties_keep_incumbent(self):
         op, outcome = _run((5.0, 1), [(5.0, 1), (5.0, 1)], max_iterations=2)
         # Incumbent assignment stays the initial one on exact ties.
@@ -86,7 +75,6 @@ class TestStoppingPolicies:
         for kwargs in (
             {"max_iterations": 0},
             {"max_iterations": 1, "patience": 0},
-            {"max_iterations": 1, "max_evaluations": 0},
             {"max_iterations": 1, "record_every": 0},
         ):
             with pytest.raises(ValueError):
@@ -111,10 +99,6 @@ class TestTrace:
             record_every=4,
         )
         assert outcome.trace.iteration == [0, 4, 8, 10]
-
-    def test_record_trace_disabled(self):
-        _, outcome = _run((10.0, 1), [(9.0, 1)], max_iterations=1, record_trace=False)
-        assert outcome.trace is None
 
     def test_monotone_detects_regression(self):
         trace = ConvergenceTrace()

@@ -62,11 +62,6 @@ class TestBehaviour:
         b = small_aco().schedule(ctx(small_hetero, seed=4)).assignment
         np.testing.assert_array_equal(a, b)
 
-    def test_own_seed_decorrelates(self, small_hetero):
-        a = small_aco(seed=1).schedule(ctx(small_hetero, seed=4)).assignment
-        b = small_aco(seed=2).schedule(ctx(small_hetero, seed=4)).assignment
-        assert not np.array_equal(a, b)
-
     def test_info_fields(self, small_hetero):
         result = small_aco().schedule(ctx(small_hetero))
         assert result.info["iterations"] == 3

@@ -26,7 +26,6 @@ class TestPsoValidation:
             {"cognitive": -1.0},
             {"cognitive": 0.0, "social": 0.0},
             {"mutation_rate": 2.0},
-            {"cost_weight": -1.0},
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):
@@ -50,19 +49,6 @@ class TestPsoBehaviour:
         assert estimate_makespan(
             pso.assignment, arr.cloudlet_length, arr.vm_mips
         ) < estimate_makespan(rnd.assignment, arr.cloudlet_length, arr.vm_mips)
-
-    def test_cost_weight_reduces_cost(self, small_hetero):
-        from repro.cloud.simulation import cloudlet_costs
-
-        plain = ParticleSwarmScheduler(
-            num_particles=20, max_iterations=30, cost_weight=0.0
-        ).schedule(ctx(small_hetero))
-        costy = ParticleSwarmScheduler(
-            num_particles=20, max_iterations=30, cost_weight=5.0
-        ).schedule(ctx(small_hetero))
-        cost_plain = cloudlet_costs(small_hetero.arrays(), plain.assignment).sum()
-        cost_costy = cloudlet_costs(small_hetero.arrays(), costy.assignment).sum()
-        assert cost_costy <= cost_plain * 1.02
 
     def test_deterministic(self, small_hetero):
         a = ParticleSwarmScheduler(num_particles=8, max_iterations=5).schedule(
