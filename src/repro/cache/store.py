@@ -195,6 +195,10 @@ class PruneReport:
     freed_bytes: int
 
 
+class _DamagedEntry(Exception):
+    """An entry that reads as a miss, verifies as a problem and is pruned."""
+
+
 class ResultCache:
     """Manifest-keyed persistent store of :class:`SimulationResult`\\ s.
 
@@ -271,35 +275,19 @@ class ResultCache:
     def get(self, key: str) -> "SimulationResult | StreamingResult | None":
         """Load the entry for ``key``; ``None`` on miss *or any damage*.
 
-        A truncated ``arrays.npz``, unparsable ``meta.json``, missing
-        member or format/package-version mismatch all count as misses —
-        the caller recomputes and :meth:`put` replaces the bad entry.
+        Everything :meth:`verify` reports counts as a miss — a truncated
+        ``arrays.npz``, an unparsable or incomplete ``meta.json``, a
+        missing member, a format/package-version mismatch, a mis-filed or
+        tampered entry — so the caller recomputes and :meth:`put` replaces
+        the bad entry.
 
         Entries written from a :class:`~repro.cloud.fast.StreamingResult`
         (``result_kind == "stream"``) load back as one; everything else
         loads as a :class:`~repro.cloud.simulation.SimulationResult`.
         """
-        from repro.cloud.fast import StreamingResult
-        from repro.cloud.simulation import SimulationResult
-
-        entry = self.entry_dir(key)
-        meta_path = entry / _META_NAME
-        arrays_path = entry / _ARRAYS_NAME
         try:
-            meta = json.loads(meta_path.read_text())
-            if meta.get("entry_format") != ENTRY_FORMAT_VERSION:
-                raise ValueError("entry format mismatch")
-            if meta.get("package_version") != __version__:
-                raise ValueError("package version mismatch")
-            kind = meta.get("result_kind", "memory")
-            fields = _STREAM_ARRAY_FIELDS if kind == "stream" else _ARRAY_FIELDS
-            with np.load(arrays_path) as npz:
-                arrays = {name: npz[name] for name in fields}
-            n = arrays[fields[0]].shape[0]
-            if any(arrays[name].shape != (n,) for name in fields):
-                raise ValueError("misaligned arrays")
-            nbytes = self._entry_bytes(entry)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError, zipfile.BadZipFile):
+            result, nbytes = self._load(key)
+        except _DamagedEntry:
             self.misses += 1
             _TEL.count("cache.misses")
             return None
@@ -307,26 +295,86 @@ class ResultCache:
         self.bytes_read += nbytes
         _TEL.count("cache.hits")
         _TEL.count("cache.bytes_read", nbytes)
-        common = dict(
-            scenario_name=meta["scenario_name"],
-            scheduler_name=meta["scheduler_name"],
-            scheduling_time=meta["scheduling_time"],
-            makespan=meta["makespan"],
-            time_imbalance=meta["time_imbalance"],
-            total_cost=meta["total_cost"],
-            events_processed=meta["events_processed"],
-            info=dict(meta["info"]),
-        )
-        if kind == "stream":
-            return StreamingResult(
-                num_cloudlets=meta["num_cloudlets"],
-                chunk_size=meta["chunk_size"],
-                num_chunks=meta["num_chunks"],
-                peak_rss_bytes=meta.get("peak_rss_bytes", 0),
-                **common,
-                **arrays,
+        return result
+
+    def _load(self, key: str) -> "tuple[SimulationResult | StreamingResult, int]":
+        """The one entry reader: ``(result, bytes on disk)``, or
+        :class:`_DamagedEntry` naming the first problem found.
+
+        :meth:`get` (a miss), :meth:`verify` (a problem) and :meth:`prune`
+        (a removal) all decide through here, so they agree on every entry.
+        """
+        from repro.cloud.fast import StreamingResult
+        from repro.cloud.simulation import SimulationResult
+
+        entry = self.entry_dir(key)
+        try:
+            meta = json.loads((entry / _META_NAME).read_text())
+            if not isinstance(meta, dict):
+                raise ValueError(f"{_META_NAME} is not an object")
+        except (OSError, ValueError) as exc:
+            raise _DamagedEntry(f"unreadable {_META_NAME}") from exc
+        for name, expected in (
+            ("entry_format", ENTRY_FORMAT_VERSION),
+            ("package_version", __version__),
+            ("key", key),
+        ):
+            if meta.get(name) != expected:
+                raise _DamagedEntry(
+                    f"recorded {name} {meta.get(name)!r} mismatches {expected!r}"
+                )
+        manifest_dict = meta.get("manifest")
+        if manifest_dict is not None:
+            try:
+                derived = RunManifest.from_dict(manifest_dict).fingerprint()
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise _DamagedEntry("unreadable manifest") from exc
+            if derived != key:
+                raise _DamagedEntry(
+                    f"manifest fingerprints to {derived[:12]}… "
+                    "(entry was tampered with or mis-filed)"
+                )
+        kind = meta.get("result_kind", "memory")
+        fields = _STREAM_ARRAY_FIELDS if kind == "stream" else _ARRAY_FIELDS
+        try:
+            with np.load(entry / _ARRAYS_NAME) as npz:
+                missing = [name for name in fields if name not in npz.files]
+                if missing:
+                    raise _DamagedEntry(f"arrays missing {missing}")
+                arrays = {name: npz[name] for name in fields}
+            nbytes = self._entry_bytes(entry)
+        except (OSError, ValueError, zipfile.BadZipFile) as exc:
+            raise _DamagedEntry(f"unreadable {_ARRAYS_NAME}") from exc
+        shape = arrays[fields[0]].shape
+        if len(shape) != 1 or any(arrays[name].shape != shape for name in fields):
+            raise _DamagedEntry("misaligned arrays")
+        try:
+            common = dict(
+                scenario_name=meta["scenario_name"],
+                scheduler_name=meta["scheduler_name"],
+                scheduling_time=meta["scheduling_time"],
+                makespan=meta["makespan"],
+                time_imbalance=meta["time_imbalance"],
+                total_cost=meta["total_cost"],
+                events_processed=meta["events_processed"],
+                info=dict(meta["info"]),
             )
-        return SimulationResult(**common, **arrays)
+            if kind == "stream":
+                result = StreamingResult(
+                    num_cloudlets=meta["num_cloudlets"],
+                    chunk_size=meta["chunk_size"],
+                    num_chunks=meta["num_chunks"],
+                    peak_rss_bytes=meta.get("peak_rss_bytes", 0),
+                    **common,
+                    **arrays,
+                )
+            else:
+                result = SimulationResult(**common, **arrays)
+        except KeyError as exc:
+            raise _DamagedEntry(f"{_META_NAME} lacks {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise _DamagedEntry(f"malformed {_META_NAME}") from exc
+        return result, nbytes
 
     # -- write --------------------------------------------------------------
 
@@ -435,57 +483,28 @@ class ResultCache:
         return CacheStats(entries=entries, total_bytes=total, by_version=by_version)
 
     def verify(self) -> list[str]:
-        """Integrity problems, one message per damaged entry (empty = clean).
+        """Integrity problems, one ``"<key>: <reason>"`` per damaged entry
+        (empty = clean).
 
-        Checks each entry parses, its arrays load, its recorded key
-        matches its directory name, and — when the entry stored its key
-        manifest — that the manifest still fingerprints to the key.
+        An entry is damaged exactly when :meth:`get` would miss it and
+        :meth:`prune` would remove it: its files must parse and load, its
+        format and package version must be current, its recorded key
+        must match its directory name and — when the entry stored its key
+        manifest — the manifest must still fingerprint to the key.
         """
         problems: list[str] = []
         for key in self.iter_keys():
-            entry = self.entry_dir(key)
             try:
-                meta = json.loads((entry / _META_NAME).read_text())
-            except (OSError, ValueError, json.JSONDecodeError):
-                problems.append(f"{key}: unreadable {_META_NAME}")
-                continue
-            if meta.get("entry_format") != ENTRY_FORMAT_VERSION:
-                problems.append(
-                    f"{key}: entry_format {meta.get('entry_format')!r} "
-                    f"!= {ENTRY_FORMAT_VERSION}"
-                )
-                continue
-            if meta.get("key") != key:
-                problems.append(f"{key}: recorded key {meta.get('key')!r} mismatches")
-                continue
-            fields = (
-                _STREAM_ARRAY_FIELDS
-                if meta.get("result_kind") == "stream"
-                else _ARRAY_FIELDS
-            )
-            try:
-                with np.load(entry / _ARRAYS_NAME) as npz:
-                    missing = [n for n in fields if n not in npz.files]
-                if missing:
-                    problems.append(f"{key}: arrays missing {missing}")
-                    continue
-            except (OSError, ValueError, zipfile.BadZipFile):
-                problems.append(f"{key}: unreadable {_ARRAYS_NAME}")
-                continue
-            manifest_dict = meta.get("manifest")
-            if manifest_dict is not None:
-                derived = RunManifest.from_dict(manifest_dict).fingerprint()
-                if derived != key:
-                    problems.append(
-                        f"{key}: manifest fingerprints to {derived[:12]}… "
-                        "(entry was tampered with or mis-filed)"
-                    )
+                self._load(key)
+            except _DamagedEntry as exc:
+                problems.append(f"{key}: {exc}")
         return problems
 
     def prune(self, max_bytes: int | None = None) -> PruneReport:
-        """Collect garbage: damaged entries, foreign-version entries, and —
-        when ``max_bytes`` is given — the least-recently-modified entries
-        until the cache fits the budget.
+        """Collect garbage: every entry :meth:`verify` reports (damaged,
+        mis-filed or foreign-version), and — when ``max_bytes`` is given —
+        the least-recently-modified entries until the cache fits the
+        budget.
 
         Foreign-version entries are unreachable by construction (the
         package version is part of the fingerprint), so removing them is
@@ -506,25 +525,12 @@ class ResultCache:
 
         survivors: list[tuple[float, int, str]] = []  # (mtime, bytes, key)
         for key in list(self.iter_keys()):
-            entry = self.entry_dir(key)
             try:
-                meta = json.loads((entry / _META_NAME).read_text())
-                if meta.get("entry_format") != ENTRY_FORMAT_VERSION:
-                    raise ValueError
-                if meta.get("package_version") != __version__:
-                    raise ValueError
-                fields = (
-                    _STREAM_ARRAY_FIELDS
-                    if meta.get("result_kind") == "stream"
-                    else _ARRAY_FIELDS
-                )
-                with np.load(entry / _ARRAYS_NAME) as npz:
-                    if any(n not in npz.files for n in fields):
-                        raise ValueError
-            except (OSError, ValueError, json.JSONDecodeError, zipfile.BadZipFile):
+                _, nbytes = self._load(key)
+            except _DamagedEntry:
                 drop(key)
                 continue
-            survivors.append((entry.stat().st_mtime, self._entry_bytes(entry), key))
+            survivors.append((self.entry_dir(key).stat().st_mtime, nbytes, key))
 
         if max_bytes is not None:
             total = sum(nbytes for _, nbytes, _ in survivors)

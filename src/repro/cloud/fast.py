@@ -1,4 +1,4 @@
-"""Analytic fast path for batch space-shared execution.
+"""Analytic execution engines: the batch fast path and the streaming fold.
 
 The paper's workloads submit every cloudlet at t=0 without network
 delay, and the default execution model is space-shared FIFO.  Under
@@ -6,10 +6,15 @@ those conditions the DES outcome is a closed form: on a single-PE VM the
 ``k``-th assigned cloudlet starts when the ``k-1``-th finishes, so start
 and finish times are per-VM prefix sums of execution times.
 
-:class:`FastSimulation` evaluates that closed form with vectorised
-grouped cumulative sums — O(n log n) for the sort, no events — which makes
-the paper's 1 000 000-cloudlet homogeneous sweeps feasible in Python.
-Multi-PE VMs fall back to a small per-VM heap simulation.
+Both façades evaluate that closed form through one execution fold,
+:func:`execute_shard`.  :class:`StreamingSimulation` runs it chunk by
+chunk (and shard by shard) in O(num_vms + chunk_size) memory.
+:class:`FastSimulation` is the degenerate call: the whole in-memory
+scenario as one chunk, collected into per-cloudlet arrays, with the
+scheduler's batch decision as the timed step — which makes the paper's
+1 000 000-cloudlet homogeneous sweeps feasible in Python.  Both accept
+single-PE fleets only; the DES engine
+(:class:`~repro.cloud.simulation.CloudSimulation`) models multi-PE VMs.
 
 The agreement between this path and the DES engine is enforced by
 property-based tests (``tests/cloud/test_fast_vs_des.py``).
@@ -17,7 +22,6 @@ property-based tests (``tests/cloud/test_fast_vs_des.py``).
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import resource
 import sys
@@ -33,12 +37,11 @@ from repro.cloud.simulation import (
     cloudlet_costs,
     run_info,
     simulation_result,
-    timed_schedule,
 )
 from repro.core.rng import spawn_rng
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.obs.telemetry import TelemetrySnapshot
-from repro.schedulers.base import Scheduler, SchedulingContext
+from repro.schedulers.base import Scheduler
 from repro.workloads.spec import ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -78,31 +81,26 @@ def grouped_fifo_times(
     return start, finish
 
 
-def multi_pe_fifo_times(
-    cloudlet_ids: np.ndarray, exec_times: np.ndarray, pes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """FIFO start/finish times on one VM with ``pes`` PEs (heap simulation)."""
-    if pes < 1:
-        raise ValueError(f"pes must be >= 1, got {pes}")
-    k = exec_times.shape[0]
-    start = np.empty(k)
-    finish = np.empty(k)
-    busy: list[float] = []
-    for i in range(k):
-        if len(busy) < pes:
-            t0 = 0.0
-        else:
-            t0 = heapq.heappop(busy)
-        start[i] = t0
-        finish[i] = t0 + exec_times[i]
-        heapq.heappush(busy, finish[i])
-    return start, finish
+def _require_single_pe(stream: "ScenarioChunks") -> None:
+    """The analytic engines' precondition: every VM has exactly one PE."""
+    if not (stream.vm_pes == 1).all():
+        raise ValueError(
+            "FastSimulation and StreamingSimulation support single-PE fleets "
+            "only (the paper's setting); run multi-PE VMs on CloudSimulation "
+            "(engine='des'), which models PEs"
+        )
 
 
 class FastSimulation:
     """Drop-in replacement for :class:`~repro.cloud.simulation.CloudSimulation`
     restricted to the paper's conditions (space-shared, zero latency, batch
-    arrival at t=0).
+    arrival at t=0, single-PE VMs).
+
+    One collect-mode :func:`execute_shard` pass over the scenario's
+    columns as a single chunk.  The scheduler runs through
+    :class:`~repro.schedulers.streaming.InMemoryFallback` — never its
+    streaming form — so the timed step is its batch ``schedule_checked``
+    decision, exactly what Figs. 5 and 6b measure.
 
     Parameters
     ----------
@@ -121,48 +119,29 @@ class FastSimulation:
         self.seed = seed
 
     def run(self) -> SimulationResult:
+        from repro.schedulers.streaming import InMemoryFallback
+        from repro.workloads.streaming import ScenarioChunks, plan_shards
+
         scenario = self.scenario
-        context = SchedulingContext.from_scenario(scenario, self.seed)
-        # Reuse the context's ScenarioArrays instead of materialising a
-        # second copy — at the paper's 10^6-cloudlet scale the columns are
-        # the dominant allocation.
-        arr = context.arrays
-
+        # A view over the spec's cached columns: no copies, one chunk.
+        stream = ScenarioChunks.from_arrays(
+            scenario.arrays(), name=scenario.name, seed=scenario.seed
+        )
+        _require_single_pe(stream)
         telemetry_before = _TEL.snapshot() if _TEL.enabled else None
-        decision, scheduling_time = timed_schedule(self.scheduler, context)
-
-        assignment = decision.assignment
-        with _TEL.span("sim.execute"):
-            exec_times = arr.cloudlet_length / arr.vm_mips[assignment]
-
-            if (arr.vm_pes == 1).all():
-                start, finish = grouped_fifo_times(assignment, exec_times, arr.num_vms)
-            else:
-                start = np.empty_like(exec_times)
-                finish = np.empty_like(exec_times)
-                # One stable argsort groups members per VM in submission
-                # order — O(n log n) total, instead of rescanning the full
-                # assignment for every VM (O(V·n)).
-                order = np.argsort(assignment, kind="stable")
-                boundaries = np.flatnonzero(np.diff(assignment[order])) + 1
-                for members in np.split(order, boundaries):
-                    if members.size == 0:
-                        continue
-                    vm_idx = int(assignment[members[0]])
-                    s, f = multi_pe_fifo_times(
-                        members, exec_times[members], int(arr.vm_pes[vm_idx])
-                    )
-                    start[members] = s
-                    finish[members] = f
-
-        costs = cloudlet_costs(arr, assignment)
+        (plan,) = plan_shards(stream, 1)
+        outcome = execute_shard(
+            stream, InMemoryFallback(self.scheduler), self.seed, plan, collect=True
+        )
+        parts = outcome.collected
         info = run_info(
             "fast", scenario, self.scheduler, self.seed, telemetry_before,
-            decision.info,
+            outcome.assigner_info,
         )
         return simulation_result(
-            scenario.name, decision.scheduler_name, scheduling_time,
-            assignment, start, finish, costs, info,
+            scenario.name, self.scheduler.name, outcome.scheduling_time,
+            parts["assignment"], parts["start"], parts["finish"], parts["costs"],
+            info,
         )
 
 
@@ -288,7 +267,10 @@ class ShardOutcome:
     Everything a parent needs to merge shards exactly: the per-VM partial
     sums, the min/max execution-time envelope, and the worker-side
     telemetry values (``peak_rss_bytes``, chunk count) that must be
-    aggregated max-wise / sum-wise rather than last-wins.
+    aggregated max-wise / sum-wise rather than last-wins.  Collect mode
+    folds only ``backlog`` (the merge's shift for later shards): its
+    per-cloudlet arrays carry everything else, so ``vm_costs``, ``counts``
+    and the envelope keep their empty initial values.
     """
 
     shard_index: int
@@ -306,7 +288,8 @@ class ShardOutcome:
     exec_max: float
     peak_rss_bytes: int
     assigner_info: dict[str, Any]
-    #: collect mode only: concatenated per-chunk arrays, shard-local times.
+    #: collect mode only: the per-chunk arrays joined (a one-chunk shard's
+    #: own arrays), shard-local times.
     collected: "dict[str, np.ndarray] | None" = None
 
 
@@ -371,20 +354,25 @@ def execute_shard(
 
         with _TEL.span("sim.execute"):
             # Each VM's backlog from previous chunks of this shard, read
-            # before this chunk folds in.
-            carried = backlog[assignment] if collect else None
+            # before this chunk folds in (all zero on the first chunk).
+            carried = backlog[assignment] if collect and num_chunks > 1 else None
             exec_chunk = fold_exec_times(
                 backlog, assignment, chunk.cloudlet_length, chunk.vm_mips
             )
             if collect:
                 # Chunk-local FIFO prefix sums, shifted by the carried backlog.
+                # A collect result reads nothing else, so the cost fold,
+                # counts and envelope below are bounded-mode only.
                 start, finish = grouped_fifo_times(assignment, exec_chunk, m)
+                if carried is not None:
+                    start += carried
+                    finish += carried
                 parts["assignment"].append(np.asarray(assignment, dtype=np.int64))
-                parts["start"].append(start + carried)
-                parts["finish"].append(finish + carried)
+                parts["start"].append(start)
+                parts["finish"].append(finish)
                 parts["costs"].append(cloudlet_costs(chunk, assignment))
-            cost_chunk = parts["costs"][-1] if collect else cloudlet_costs(chunk, assignment)
-            np.add.at(vm_costs, assignment, cost_chunk)
+                continue
+            np.add.at(vm_costs, assignment, cloudlet_costs(chunk, assignment))
             counts += np.bincount(assignment, minlength=m)
             exec_min = min(exec_min, float(exec_chunk.min()))
             exec_max = max(exec_max, float(exec_chunk.max()))
@@ -401,7 +389,10 @@ def execute_shard(
         peak_rss_bytes=peak_rss_bytes(),
         assigner_info=assigner.info(),
         collected=(
-            {name: np.concatenate(chunks) for name, chunks in parts.items()}
+            {
+                name: chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+                for name, chunks in parts.items()
+            }
             if collect
             else None
         ),
@@ -546,11 +537,7 @@ class StreamingSimulation:
 
         stream = self.stream
         n = stream.num_cloudlets
-        if not (stream.vm_pes == 1).all():
-            raise ValueError(
-                "StreamingSimulation supports single-PE fleets only "
-                "(the paper's setting); use FastSimulation for multi-PE VMs"
-            )
+        _require_single_pe(stream)
 
         telemetry_before = _TEL.snapshot() if _TEL.enabled else None
 
@@ -757,7 +744,6 @@ __all__ = [
     "execute_shard",
     "fold_exec_times",
     "grouped_fifo_times",
-    "multi_pe_fifo_times",
     "peak_rss_bytes",
     "shutdown_shard_pool",
 ]

@@ -455,8 +455,8 @@ def run_cache(args) -> int:
     if not problems:
         print(f"cache {cache.root}: all {len(cache)} entries verify")
         return 0
-    for key, reason in problems:
-        print(f"{key}: {reason}")
+    for problem in problems:
+        print(problem)
     print(f"({len(problems)} problem(s) found)", file=sys.stderr)
     return 1
 

@@ -20,9 +20,10 @@ Both :func:`run_point` and :func:`run_sweep` accept ``cache=`` — a
 incremental re-runs: each (scheduler, cell) is keyed by its manifest
 fingerprint, hits replay the cold run's result bit-identically (including
 its recorded wall-clock ``scheduling_time``), and only the missing cells
-compute.  Under ``workers=N`` the parent resolves hits *before*
-dispatching, so a warm sweep ships nothing to the pool and a partially
-warm sweep ships only the missing (scheduler, cell) pairs.
+compute.  A sweep resolves hits in the calling process, serial and pooled
+alike, and computes each cell's misses through one :func:`_run_cell`;
+a warm sweep therefore ships nothing to the pool, and a partially warm
+sweep ships only the missing (scheduler, cell) pairs.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from repro.workloads.spec import ScenarioSpec
 
 if TYPE_CHECKING:
     from repro.cloud.control import ControlConfig
+    from repro.obs.manifest import RunManifest
     from repro.workloads.timeline import Timeline
 
 Engine = Literal["des", "fast", "stream", "online"]
@@ -49,24 +51,28 @@ ScenarioFactory = Callable[[int, int, int], ScenarioSpec]
 ScenarioChunks when the factory is a chunked family)"""
 
 
-def _as_stream(scenario, chunk_size: int | None):
-    """Coerce a scenario to a ScenarioChunks for the streaming engine.
+def _engine_scenario(scenario, engine: "Engine", chunk_size: int | None):
+    """The form of ``scenario`` that ``engine`` runs (and keys the cache on).
 
-    A :class:`~repro.workloads.streaming.ScenarioChunks` passes through
-    (re-chunked if ``chunk_size`` disagrees); a materialised
+    The streaming engine takes a
+    :class:`~repro.workloads.streaming.ScenarioChunks`: a stream passes
+    through (re-chunked if ``chunk_size`` disagrees), and a materialised
     :class:`~repro.workloads.spec.ScenarioSpec` is wrapped — its columns
     already exist in memory, so wrapping costs nothing extra and small
-    differential tests can stream the exact same workload.
+    differential tests can stream the exact same workload.  The other
+    engines take a spec, so a stream is materialised for them.
     """
+    if engine != "stream":
+        return scenario.to_spec() if hasattr(scenario, "to_spec") else scenario
     from repro.workloads.streaming import DEFAULT_CHUNK_SIZE, ScenarioChunks
 
-    if isinstance(scenario, ScenarioChunks):
-        if chunk_size is not None and scenario.chunk_size != chunk_size:
-            return scenario.with_chunk_size(chunk_size)
-        return scenario
-    return ScenarioChunks.from_spec(
-        scenario, chunk_size=chunk_size or DEFAULT_CHUNK_SIZE
-    )
+    if not isinstance(scenario, ScenarioChunks):
+        return ScenarioChunks.from_spec(
+            scenario, chunk_size=chunk_size or DEFAULT_CHUNK_SIZE
+        )
+    if chunk_size is not None and scenario.chunk_size != chunk_size:
+        return scenario.with_chunk_size(chunk_size)
+    return scenario
 
 
 @dataclass(frozen=True)
@@ -159,10 +165,7 @@ def run_point(
     (via :meth:`Timeline.to_dict`/:meth:`ControlConfig.to_dict`), so a
     cached storm cell can never be replayed for a different storm.
     """
-    if engine == "stream":
-        scenario = _as_stream(scenario, chunk_size)
-    elif hasattr(scenario, "to_spec"):
-        scenario = scenario.to_spec()
+    scenario = _engine_scenario(scenario, engine, chunk_size)
     if engine != "online" and (
         timeline is not None or control is not None or standby_vms
     ):
@@ -229,111 +232,90 @@ def _dynamic_extras(
     return extras
 
 
+def _record(
+    name: str,
+    result: "SimulationResult | StreamingResult",
+    num_vms: int,
+    num_cloudlets: int,
+    seed: int,
+) -> SweepRecord:
+    """The sweep row of scheduler ``name``'s result at one cell."""
+    record = SweepRecord.from_result(result, num_vms, num_cloudlets, seed)
+    if record.scheduler != name:
+        raise RuntimeError(f"factory {name!r} produced scheduler {record.scheduler!r}")
+    return record
+
+
 def _run_cell(
+    scenario,
+    scheduler_factories: dict[str, Callable[[], Scheduler]],
+    misses: "dict[str, RunManifest | None]",
+    num_vms: int,
+    num_cloudlets: int,
+    seed: int,
+    cache: "ResultCache | None",
+    run_kwargs: dict,
+) -> dict[str, SweepRecord]:
+    """Compute one (num_vms, seed) cell's missing schedulers.
+
+    ``misses`` maps each scheduler to compute onto its cache-key manifest
+    (``None`` without a cache); every computed result is published under
+    that key.  All schedulers share the cell's ``scenario``, so they
+    compete on identical inputs and the records are a pure function of
+    the arguments.
+    """
+    records: dict[str, SweepRecord] = {}
+    for name, manifest in misses.items():
+        result = run_point(scenario, scheduler_factories[name](), seed=seed, **run_kwargs)
+        if manifest is not None:
+            cache.put(manifest.fingerprint(), result, manifest)
+        records[name] = _record(name, result, num_vms, num_cloudlets, seed)
+    return records
+
+
+def _cell_scenario(
+    scenario_factory: ScenarioFactory,
+    num_vms: int,
+    num_cloudlets: int,
+    seed: int,
+    run_kwargs: dict,
+):
+    """One cell's scenario, in the form its engine runs."""
+    return _engine_scenario(
+        scenario_factory(num_vms, num_cloudlets, seed),
+        run_kwargs["engine"], run_kwargs["chunk_size"],
+    )
+
+
+def _run_cell_task(
     scenario_factory: ScenarioFactory,
     scheduler_factories: dict[str, Callable[[], Scheduler]],
+    misses: "dict[str, RunManifest | None]",
     num_vms: int,
     num_cloudlets: int,
     seed: int,
-    engine: Engine,
-    cache: "ResultCache | None" = None,
-    chunk_size: int | None = None,
-    shards: int | None = None,
-    timeline: "Timeline | None" = None,
-    control: "ControlConfig | None" = None,
-) -> list[SweepRecord]:
-    """Execute one (num_vms, seed) cell: all schedulers on a shared scenario.
+    cache: "ResultCache | None",
+    run_kwargs: dict,
+    with_telemetry: bool,
+) -> "tuple[dict[str, SweepRecord], dict | None]":
+    """Pool-worker entry: rebuild the cell's scenario, run :func:`_run_cell`.
 
-    Module-level so it can be shipped to spawn-based worker processes.  The
-    scenario is built once per cell (exactly as the serial loop does), so
-    every scheduler at the cell competes on identical inputs and the cell's
-    records are a pure function of the arguments.  ``cache`` applies
-    per-scheduler: hit schedulers replay, miss schedulers compute and are
-    stored.
+    Concurrent workers publish to the shared cache safely (entry
+    publication is an atomic rename).  Pool processes are reused across
+    cells, so with telemetry the worker's registry is reset first and the
+    returned snapshot is exactly this cell's contribution, which the
+    parent folds into its own registry.  Telemetry never feeds back into
+    a simulation, so pooled records stay bit-identical to serial ones.
     """
-    scenario = scenario_factory(num_vms, num_cloudlets, seed)
-    if engine == "stream":
-        scenario = _as_stream(scenario, chunk_size)
-    records: list[SweepRecord] = []
-    for name, factory in scheduler_factories.items():
-        result = run_point(
-            scenario,
-            factory(),
-            seed=seed,
-            engine=engine,
-            cache=cache,
-            chunk_size=chunk_size,
-            shards=shards,
-            timeline=timeline,
-            control=control,
-        )
-        record = SweepRecord.from_result(result, num_vms, num_cloudlets, seed)
-        if record.scheduler != name:
-            raise RuntimeError(
-                f"factory {name!r} produced scheduler {record.scheduler!r}"
-            )
-        records.append(record)
-    return records
-
-
-def _run_cell_cache_misses(
-    scenario_factory: ScenarioFactory,
-    miss_factories: dict[str, Callable[[], Scheduler]],
-    num_vms: int,
-    num_cloudlets: int,
-    seed: int,
-    engine: Engine,
-    cache_root: str,
-    chunk_size: int | None = None,
-    shards: int | None = None,
-    timeline: "Timeline | None" = None,
-    control: "ControlConfig | None" = None,
-) -> list[SweepRecord]:
-    """Worker-side runner for the cache-missing schedulers of one cell.
-
-    The parent already resolved hits and counted the misses, so this
-    computes unconditionally (no re-probe) and publishes each result into
-    the shared on-disk cache — concurrent workers are safe because entry
-    publication is an atomic rename.
-    """
-    cache = ResultCache(cache_root)
-    scenario = scenario_factory(num_vms, num_cloudlets, seed)
-    if engine == "stream":
-        scenario = _as_stream(scenario, chunk_size)
-    records: list[SweepRecord] = []
-    for name, factory in miss_factories.items():
-        scheduler = factory()
-        manifest = cache_key_manifest(
-            scenario, scheduler, seed, engine,
-            **_dynamic_extras(timeline, control, 0),
-        )
-        result = run_point(
-            scenario, scheduler, seed=seed, engine=engine, chunk_size=chunk_size,
-            shards=shards, timeline=timeline, control=control,
-        )
-        cache.put(manifest.fingerprint(), result, manifest)
-        record = SweepRecord.from_result(result, num_vms, num_cloudlets, seed)
-        if record.scheduler != name:
-            raise RuntimeError(
-                f"factory {name!r} produced scheduler {record.scheduler!r}"
-            )
-        records.append(record)
-    return records
-
-
-def _run_with_telemetry(cell_runner, *args) -> tuple[list[SweepRecord], dict]:
-    """Worker-side wrapper that ships the cell's telemetry to the parent.
-
-    Pool processes are reused across cells, so the worker's registry is
-    reset before the cell runs — the returned snapshot is exactly this
-    cell's contribution, which the parent folds into its own registry.
-    Record values are unaffected: telemetry never feeds back into the
-    simulation, so parallel sweeps stay bit-identical to serial ones.
-    """
-    TELEMETRY.reset()
-    TELEMETRY.enable()
-    records = cell_runner(*args)
-    return records, TELEMETRY.snapshot().to_dict()
+    if with_telemetry:
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+    scenario = _cell_scenario(scenario_factory, num_vms, num_cloudlets, seed, run_kwargs)
+    records = _run_cell(
+        scenario, scheduler_factories, misses, num_vms, num_cloudlets, seed,
+        cache, run_kwargs,
+    )
+    return records, TELEMETRY.snapshot().to_dict() if with_telemetry else None
 
 
 def run_sweep(
@@ -378,10 +360,11 @@ def run_sweep(
         adding ``seeds`` or adding a scheduler to a previously swept grid
         computes only the missing cells, and a fully warm sweep replays
         byte-equal records (wall clock included — it is the cold run's).
-        With ``workers``, hits are resolved in the parent *before*
-        dispatch and only the missing (scheduler, cell) pairs are shipped
-        to the spawn pool; misses are published to the shared cache by the
-        worker that computed them via atomic renames.
+        Hits are resolved in the calling process before a cell computes,
+        serial and pooled alike; with ``workers`` only the missing
+        (scheduler, cell) pairs are shipped to the spawn pool, and each
+        worker publishes what it computed to the shared cache via atomic
+        renames.
     chunk_size:
         Streaming chunk size, forwarded to the ``"stream"`` engine (other
         engines ignore it).  Streaming metrics are chunk-size-invariant,
@@ -405,13 +388,37 @@ def run_sweep(
     arrives.
     """
     cache = ResultCache.coerce(cache)
+    run_kwargs = dict(
+        engine=engine, chunk_size=chunk_size, shards=shards,
+        timeline=timeline, control=control,
+    )
+    extras = _dynamic_extras(timeline, control, 0)
     cells = [(num_vms, seed) for num_vms in vm_counts for seed in seeds]
     records: list[SweepRecord] = []
 
-    def emit(cell_records: list[SweepRecord]) -> None:
-        records.extend(cell_records)
-        if progress is not None:
-            for record in cell_records:
+    def lookup(scenario, num_vms: int, seed: int):
+        """One cell's cache hits (as records) and misses (as key manifests).
+
+        Without a cache every scheduler misses and ``scenario`` is unused.
+        """
+        hits: dict[str, SweepRecord] = {}
+        misses: "dict[str, RunManifest | None]" = {}
+        for name, factory in scheduler_factories.items():
+            manifest = None
+            if cache is not None:
+                manifest = cache_key_manifest(scenario, factory(), seed, engine, **extras)
+                result = cache.get(manifest.fingerprint())
+                if result is not None:
+                    hits[name] = _record(name, result, num_vms, num_cloudlets, seed)
+                    continue
+            misses[name] = manifest
+        return hits, misses
+
+    def emit(cell: dict[str, SweepRecord]) -> None:
+        for name in scheduler_factories:
+            record = cell[name]
+            records.append(record)
+            if progress is not None:
                 progress(
                     f"{record.scheduler:12s} vms={record.num_vms:<7d} "
                     f"seed={record.seed} "
@@ -421,120 +428,50 @@ def run_sweep(
 
     if workers is None or workers <= 1:
         for num_vms, seed in cells:
-            emit(
-                _run_cell(
-                    scenario_factory,
-                    scheduler_factories,
-                    num_vms,
-                    num_cloudlets,
-                    seed,
-                    engine,
-                    cache,
-                    chunk_size,
-                    shards,
-                    timeline,
-                    control,
-                )
+            scenario = _cell_scenario(
+                scenario_factory, num_vms, num_cloudlets, seed, run_kwargs
             )
+            hits, misses = lookup(scenario, num_vms, seed)
+            computed = _run_cell(
+                scenario, scheduler_factories, misses, num_vms, num_cloudlets,
+                seed, cache, run_kwargs,
+            )
+            del scenario  # hold one cell's scenario at a time
+            emit({**hits, **computed})
         return records
 
     # Spawn (not fork) so worker state is a clean import of the code under
-    # test on every platform; results are consumed in submission order to
+    # test on every platform.  Hits are resolved here before dispatch, so a
+    # warm sweep ships nothing; results are consumed in submission order to
     # keep the output indistinguishable from the serial path.
-    capture_telemetry = TELEMETRY.enabled
-
-    def submit(pool, cell_runner, *args):
-        if capture_telemetry:
-            return pool.submit(_run_with_telemetry, cell_runner, *args)
-        return pool.submit(cell_runner, *args)
-
-    def consume(future) -> list[SweepRecord]:
-        outcome = future.result()
-        if capture_telemetry:
-            cell_records, snapshot_dict = outcome
-            TELEMETRY.merge_snapshot(TelemetrySnapshot.from_dict(snapshot_dict))
-            return cell_records
-        return outcome
-
+    with_telemetry = TELEMETRY.enabled
     ctx = multiprocessing.get_context("spawn")
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=workers, mp_context=ctx
     ) as pool:
-        if cache is None:
-            futures = [
-                submit(
-                    pool,
-                    _run_cell,
-                    scenario_factory,
-                    scheduler_factories,
-                    num_vms,
-                    num_cloudlets,
-                    seed,
-                    engine,
-                    None,
-                    chunk_size,
-                    shards,
-                    timeline,
-                    control,
-                )
-                for num_vms, seed in cells
-            ]
-            for future in futures:
-                emit(consume(future))
-            return records
-
-        # Parent-side hit resolution: probe every (scheduler, cell) key
-        # up front so only the misses ever reach the spawn pool — a fully
-        # warm sweep dispatches nothing.
-        pending: list[tuple[dict[str, SweepRecord], list[str], object | None]] = []
+        pending = []
         for num_vms, seed in cells:
-            scenario = scenario_factory(num_vms, num_cloudlets, seed)
-            if engine == "stream":
-                scenario = _as_stream(scenario, chunk_size)
-            hit_records: dict[str, SweepRecord] = {}
-            miss_factories: dict[str, Callable[[], Scheduler]] = {}
-            for name, factory in scheduler_factories.items():
-                key = cache.key_for(
-                    scenario, factory(), seed, engine,
-                    **_dynamic_extras(timeline, control, 0),
-                )
-                result = cache.get(key)
-                if result is None:
-                    miss_factories[name] = factory
-                    continue
-                record = SweepRecord.from_result(result, num_vms, num_cloudlets, seed)
-                if record.scheduler != name:
-                    raise RuntimeError(
-                        f"factory {name!r} produced scheduler {record.scheduler!r}"
-                    )
-                hit_records[name] = record
-            future = None
-            if miss_factories:
-                future = submit(
-                    pool,
-                    _run_cell_cache_misses,
-                    scenario_factory,
-                    miss_factories,
-                    num_vms,
-                    num_cloudlets,
-                    seed,
-                    engine,
-                    str(cache.root),
-                    chunk_size,
-                    shards,
-                    timeline,
-                    control,
-                )
-            pending.append((hit_records, list(miss_factories), future))
-
-        for hit_records, miss_names, future in pending:
-            computed = dict(zip(miss_names, consume(future))) if future else {}
-            emit(
-                [
-                    hit_records.get(name) or computed[name]
-                    for name in scheduler_factories
-                ]
+            scenario = (
+                _cell_scenario(scenario_factory, num_vms, num_cloudlets, seed, run_kwargs)
+                if cache is not None
+                else None
             )
+            hits, misses = lookup(scenario, num_vms, seed)
+            del scenario
+            future = None
+            if misses:
+                future = pool.submit(
+                    _run_cell_task, scenario_factory, scheduler_factories, misses,
+                    num_vms, num_cloudlets, seed, cache, run_kwargs, with_telemetry,
+                )
+            pending.append((hits, future))
+        for hits, future in pending:
+            computed: dict[str, SweepRecord] = {}
+            if future is not None:
+                computed, snapshot = future.result()
+                if snapshot is not None:
+                    TELEMETRY.merge_snapshot(TelemetrySnapshot.from_dict(snapshot))
+            emit({**hits, **computed})
     return records
 
 

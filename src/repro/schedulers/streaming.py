@@ -29,8 +29,11 @@ split), so their ``open()`` pre-scans or fast-forwards over the stream.
 
 Schedulers without a streaming form (the metaheuristics) are explicitly
 in-memory-only: :func:`as_streaming` wraps them in
-:class:`InMemoryFallback`, which materialises the stream via
-``ScenarioChunks.to_spec()`` and schedules once.
+:class:`InMemoryFallback`, which schedules once over the stream's own
+columns (``ScenarioChunks.to_arrays()``: the chunk itself for a one-chunk
+stream, one concatenation per cloudlet column otherwise) and serves the
+assignment in chunk slices.  ``FastSimulation`` wraps *every* scheduler
+this way, so its timed step is always the batch decision.
 
 Example::
 
@@ -205,12 +208,14 @@ class _PrecomputedAssigner(ChunkAssigner):
 class InMemoryFallback(StreamingScheduler):
     """Adapter declaring a policy in-memory-only.
 
-    ``open()`` materialises the stream via ``ScenarioChunks.to_spec()``
-    (O(n) memory — the point of the declaration), runs the wrapped
-    scheduler once over the full context, and serves the assignment in
-    chunk slices.  The scheduler sees the same RNG the streaming engine
-    derived, so results match ``FastSimulation`` on the equivalent spec.
-    Shard carries are slices of that one assignment.
+    ``open()`` gathers the stream's cloudlet columns into one
+    :class:`~repro.workloads.spec.ScenarioArrays`
+    (``ScenarioChunks.to_arrays()``: O(n) memory — the point of the
+    declaration — but no per-cloudlet objects), runs the wrapped
+    scheduler's ``schedule_checked`` once over that context, and serves
+    the assignment in chunk slices.  The scheduler sees the same RNG the
+    streaming engine derived, so results match ``FastSimulation`` on the
+    equivalent spec.  Shard carries are slices of that one assignment.
     """
 
     streaming_native = False
@@ -234,9 +239,8 @@ class InMemoryFallback(StreamingScheduler):
                 dict(carry["info"]),
                 base=int(carry["base"]),
             )
-        spec = stream.to_spec()
         context = SchedulingContext(
-            arrays=spec.arrays(), rng=rng, scenario_name=spec.name
+            arrays=stream.to_arrays(), rng=rng, scenario_name=stream.name
         )
         decision = self.scheduler.schedule_checked(context)
         return _PrecomputedAssigner(decision.assignment, dict(decision.info))

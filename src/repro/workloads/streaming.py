@@ -408,18 +408,34 @@ class ScenarioChunks:
             spec.arrays(), name=spec.name, seed=spec.seed, chunk_size=chunk_size
         )
 
+    def to_arrays(self) -> ScenarioArrays:
+        """Every cloudlet column over the resident fleet arrays, as one chunk.
+
+        The inverse of :meth:`from_arrays`: a one-chunk stream returns that
+        chunk itself (its columns are the stream's own, no copies); a longer
+        one concatenates each cloudlet column once.  O(num_cloudlets)
+        memory, but no per-cloudlet objects — the view the in-memory
+        fallback schedules over.
+        """
+        chunks = [chunk for _, chunk in self]
+        if len(chunks) == 1:
+            return chunks[0]
+        return self.chunk_arrays(
+            **{
+                name: np.concatenate([getattr(chunk, name) for chunk in chunks])
+                for name in _CLOUDLET_FIELDS
+            }
+        )
+
     def to_spec(self) -> ScenarioSpec:
         """Materialise the full monolithic :class:`ScenarioSpec`.
 
-        O(num_cloudlets) memory — this is the explicit escape hatch the
-        in-memory-only schedulers (metaheuristics) fall back through.
+        O(num_cloudlets) memory and one Python object per cloudlet — for
+        consumers that need a spec (the DES engine, differential tests).
         """
-        columns = {name: [] for name in _CLOUDLET_FIELDS}
-        for _, chunk in self:
-            for name in _CLOUDLET_FIELDS:
-                columns[name].append(getattr(chunk, name))
+        arrays = self.to_arrays()
         length, pes, file_size, output_size = (
-            np.concatenate(columns[name]) for name in _CLOUDLET_FIELDS
+            getattr(arrays, name) for name in _CLOUDLET_FIELDS
         )
         cloudlets = tuple(
             CloudletSpec(

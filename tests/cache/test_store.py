@@ -165,6 +165,19 @@ class TestCorruptionTolerance:
         meta_path.write_text(json.dumps(meta))
         assert cache.get(key) is None
 
+    def test_meta_missing_a_field_is_miss_problem_and_prune(self, cache, scenario):
+        # Parses, right format and version, but a scalar is gone: every
+        # reader must agree the entry is damaged.
+        key, _ = _store_one(cache, scenario)
+        meta_path = cache.entry_dir(key) / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["makespan"]
+        meta_path.write_text(json.dumps(meta))
+        assert cache.get(key) is None
+        assert cache.verify() == [f"{key}: meta.json lacks 'makespan'"]
+        assert cache.prune().removed == 1
+        assert len(cache) == 0
+
     def test_package_version_bump_invalidates(self, cache, scenario):
         # The version is part of the fingerprint, so a bump changes every
         # key; the read path double-checks anyway for hand-moved entries.

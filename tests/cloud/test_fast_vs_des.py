@@ -1,7 +1,9 @@
 """Cross-validation: the analytic fast path must match the DES engine.
 
 This is the property that justifies using :class:`FastSimulation` for the
-paper's huge homogeneous sweeps (DESIGN.md §2).
+paper's huge homogeneous sweeps (DESIGN.md §2).  The exactness test pins
+it tighter still: a fast run *is* the scheduler's batch decision composed
+with the FIFO closed form and the shared pricing, byte for byte.
 """
 
 from __future__ import annotations
@@ -11,16 +13,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cloud.fast import FastSimulation, grouped_fifo_times, multi_pe_fifo_times
-from repro.cloud.simulation import CloudSimulation
+from repro.cloud.fast import FastSimulation, grouped_fifo_times
+from repro.cloud.simulation import CloudSimulation, cloudlet_costs
+from repro.metrics import makespan, time_imbalance
+from repro.obs.manifest import capture_manifest
 from repro.schedulers import (
+    SCHEDULER_REGISTRY,
     HoneyBeeScheduler,
     RandomBiasedSamplingScheduler,
     RoundRobinScheduler,
+    make_scheduler,
 )
+from repro.schedulers.base import SchedulingContext
 from repro.schedulers.random_assign import RandomScheduler
 from repro.workloads.heterogeneous import heterogeneous_scenario
 from repro.workloads.homogeneous import homogeneous_scenario
+from tests.integration.test_golden_values import LIGHT_KWARGS
 
 
 def assert_results_match(fast, des):
@@ -119,89 +127,67 @@ class TestGroupedFifo:
             clock[vm] = finish[i]
 
 
-class TestMultiPeFifo:
-    def test_two_pes_run_pairwise(self):
-        exec_times = np.array([4.0, 1.0, 1.0])
-        start, finish = multi_pe_fifo_times(np.arange(3), exec_times, pes=2)
-        np.testing.assert_allclose(start, [0.0, 0.0, 1.0])
-        np.testing.assert_allclose(finish, [4.0, 1.0, 2.0])
+#: the golden-value cells (tests/integration/test_golden_values.py).
+GOLDEN_CELLS = {
+    "hetero": lambda: heterogeneous_scenario(10, 80, seed=123),
+    "homog": lambda: homogeneous_scenario(8, 50, seed=123),
+}
 
-    def test_invalid_pes_rejected(self):
-        with pytest.raises(ValueError):
-            multi_pe_fifo_times(np.arange(1), np.array([1.0]), pes=0)
 
-    def test_multi_pe_scenario_agrees_with_des(self):
-        # Build a scenario with 2-PE VMs and check fast vs DES agreement.
-        import dataclasses
+def _without_wall_clock(value):
+    """``value`` minus every convergence trace's wall-clock seconds."""
+    if isinstance(value, dict):
+        return {
+            k: _without_wall_clock(v) for k, v in value.items() if k != "wall_clock_s"
+        }
+    return value
 
-        scenario = heterogeneous_scenario(num_vms=4, num_cloudlets=20, seed=9)
-        vms = tuple(dataclasses.replace(v, pes=2) for v in scenario.vms)
-        scenario = dataclasses.replace(scenario, vms=vms)
-        fast = FastSimulation(scenario, RoundRobinScheduler(), seed=9).run()
-        des = CloudSimulation(scenario, RoundRobinScheduler(), seed=9).run()
-        assert_results_match(fast, des)
 
-    def test_argsort_grouping_matches_per_vm_rescan_exactly(self):
-        # Regression pin for the grouped multi-PE fallback: the stable
-        # argsort grouping must reproduce the old O(V·n) per-VM rescan
-        # (np.unique + full boolean scan per VM) bit for bit, including
-        # with empty VMs, uneven group sizes and mixed PE counts.
-        rng = np.random.default_rng(42)
-        n, num_vms = 500, 16
-        assignment = rng.integers(0, num_vms, size=n)
-        assignment[assignment == 3] = 4  # leave VM 3 empty on purpose
-        exec_times = rng.uniform(0.1, 10.0, size=n)
-        vm_pes = rng.integers(1, 5, size=num_vms)
+class TestExactness:
+    @pytest.mark.parametrize("cell", sorted(GOLDEN_CELLS))
+    @pytest.mark.parametrize("name", sorted(SCHEDULER_REGISTRY))
+    def test_run_is_batch_decision_plus_closed_form(self, cell, name):
+        scenario = GOLDEN_CELLS[cell]()
+        scheduler = make_scheduler(name, **LIGHT_KWARGS.get(name, {}))
+        result = FastSimulation(scenario, scheduler, seed=123).run()
 
-        ref_start = np.empty_like(exec_times)
-        ref_finish = np.empty_like(exec_times)
-        for vm_idx in np.unique(assignment):
-            members = np.flatnonzero(assignment == vm_idx)
-            s, f = multi_pe_fifo_times(
-                members, exec_times[members], int(vm_pes[vm_idx])
-            )
-            ref_start[members] = s
-            ref_finish[members] = f
-
-        start = np.empty_like(exec_times)
-        finish = np.empty_like(exec_times)
-        order = np.argsort(assignment, kind="stable")
-        boundaries = np.flatnonzero(np.diff(assignment[order])) + 1
-        for members in np.split(order, boundaries):
-            if members.size == 0:
-                continue
-            vm_idx = int(assignment[members[0]])
-            s, f = multi_pe_fifo_times(
-                members, exec_times[members], int(vm_pes[vm_idx])
-            )
-            start[members] = s
-            finish[members] = f
-
-        np.testing.assert_array_equal(start, ref_start)
-        np.testing.assert_array_equal(finish, ref_finish)
-
-    def test_multi_pe_fast_run_exact_regression(self):
-        # Exact-equality pin of FastSimulation.run on a multi-PE scenario:
-        # the grouping rewrite must not perturb any output array.
-        import dataclasses
-
-        scenario = heterogeneous_scenario(num_vms=6, num_cloudlets=60, seed=3)
-        vms = tuple(
-            dataclasses.replace(v, pes=1 + (i % 3)) for i, v in enumerate(scenario.vms)
+        context = SchedulingContext.from_scenario(scenario, seed=123)
+        decision = make_scheduler(name, **LIGHT_KWARGS.get(name, {})).schedule_checked(
+            context
         )
-        scenario = dataclasses.replace(scenario, vms=vms)
-        result = FastSimulation(scenario, RoundRobinScheduler(), seed=3).run()
+        arrays = context.arrays
+        assignment = decision.assignment
+        exec_times = arrays.cloudlet_length / arrays.vm_mips[assignment]
+        start, finish = grouped_fifo_times(assignment, exec_times, arrays.num_vms)
+        costs = cloudlet_costs(arrays, assignment)
+        expected = {
+            "assignment": assignment,
+            "submission_times": np.zeros_like(start),
+            "start_times": start,
+            "finish_times": finish,
+            "exec_times": finish - start,
+            "costs": costs,
+        }
+        for field, want in expected.items():
+            got = getattr(result, field)
+            assert got.dtype == want.dtype, field
+            assert got.tobytes() == want.tobytes(), field
+        assert result.makespan == makespan(start, finish)
+        assert result.time_imbalance == time_imbalance(finish - start)
+        assert result.total_cost == float(costs.sum())
+        assert result.events_processed == 0
+        assert result.scheduling_time > 0
+        assert result.scheduler_name == decision.scheduler_name == name
 
-        arr_exec = np.array(
-            [c.length for c in scenario.cloudlets], dtype=float
-        ) / np.array([v.mips for v in scenario.vms], dtype=float)[result.assignment]
-        ref_start = np.empty_like(arr_exec)
-        ref_finish = np.empty_like(arr_exec)
-        pes = np.array([v.pes for v in scenario.vms])
-        for vm_idx in np.unique(result.assignment):
-            members = np.flatnonzero(result.assignment == vm_idx)
-            s, f = multi_pe_fifo_times(members, arr_exec[members], int(pes[vm_idx]))
-            ref_start[members] = s
-            ref_finish[members] = f
-        np.testing.assert_array_equal(result.start_times, ref_start)
-        np.testing.assert_array_equal(result.finish_times, ref_finish)
+        manifest = capture_manifest(
+            scenario=scenario, scheduler=scheduler, seed=123, engine="fast",
+            execution_model="space-shared",
+        )
+        assert _without_wall_clock(result.info) == _without_wall_clock(
+            {
+                "engine": "fast",
+                "execution_model": "space-shared",
+                "manifest": manifest.to_dict(),
+                **decision.info,
+            }
+        )

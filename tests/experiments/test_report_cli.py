@@ -207,3 +207,47 @@ class TestReportRendersChaosArtifacts:
         out = capsys.readouterr().out
         assert "chaos-report" in out
         assert "resched_degradation" in out
+
+
+class TestCacheTarget:
+    """``cache stats|prune|verify`` over a small real cache."""
+
+    @pytest.fixture
+    def cache_dir(self, tmp_path):
+        from repro.cache import ResultCache, cache_key_manifest
+        from repro.experiments.runner import run_point
+        from repro.schedulers import RoundRobinScheduler
+        from repro.workloads.heterogeneous import heterogeneous_scenario
+
+        cache = ResultCache(tmp_path / "cache")
+        scenario = heterogeneous_scenario(4, 16, seed=0)
+        for seed in (0, 1):
+            manifest = cache_key_manifest(scenario, RoundRobinScheduler(), seed, "fast")
+            result = run_point(scenario, RoundRobinScheduler(), seed=seed, engine="fast")
+            cache.put(manifest.fingerprint(), result, manifest)
+        return cache.root
+
+    def test_stats_and_prune_exit_zero(self, cache_dir, capsys):
+        assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
+        assert "entries:     2" in capsys.readouterr().out
+        assert main(["cache", "prune", "--cache-dir", str(cache_dir)]) == 0
+        assert "pruned 0 entries" in capsys.readouterr().out
+
+    def test_verify_clean_cache(self, cache_dir, capsys):
+        assert main(["cache", "verify", "--cache-dir", str(cache_dir)]) == 0
+        assert "all 2 entries verify" in capsys.readouterr().out
+
+    def test_verify_tampered_entry_prints_its_key(self, cache_dir, capsys):
+        import json
+
+        from repro.cache import ResultCache
+
+        key = next(ResultCache(cache_dir).iter_keys())
+        meta_path = ResultCache(cache_dir).entry_dir(key) / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["key"] = "0" * 64  # mis-keyed entry
+        meta_path.write_text(json.dumps(meta))
+        assert main(["cache", "verify", "--cache-dir", str(cache_dir)]) == 1
+        captured = capsys.readouterr()
+        assert f"{key}: recorded key" in captured.out
+        assert "(1 problem(s) found)" in captured.err

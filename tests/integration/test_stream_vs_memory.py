@@ -12,14 +12,18 @@ the streaming entry points.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.cloud.fast import FastSimulation, StreamingResult, StreamingSimulation
+from repro.core.rng import spawn_rng
 from repro.experiments.runner import run_point
 from repro.schedulers import make_scheduler
-from repro.schedulers.streaming import make_streaming_scheduler
+from repro.schedulers.base import Scheduler
+from repro.schedulers.streaming import InMemoryFallback, make_streaming_scheduler
 from repro.workloads.homogeneous import homogeneous_scenario
 from repro.workloads.streaming import ScenarioChunks, homogeneous_stream
 
@@ -123,14 +127,55 @@ def test_run_point_stream_engine_matches_fast_engine(name, spec, stream):
     assert streamed.total_cost == pytest.approx(fast.total_cost, rel=1e-12)
 
 
-def test_multi_pe_fleet_is_rejected():
+@pytest.mark.parametrize("facade", ["fast", "stream"])
+def test_multi_pe_fleet_is_rejected(facade):
     spec = homogeneous_scenario(4, 20, seed=0)
-    stream = ScenarioChunks.from_spec(spec, chunk_size=8)
-    stream = stream.__class__(
-        **{
-            **{f: getattr(stream, f) for f in stream.__dataclass_fields__},
-            "vm_pes": np.full(4, 2, dtype=np.int64),
-        }
+    spec = dataclasses.replace(
+        spec, vms=tuple(dataclasses.replace(vm, pes=2) for vm in spec.vms)
     )
-    with pytest.raises(ValueError, match="single-PE"):
-        StreamingSimulation(stream, make_streaming_scheduler("basetest")).run()
+    if facade == "fast":
+        simulation = FastSimulation(spec, make_scheduler("basetest"))
+    else:
+        simulation = StreamingSimulation(
+            ScenarioChunks.from_spec(spec, chunk_size=8),
+            make_streaming_scheduler("basetest"),
+        )
+    with pytest.raises(ValueError, match="single-PE.*CloudSimulation"):
+        simulation.run()
+
+
+class _RecordingScheduler(Scheduler):
+    """Round-robin that keeps the context columns it was handed."""
+
+    name = "recording"
+
+    def __init__(self) -> None:
+        self.seen = []
+
+    def schedule(self, context):
+        self.seen.append(context.arrays)
+        result = make_scheduler("basetest").schedule(context)
+        return dataclasses.replace(result, scheduler_name=self.name)
+
+
+@pytest.mark.parametrize("chunk_size", [None, 64])
+def test_fallback_schedules_over_the_streams_own_columns(monkeypatch, spec, chunk_size):
+    def to_spec(self):
+        raise AssertionError("InMemoryFallback.open materialised a ScenarioSpec")
+
+    monkeypatch.setattr(ScenarioChunks, "to_spec", to_spec)
+    stream = ScenarioChunks.from_spec(spec, chunk_size=chunk_size or NUM_CLOUDLETS)
+    inner = _RecordingScheduler()
+    assigner = InMemoryFallback(inner).open(stream, spawn_rng(SEED, stream.name))
+    (arrays,) = inner.seen
+    own = spec.arrays()
+    for field in ("cloudlet_length", "cloudlet_pes", "cloudlet_file_size",
+                  "cloudlet_output_size"):
+        np.testing.assert_array_equal(getattr(arrays, field), getattr(own, field))
+        # One chunk: the stream's own columns; several: one concatenation.
+        shared = np.shares_memory(getattr(arrays, field), getattr(own, field))
+        assert shared == (chunk_size is None), field
+    assert arrays.vm_mips is own.vm_mips
+    assert assigner.assign(arrays, 0).tolist() == [
+        i % NUM_VMS for i in range(NUM_CLOUDLETS)
+    ]
