@@ -38,7 +38,7 @@ from repro.cloud.chaos import (
     run_chaos_suite,
     run_storm_suite,
 )
-from repro.cloud.control import ControlConfig, ControlledOnlineBroker, ControlLoop
+from repro.cloud.control import ControlConfig, ControlLoop
 from repro.cloud.datacenter import Datacenter, FaultNotice
 from repro.cloud.fast import FastSimulation
 from repro.cloud.faults import (
@@ -127,7 +127,6 @@ __all__ = [
     "run_storm_suite",
     "load_report_rows",
     "ControlConfig",
-    "ControlledOnlineBroker",
     "ControlLoop",
     "SimulationEnvironment",
     "build_simulation",

@@ -4,8 +4,8 @@ qoscloud's scenario executor (and the autonomic-computing literature it
 follows) closes a monitor → analyze → plan → execute loop over a running
 system; this module does the same over the online DES:
 
-* :class:`ControlledOnlineBroker` extends the online broker with the
-  *mechanisms* a controller needs: an alive/active VM mask maintained from
+* :class:`~repro.cloud.online.OnlineBroker` carries the *mechanisms* a
+  controller needs: an alive/active VM mask maintained from
   ``FAULT_NOTICE`` events, policy-driven retry of bounced (failed or
   cancelled) cloudlets over the eligible fleet, rebalance cancels that
   move queued work off a congested VM, and a standby pool the autoscaler
@@ -30,18 +30,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from repro.cloud.cloudlet import Cloudlet, CloudletStatus
-from repro.cloud.datacenter import FaultNotice
-from repro.cloud.online import OnlineBroker
 from repro.core.entity import Entity
 from repro.core.eventqueue import Event
 from repro.core.tags import EventTag
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.workloads.timeline import Trigger
+
+if TYPE_CHECKING:  # online.py imports this module; keep the cycle type-only
+    from repro.cloud.online import OnlineBroker
 
 
 @dataclass(frozen=True)
@@ -100,181 +100,6 @@ class ControlConfig:
         return {name: getattr(self, name) for name in vars(self)}
 
 
-class ControlledOnlineBroker(OnlineBroker):
-    """An online broker a controller can actuate.
-
-    Extends :class:`~repro.cloud.online.OnlineBroker` with:
-
-    * an ``alive`` mask maintained from datacenter ``FAULT_NOTICE`` events
-      and an ``active`` mask owned by the autoscaler (``standby_vms``
-      highest-indexed VMs start parked);
-    * self-healing: a ``FAILED`` return (crash bounce or rebalance cancel)
-      is re-placed through the policy over the eligible fleet instead of
-      raising — the policy sees backlog with ineligible VMs masked to
-      ``+inf``, and a pick that lands on an ineligible VM is remapped to
-      the least-loaded eligible one (deterministically);
-    * actuators for the control loop: :meth:`cancel_for_rebalance`,
-      :meth:`activate_standby`, :meth:`drain_active`.
-
-    Without a :class:`ControlLoop` attached this is the *uncontrolled*
-    storm arm: it survives faults (blind policy-driven retry) but nothing
-    rebalances or recruits the reserve.
-    """
-
-    def __init__(self, *args, standby_vms: int = 0, max_attempts: int = 32, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        num_vms = len(self.vms)
-        if not 0 <= standby_vms < num_vms:
-            raise ValueError(
-                f"standby_vms must leave at least one active VM, got "
-                f"{standby_vms} of {num_vms}"
-            )
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        self.alive = np.ones(num_vms, dtype=bool)
-        self.active = np.ones(num_vms, dtype=bool)
-        if standby_vms:
-            self.active[num_vms - standby_vms :] = False
-        self.max_attempts = max_attempts
-        self.attempts = np.zeros(len(self.cloudlets), dtype=np.int64)
-        self.retries = 0
-        self.rebalance_cancels = 0
-        self.scale_ups = 0
-        self.scale_downs = 0
-        #: per-VM set of cloudlet indices submitted and not yet returned.
-        self._inflight: list[set[int]] = [set() for _ in range(num_vms)]
-        #: cloudlets we cancelled ourselves; their bounce is a planned move,
-        #: not a failure, so it never counts toward ``max_attempts``.
-        self._planned_bounces: set[int] = set()
-        #: how often each cloudlet was moved by a rebalance cancel.
-        self.moves = np.zeros(len(self.cloudlets), dtype=np.int64)
-
-    # -- placement ---------------------------------------------------------------
-
-    @property
-    def eligible(self) -> np.ndarray:
-        """VMs that may receive work: alive and not parked."""
-        return self.alive & self.active
-
-    def _choose_vm(self, idx: int) -> int:
-        eligible = self.eligible
-        if not eligible.any():
-            raise RuntimeError(
-                f"{self.name}: no eligible VM left to place cloudlet {idx}"
-            )
-        masked = np.where(eligible, self.backlog, np.inf)
-        vm_idx = self.policy.assign(idx, self.now, masked, self.context)
-        if not 0 <= vm_idx < len(self.vms) or not eligible[vm_idx]:
-            vm_idx = int(np.argmin(masked))
-        return int(vm_idx)
-
-    def _place_cloudlet(self, idx: int) -> None:
-        super()._place_cloudlet(idx)
-        self._inflight[int(self.assignment[idx])].add(idx)
-
-    # -- event handling ----------------------------------------------------------
-
-    def process_event(self, event: Event) -> None:
-        if event.tag is EventTag.FAULT_NOTICE:
-            notice: FaultNotice = event.data
-            state = notice.kind == "vm-recovered"
-            for vm_id in notice.vm_ids:
-                self.alive[vm_id] = state
-            return
-        super().process_event(event)
-
-    def _process_return(self, event: Event) -> None:
-        cloudlet: Cloudlet = event.data
-        idx = cloudlet.cloudlet_id
-        vm_idx = int(self.assignment[idx])
-        self._inflight[vm_idx].discard(idx)
-        if cloudlet.status is CloudletStatus.FAILED:
-            arr = self.context.arrays
-            self.backlog[vm_idx] -= float(
-                arr.cloudlet_length[idx] / (arr.vm_mips[vm_idx] * arr.vm_pes[vm_idx])
-            )
-            if idx in self._planned_bounces:
-                self._planned_bounces.discard(idx)
-                self.moves[idx] += 1
-            else:
-                self.attempts[idx] += 1
-                if self.attempts[idx] >= self.max_attempts:
-                    raise RuntimeError(
-                        f"{self.name}: cloudlet {idx} exhausted "
-                        f"{self.max_attempts} placement attempts"
-                    )
-                self.retries += 1
-            cloudlet.reset_for_retry()
-            self._place_cloudlet(idx)
-            return
-        # A cancel can race the finish and lose; clear the stale marker.
-        self._planned_bounces.discard(idx)
-        super()._process_return(event)
-
-    # -- actuators (Execute phase) -------------------------------------------------
-
-    def cancel_for_rebalance(self, vm_idx: int, max_cancel: int) -> int:
-        """Cancel up to ``max_cancel`` in-flight cloudlets on ``vm_idx``.
-
-        The datacenter bounces each still-unfinished one back ``FAILED``
-        and the retry path re-places it over the eligible fleet (a planned
-        move, not counted as a failure retry).  Least-moved, most recently
-        assigned cloudlets go first — on a space-shared VM the newest are
-        the deepest in the queue, so cancels mostly move *queued* work and
-        forfeit little progress, and preferring the least-moved keeps one
-        unlucky cloudlet from ping-ponging between hot VMs.
-
-        Two bounds make rebalancing safe on the tail: the VM always keeps
-        at least one cloudlet (cancelling the sole running one forfeits
-        its progress without relieving anything), and a cloudlet already
-        moved ``max_attempts`` times is pinned where it is.  Together they
-        cap total cancels, so a mis-tuned loop cannot livelock the run.
-        """
-        pending = {
-            i
-            for i in self._inflight[vm_idx] - self._planned_bounces
-            if self.moves[i] < self.max_attempts
-        }
-        candidates = sorted(pending, key=lambda i: (self.moves[i], -i))
-        keep_one = len(self._inflight[vm_idx]) - 1
-        candidates = candidates[: max(0, min(max_cancel, keep_one))]
-        for c_idx in candidates:
-            self.rebalance_cancels += 1
-            self._planned_bounces.add(c_idx)
-            self.send_now(
-                self.vm_placement[vm_idx],
-                EventTag.CLOUDLET_CANCEL,
-                data=self.cloudlets[c_idx],
-            )
-        return len(candidates)
-
-    def activate_standby(self, count: int = 1) -> int:
-        """Recruit up to ``count`` parked VMs (lowest index first)."""
-        recruited = 0
-        for vm_idx in np.flatnonzero(~self.active & self.alive)[: max(0, count)]:
-            self.active[vm_idx] = True
-            self.scale_ups += 1
-            recruited += 1
-        return recruited
-
-    def drain_active(self, count: int = 1) -> int:
-        """Park up to ``count`` idle active VMs (highest index first).
-
-        Only VMs with no in-flight work are drained, and at least one
-        eligible VM always remains.
-        """
-        drained = 0
-        for vm_idx in reversed(np.flatnonzero(self.eligible)):
-            if drained >= count or self.eligible.sum() <= 1:
-                break
-            if self._inflight[vm_idx] or self.backlog[vm_idx] > 0:
-                continue
-            self.active[vm_idx] = False
-            self.scale_downs += 1
-            drained += 1
-        return drained
-
-
 class ControlLoop(Entity):
     """The MAPE-K controller: a kernel entity ticking every ``cadence``.
 
@@ -283,7 +108,7 @@ class ControlLoop(Entity):
     name:
         Entity name.
     broker:
-        The :class:`ControlledOnlineBroker` under control.
+        The :class:`~repro.cloud.online.OnlineBroker` under control.
     config:
         Loop tuning (cadence, thresholds, actuation bounds).
     triggers:
@@ -294,7 +119,7 @@ class ControlLoop(Entity):
     def __init__(
         self,
         name: str,
-        broker: ControlledOnlineBroker,
+        broker: OnlineBroker,
         config: ControlConfig | None = None,
         triggers: Sequence[Trigger] = (),
     ) -> None:
@@ -431,4 +256,4 @@ class ControlLoop(Entity):
         }
 
 
-__all__ = ["ControlConfig", "ControlledOnlineBroker", "ControlLoop"]
+__all__ = ["ControlConfig", "ControlLoop"]

@@ -27,6 +27,7 @@ import resource
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -450,6 +451,34 @@ def shutdown_shard_pool() -> None:
         _SHARD_POOL_SIZE = 0
 
 
+def _pool_results(payloads: list[tuple]) -> "list[tuple[ShardOutcome, dict | None]]":
+    """Every payload's ``_execute_shard_task`` result, in payload order."""
+    pool = _shard_pool(len(payloads))
+    try:
+        futures = [pool.submit(_execute_shard_task, payload) for payload in payloads]
+        return [future.result() for future in futures]
+    except BrokenProcessPool:
+        shutdown_shard_pool()
+        raise
+
+
+def _run_shard_tasks(payloads: list[tuple]) -> "list[tuple[ShardOutcome, dict | None]]":
+    """Run one sharded run's payloads on the persistent pool.
+
+    A pool worker lost since the last run, or during this one, breaks the
+    executor for good.  Shards are pure functions of their payloads, so
+    the broken pool is dropped, rebuilt once and this run's shards rerun
+    on it (counted in ``stream.pool_rebuilds``); a second break raises.
+    Only the attempt that completes is returned, so worker telemetry is
+    merged once.
+    """
+    try:
+        return _pool_results(payloads)
+    except BrokenProcessPool:
+        _TEL.count("stream.pool_rebuilds")
+        return _pool_results(payloads)
+
+
 class StreamingSimulation:
     """Memory-bounded analytic execution over a chunked scenario.
 
@@ -579,17 +608,11 @@ class StreamingSimulation:
         outcomes: list[ShardOutcome] = []
         if len(plans) > 1 and self.shard_parallel:
             with_telemetry = _TEL.enabled
-            pool = _shard_pool(len(plans))
-            futures = [
-                pool.submit(
-                    _execute_shard_task,
-                    (stream, self.scheduler, self.seed, plan, carry,
-                     self.collect, lean, with_telemetry),
-                )
+            for outcome, snap in _run_shard_tasks([
+                (stream, self.scheduler, self.seed, plan, carry,
+                 self.collect, lean, with_telemetry)
                 for plan, carry in zip(plans, carries)
-            ]
-            for future in futures:
-                outcome, snap = future.result()
+            ]):
                 if snap is not None:
                     _TEL.merge_snapshot(TelemetrySnapshot.from_dict(snap))
                 outcomes.append(outcome)
@@ -663,9 +686,7 @@ class StreamingSimulation:
                 # bit-identical to serial even off the dyadic domain (the
                 # partial-sum merge above reassociates by shard boundary).
                 # The constants: one cloudlet per VM, priced like any chunk.
-                one_each = stream.chunk_arrays(
-                    **stream.cloudlets.open_pass(stream.seed).take(m)
-                )
+                one_each = stream.chunk_arrays(**stream.cloudlets.open_pass(stream.seed)(m))
                 exec_const = one_each.cloudlet_length / stream.vm_mips
                 cost_const = cloudlet_costs(one_each, np.arange(m))
                 backlog = _repeated_add_fold(exec_const, counts)

@@ -7,10 +7,13 @@ providers are expected to ... react to these changes"):
 * an :class:`OnlineBroker` entity receives arrival waves as timer events,
   asks an :class:`~repro.schedulers.online.OnlineScheduler` to place each
   cloudlet using the live backlog estimate, and submits it immediately;
+  it re-places cloudlets that faults or rebalance cancels bounce back,
+  and exposes the actuators a :class:`~repro.cloud.control.ControlLoop`
+  drives;
 * :class:`OnlineCloudSimulation` wires scenario + arrival process + policy
-  together and reduces the run to the familiar
-  :class:`~repro.cloud.simulation.SimulationResult` (with arrival-relative
-  waiting/flow times).
+  (+ optional timeline and control loop) together and reduces the run to
+  the familiar :class:`~repro.cloud.simulation.SimulationResult` (with
+  arrival-relative waiting/flow times).
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.cloud.cloudlet import Cloudlet, CloudletStatus
+from repro.cloud.control import ControlConfig, ControlLoop
+from repro.cloud.datacenter import FaultNotice
 from repro.cloud.faults import FaultInjector
 from repro.cloud.simulation import (
     ExecutionModel,
@@ -44,18 +49,38 @@ from repro.schedulers.online import BatchAdapter, OnlineScheduler
 from repro.workloads.arrivals import ArrivalProcess, BatchArrivals
 from repro.workloads.spec import ScenarioSpec
 
-if TYPE_CHECKING:  # control.py imports this module; keep the cycle type-only
-    from repro.cloud.control import ControlConfig
+if TYPE_CHECKING:
     from repro.workloads.timeline import Timeline
+
+
+#: a run raises when one cloudlet's failure bounces reach this count; a
+#: cloudlet moved this many times by rebalance cancels is pinned where it is.
+MAX_ATTEMPTS = 32
 
 
 class OnlineBroker(Entity):
     """Submits cloudlets as they arrive; places each with an online policy.
 
     The broker maintains ``backlog``: per-VM estimated outstanding execution
-    seconds (submission adds the cloudlet's ``length/mips`` estimate on the
-    chosen VM, completion removes it), which is the state the online
-    policies key on.
+    seconds (submission adds the cloudlet's ``length/(mips*pes)`` estimate
+    on the chosen VM, completion or a bounce removes it), which is the state
+    the online policies key on.  It also carries the mechanisms a
+    :class:`~repro.cloud.control.ControlLoop` actuates:
+
+    * an ``alive`` mask maintained from datacenter ``FAULT_NOTICE`` events
+      and an ``active`` mask owned by the autoscaler (the ``standby_vms``
+      highest-indexed VMs start parked);
+    * self-healing: a ``FAILED`` return (crash bounce or rebalance cancel)
+      is re-placed through the policy at once; a cloudlet that fails
+      :data:`MAX_ATTEMPTS` times raises;
+    * actuators: :meth:`cancel_for_rebalance`, :meth:`activate_standby`,
+      :meth:`drain_active`.
+
+    While every VM is eligible the policy sees the live backlog.  Once a
+    fault notice or the autoscaler leaves some VM dead or parked, it sees
+    a copy with the ineligible VMs masked to ``+inf``, and an in-range pick
+    of an ineligible VM is remapped to the least-loaded eligible one.  A
+    pick outside the fleet always raises.
     """
 
     def __init__(
@@ -67,10 +92,17 @@ class OnlineBroker(Entity):
         policy: OnlineScheduler,
         context: SchedulingContext,
         vm_placement: dict[int, int],
+        standby_vms: int = 0,
     ) -> None:
         super().__init__(name)
         if len(arrival_times) != len(cloudlets):
             raise ValueError("arrival_times must be index-aligned with cloudlets")
+        num_vms = len(vms)
+        if not 0 <= standby_vms < num_vms:
+            raise ValueError(
+                f"standby_vms must leave at least one active VM, got "
+                f"{standby_vms} of {num_vms}"
+            )
         self.vms = vms
         self.cloudlets = cloudlets
         self.arrival_times = np.asarray(arrival_times, dtype=float)
@@ -79,11 +111,27 @@ class OnlineBroker(Entity):
         self.policy = policy
         self.context = context
         self.vm_placement = dict(vm_placement)
-        self.backlog = np.zeros(len(vms))
+        self.backlog = np.zeros(num_vms)
         self.finished: list[Cloudlet] = []
         self.assignment = np.full(len(cloudlets), -1, dtype=np.int64)
         #: accumulated wall-clock seconds inside the policy (scheduling time).
         self.decision_seconds = 0.0
+        self.alive = np.ones(num_vms, dtype=bool)
+        self.active = np.ones(num_vms, dtype=bool)
+        self.active[num_vms - standby_vms :] = False
+        self._all_eligible = not standby_vms
+        self.attempts = np.zeros(len(cloudlets), dtype=np.int64)
+        #: how often each cloudlet was moved by a rebalance cancel.
+        self.moves = np.zeros(len(cloudlets), dtype=np.int64)
+        self.retries = 0
+        self.rebalance_cancels = 0
+        self.scale_ups = 0
+        self.scale_downs = 0
+        #: per-VM set of cloudlet indices submitted and not yet returned.
+        self._inflight: list[set[int]] = [set() for _ in range(num_vms)]
+        #: cloudlets we cancelled ourselves; their bounce is a planned move,
+        #: not a failure, so it never counts toward ``MAX_ATTEMPTS``.
+        self._planned_bounces: set[int] = set()
         self._acks_outstanding = 0
         #: arrival instant -> cloudlet indices (a "wave").
         self._waves: dict[float, list[int]] = defaultdict(list)
@@ -93,6 +141,11 @@ class OnlineBroker(Entity):
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> None:
+        arr = self.context.arrays
+        # Python floats: the same IEEE quotients as the numpy columns, without
+        # numpy scalar overhead on every placement and return.
+        self._lengths = arr.cloudlet_length.tolist()
+        self._speeds = (arr.vm_mips * arr.vm_pes).tolist()
         self.policy.start(self.context)
         self._acks_outstanding = len(self.vms)
         for idx, vm in enumerate(self.vms):
@@ -105,6 +158,11 @@ class OnlineBroker(Entity):
             self._process_wave(event.data)
         elif event.tag is EventTag.CLOUDLET_RETURN:
             self._process_return(event)
+        elif event.tag is EventTag.FAULT_NOTICE:
+            notice: FaultNotice = event.data
+            for vm_id in notice.vm_ids:
+                self.alive[vm_id] = notice.kind == "vm-recovered"
+            self._refresh_eligible()
         else:
             raise ValueError(f"{self.name}: unexpected event tag {event.tag!r}")
 
@@ -128,23 +186,45 @@ class OnlineBroker(Entity):
             self._place_cloudlet(idx)
         self.decision_seconds += time.perf_counter() - t0
 
+    # -- placement ---------------------------------------------------------------
+
+    @property
+    def eligible(self) -> np.ndarray:
+        """VMs that may receive work: alive and not parked."""
+        return self.alive & self.active
+
+    def _refresh_eligible(self) -> None:
+        self._all_eligible = bool(self.eligible.all())
+
+    def _estimate(self, idx: int, vm_idx: int) -> float:
+        """Estimated execution seconds of cloudlet ``idx`` on VM ``vm_idx``."""
+        return self._lengths[idx] / self._speeds[vm_idx]
+
     def _choose_vm(self, idx: int) -> int:
-        """Ask the policy for a placement; subclasses may mask/remap it."""
-        vm_idx = self.policy.assign(idx, self.now, self.backlog, self.context)
+        """The policy's pick for cloudlet ``idx``, remapped off ineligible VMs."""
+        backlog, eligible = self.backlog, None
+        if not self._all_eligible:
+            eligible = self.eligible
+            if not eligible.any():
+                raise RuntimeError(
+                    f"{self.name}: no eligible VM left to place cloudlet {idx}"
+                )
+            backlog = np.where(eligible, backlog, np.inf)
+        vm_idx = self.policy.assign(idx, self.now, backlog, self.context)
         if not 0 <= vm_idx < len(self.vms):
             raise ValueError(
                 f"policy {self.policy.name!r} returned invalid VM index {vm_idx}"
             )
+        if eligible is not None and not eligible[vm_idx]:
+            vm_idx = int(np.argmin(backlog))
         return vm_idx
 
     def _place_cloudlet(self, idx: int) -> None:
         """Place one cloudlet: choose a VM, book the backlog, submit."""
         vm_idx = self._choose_vm(idx)
-        arr = self.context.arrays
         self.assignment[idx] = vm_idx
-        self.backlog[vm_idx] += float(
-            arr.cloudlet_length[idx] / (arr.vm_mips[vm_idx] * arr.vm_pes[vm_idx])
-        )
+        self.backlog[vm_idx] += self._estimate(idx, vm_idx)
+        self._inflight[vm_idx].add(idx)
         cloudlet = self.cloudlets[idx]
         cloudlet.vm_id = self.vms[vm_idx].vm_id
         self.send_now(
@@ -153,19 +233,97 @@ class OnlineBroker(Entity):
 
     def _process_return(self, event: Event) -> None:
         cloudlet: Cloudlet = event.data
-        if cloudlet.status is CloudletStatus.FAILED:
-            raise RuntimeError(f"{self.name}: cloudlet {cloudlet.cloudlet_id} failed")
-        vm_idx = self.assignment[cloudlet.cloudlet_id]
-        arr = self.context.arrays
-        self.backlog[vm_idx] -= float(
-            arr.cloudlet_length[cloudlet.cloudlet_id]
-            / (arr.vm_mips[vm_idx] * arr.vm_pes[vm_idx])
-        )
-        self.finished.append(cloudlet)
+        idx = cloudlet.cloudlet_id
+        vm_idx = int(self.assignment[idx])
+        self._inflight[vm_idx].discard(idx)
+        self.backlog[vm_idx] -= self._estimate(idx, vm_idx)
+        if cloudlet.status is not CloudletStatus.FAILED:
+            # A cancel can race the finish and lose; clear the stale marker.
+            self._planned_bounces.discard(idx)
+            self.finished.append(cloudlet)
+            return
+        if idx in self._planned_bounces:
+            self._planned_bounces.discard(idx)
+            self.moves[idx] += 1
+        else:
+            self.attempts[idx] += 1
+            if self.attempts[idx] >= MAX_ATTEMPTS:
+                raise RuntimeError(
+                    f"{self.name}: cloudlet {idx} exhausted "
+                    f"{MAX_ATTEMPTS} placement attempts"
+                )
+            self.retries += 1
+        cloudlet.reset_for_retry()
+        self._place_cloudlet(idx)
 
     @property
     def all_finished(self) -> bool:
         return len(self.finished) == len(self.cloudlets)
+
+    # -- actuators (a control loop's Execute phase) ------------------------------
+
+    def cancel_for_rebalance(self, vm_idx: int, max_cancel: int) -> int:
+        """Cancel up to ``max_cancel`` in-flight cloudlets on ``vm_idx``.
+
+        The datacenter bounces each still-unfinished one back ``FAILED``
+        and the retry path re-places it over the eligible fleet (a planned
+        move, not counted as a failure retry).  Least-moved, most recently
+        assigned cloudlets go first — on a space-shared VM the newest are
+        the deepest in the queue, so cancels mostly move *queued* work and
+        forfeit little progress, and preferring the least-moved keeps one
+        unlucky cloudlet from ping-ponging between hot VMs.
+
+        Two bounds make rebalancing safe on the tail: the VM always keeps
+        at least one cloudlet (cancelling the sole running one forfeits
+        its progress without relieving anything), and a cloudlet already
+        moved :data:`MAX_ATTEMPTS` times is pinned where it is.  Together
+        they cap total cancels, so a mis-tuned loop cannot livelock the run.
+        """
+        pending = {
+            i
+            for i in self._inflight[vm_idx] - self._planned_bounces
+            if self.moves[i] < MAX_ATTEMPTS
+        }
+        candidates = sorted(pending, key=lambda i: (self.moves[i], -i))
+        keep_one = len(self._inflight[vm_idx]) - 1
+        candidates = candidates[: max(0, min(max_cancel, keep_one))]
+        for c_idx in candidates:
+            self.rebalance_cancels += 1
+            self._planned_bounces.add(c_idx)
+            self.send_now(
+                self.vm_placement[vm_idx],
+                EventTag.CLOUDLET_CANCEL,
+                data=self.cloudlets[c_idx],
+            )
+        return len(candidates)
+
+    def activate_standby(self, count: int = 1) -> int:
+        """Recruit up to ``count`` parked VMs (lowest index first)."""
+        recruited = 0
+        for vm_idx in np.flatnonzero(~self.active & self.alive)[: max(0, count)]:
+            self.active[vm_idx] = True
+            self.scale_ups += 1
+            recruited += 1
+        self._refresh_eligible()
+        return recruited
+
+    def drain_active(self, count: int = 1) -> int:
+        """Park up to ``count`` idle active VMs (highest index first).
+
+        Only VMs with no in-flight work are drained, and at least one
+        eligible VM always remains.
+        """
+        drained = 0
+        for vm_idx in reversed(np.flatnonzero(self.eligible)):
+            if drained >= count or self.eligible.sum() <= 1:
+                break
+            if self._inflight[vm_idx] or self.backlog[vm_idx] > 0:
+                continue
+            self.active[vm_idx] = False
+            self.scale_downs += 1
+            drained += 1
+        self._refresh_eligible()
+        return drained
 
 
 class OnlineCloudSimulation:
@@ -197,9 +355,9 @@ class OnlineCloudSimulation:
         attaching a loop — the *uncontrolled* arm of storm comparisons
         (with ``control`` set, ``control.standby_vms`` wins).
 
-    With ``timeline=None`` and ``control=None`` (and ``standby_vms=0``)
-    the run takes the original :class:`OnlineBroker` path and reproduces
-    pre-existing results byte-for-byte.
+    Every run places through one :class:`OnlineBroker`.  A run with a
+    fault plan, a standby reserve or a loop also reports ``retries``,
+    ``lost_mi``, ``recoveries`` and ``standby_vms`` in its ``info``.
     """
 
     def __init__(
@@ -248,32 +406,16 @@ class OnlineCloudSimulation:
         standby = (
             self.control.standby_vms if self.control is not None else self.standby_vms
         )
-        controlled = (
-            self.control is not None or standby > 0 or bool(fault_plan)
+        broker = OnlineBroker(
+            name="online-broker",
+            vms=env.vms,
+            cloudlets=cloudlets,
+            arrival_times=arrival_times,
+            policy=self.policy,
+            context=context,
+            vm_placement=env.vm_placement,
+            standby_vms=standby,
         )
-        if controlled:
-            from repro.cloud.control import ControlledOnlineBroker, ControlLoop
-
-            broker: OnlineBroker = ControlledOnlineBroker(
-                name="online-broker",
-                vms=env.vms,
-                cloudlets=cloudlets,
-                arrival_times=arrival_times,
-                policy=self.policy,
-                context=context,
-                vm_placement=env.vm_placement,
-                standby_vms=standby,
-            )
-        else:
-            broker = OnlineBroker(
-                name="online-broker",
-                vms=env.vms,
-                cloudlets=cloudlets,
-                arrival_times=arrival_times,
-                policy=self.policy,
-                context=context,
-                vm_placement=env.vm_placement,
-            )
         sim.register(broker)
 
         if fault_plan:
@@ -316,7 +458,7 @@ class OnlineCloudSimulation:
             fields["faults"] = len(fault_plan)
             if fault_plan:
                 fields["first_fault_time"] = compiled.first_fault_time
-        if controlled:
+        if self.control is not None or standby > 0 or fault_plan:
             fields["retries"] = broker.retries
             fields["lost_mi"] = float(sum(dc.lost_mi for dc in env.datacenters))
             fields["recoveries"] = int(sum(dc.recoveries for dc in env.datacenters))
@@ -337,4 +479,4 @@ class OnlineCloudSimulation:
         )
 
 
-__all__ = ["OnlineBroker", "OnlineCloudSimulation"]
+__all__ = ["MAX_ATTEMPTS", "OnlineBroker", "OnlineCloudSimulation"]

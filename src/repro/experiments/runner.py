@@ -41,11 +41,9 @@ from repro.schedulers import Scheduler
 from repro.workloads.spec import ScenarioSpec
 
 if TYPE_CHECKING:
-    from repro.cloud.control import ControlConfig
     from repro.obs.manifest import RunManifest
-    from repro.workloads.timeline import Timeline
 
-Engine = Literal["des", "fast", "stream", "online"]
+Engine = Literal["des", "fast", "stream"]
 ScenarioFactory = Callable[[int, int, int], ScenarioSpec]
 """(num_vms, num_cloudlets, seed) -> scenario (a ScenarioSpec, or a
 ScenarioChunks when the factory is a chunked family)"""
@@ -125,9 +123,6 @@ def run_point(
     cache: "ResultCache | str | None" = None,
     chunk_size: int | None = None,
     shards: int | None = None,
-    timeline: "Timeline | None" = None,
-    control: "ControlConfig | None" = None,
-    standby_vms: int = 0,
 ) -> "SimulationResult | StreamingResult":
     """Execute one (scenario, scheduler) cell on the chosen engine.
 
@@ -155,34 +150,14 @@ def run_point(
     deliberately *not* part of the cache key — outputs are
     shard-count-invariant, so a warm entry written by a serial run
     satisfies a ``shards=N`` request and vice versa.
-
-    ``engine="online"`` runs :class:`~repro.cloud.online.OnlineCloudSimulation`
-    — ``scheduler`` must then be an
-    :class:`~repro.schedulers.online.OnlineScheduler`.  ``timeline``
-    (a :class:`~repro.workloads.timeline.Timeline`), ``control``
-    (a :class:`~repro.cloud.control.ControlConfig`) and ``standby_vms``
-    shape that run's dynamics; all three are folded into the cache key
-    (via :meth:`Timeline.to_dict`/:meth:`ControlConfig.to_dict`), so a
-    cached storm cell can never be replayed for a different storm.
     """
     scenario = _engine_scenario(scenario, engine, chunk_size)
-    if engine != "online" and (
-        timeline is not None or control is not None or standby_vms
-    ):
-        raise ValueError(
-            "timeline=/control=/standby_vms= require engine='online', "
-            f"got engine={engine!r}"
-        )
     if shards is not None and engine != "stream":
         raise ValueError(f"shards= requires engine='stream', got engine={engine!r}")
     cache = ResultCache.coerce(cache)
     key = manifest = None
     if cache is not None:
-        manifest = cache_key_manifest(
-            scenario, scheduler, seed, engine, **_dynamic_extras(
-                timeline, control, standby_vms
-            )
-        )
+        manifest = cache_key_manifest(scenario, scheduler, seed, engine)
         key = manifest.fingerprint()
         cached = cache.get(key)
         if cached is not None:
@@ -193,43 +168,11 @@ def run_point(
         result = FastSimulation(scenario, scheduler, seed=seed).run()
     elif engine == "stream":
         result = StreamingSimulation(scenario, scheduler, seed=seed, shards=shards).run()
-    elif engine == "online":
-        from repro.cloud.online import OnlineCloudSimulation
-
-        result = OnlineCloudSimulation(
-            scenario,
-            scheduler,
-            seed=seed,
-            timeline=timeline,
-            control=control,
-            standby_vms=standby_vms,
-        ).run()
     else:
         raise ValueError(f"unknown engine {engine!r}")
     if cache is not None:
         cache.put(key, result, manifest)
     return result
-
-
-def _dynamic_extras(
-    timeline: "Timeline | None",
-    control: "ControlConfig | None",
-    standby_vms: int,
-) -> dict:
-    """Cache-key extras for the dynamic surface.
-
-    Only non-default values contribute, so every pre-existing (engine,
-    scenario, scheduler, seed) fingerprint is unchanged — old cache
-    entries stay valid.
-    """
-    extras: dict = {}
-    if timeline is not None:
-        extras["timeline"] = timeline.to_dict()
-    if control is not None:
-        extras["control"] = control.to_dict()
-    if standby_vms:
-        extras["standby_vms"] = int(standby_vms)
-    return extras
 
 
 def _record(
@@ -330,8 +273,6 @@ def run_sweep(
     cache: "ResultCache | str | None" = None,
     chunk_size: int | None = None,
     shards: int | None = None,
-    timeline: "Timeline | None" = None,
-    control: "ControlConfig | None" = None,
 ) -> list[SweepRecord]:
     """Run the full (scheduler × vm_count × seed) grid.
 
@@ -375,11 +316,6 @@ def run_sweep(
         shard-count-invariant, so ``shards`` never enters the cache key.
         Combine with ``workers`` carefully: each sweep worker would spawn
         its own shard pool, oversubscribing small hosts.
-    timeline, control:
-        Dynamic-scenario surface for ``engine="online"`` (see
-        :func:`run_point`); both are frozen dataclasses, so they ship to
-        spawn workers unchanged and participate in every cell's cache
-        key.  Other engines reject them.
 
     Determinism contract: each cell derives every random stream from its
     own ``seed`` argument (scenario synthesis and the per-simulation
@@ -388,11 +324,7 @@ def run_sweep(
     arrives.
     """
     cache = ResultCache.coerce(cache)
-    run_kwargs = dict(
-        engine=engine, chunk_size=chunk_size, shards=shards,
-        timeline=timeline, control=control,
-    )
-    extras = _dynamic_extras(timeline, control, 0)
+    run_kwargs = dict(engine=engine, chunk_size=chunk_size, shards=shards)
     cells = [(num_vms, seed) for num_vms in vm_counts for seed in seeds]
     records: list[SweepRecord] = []
 
@@ -406,7 +338,7 @@ def run_sweep(
         for name, factory in scheduler_factories.items():
             manifest = None
             if cache is not None:
-                manifest = cache_key_manifest(scenario, factory(), seed, engine, **extras)
+                manifest = cache_key_manifest(scenario, factory(), seed, engine)
                 result = cache.get(manifest.fingerprint())
                 if result is not None:
                     hits[name] = _record(name, result, num_vms, num_cloudlets, seed)

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -90,11 +90,20 @@ _FLEET_FIELDS = (
 )
 
 
-class _ChunkPass:
-    """One sequential pass over a cloudlet source (see ``open_pass``)."""
+#: One sequential pass over a cloudlet source (see ``open_pass``):
+#: ``take(k)`` returns the next ``k`` cloudlets' columns.
+TakeColumns = Callable[[int], dict[str, np.ndarray]]
 
-    def take(self, k: int) -> dict[str, np.ndarray]:  # pragma: no cover - protocol
-        raise NotImplementedError
+
+def _fixed_columns(source, length: np.ndarray) -> dict[str, np.ndarray]:
+    """One chunk's columns: ``length`` plus the source's per-cloudlet constants."""
+    k = length.shape[0]
+    return {
+        "cloudlet_length": length,
+        "cloudlet_pes": np.full(k, source.pes, dtype=np.int64),
+        "cloudlet_file_size": np.full(k, source.file_size, dtype=float),
+        "cloudlet_output_size": np.full(k, source.output_size, dtype=float),
+    }
 
 
 def _advance_uniform_draws(rng: np.random.Generator, count: int) -> None:
@@ -129,19 +138,8 @@ class ConstantCloudlets:
     file_size: float = 300.0
     output_size: float = 300.0
 
-    def open_pass(self, seed: int | None, start: int = 0) -> _ChunkPass:
-        source = self
-
-        class Pass(_ChunkPass):
-            def take(self, k: int) -> dict[str, np.ndarray]:
-                return {
-                    "cloudlet_length": np.full(k, source.length, dtype=float),
-                    "cloudlet_pes": np.full(k, source.pes, dtype=np.int64),
-                    "cloudlet_file_size": np.full(k, source.file_size, dtype=float),
-                    "cloudlet_output_size": np.full(k, source.output_size, dtype=float),
-                }
-
-        return Pass()
+    def open_pass(self, seed: int | None, start: int = 0) -> TakeColumns:
+        return lambda k: _fixed_columns(self, np.full(k, self.length, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -161,21 +159,10 @@ class UniformLengthCloudlets:
     output_size: float = 300.0
     rng_label: str = "hetero/cloudlets"
 
-    def open_pass(self, seed: int | None, start: int = 0) -> _ChunkPass:
-        source = self
+    def open_pass(self, seed: int | None, start: int = 0) -> TakeColumns:
         rng = spawn_rng(seed, self.rng_label)
         _advance_uniform_draws(rng, start)
-
-        class Pass(_ChunkPass):
-            def take(self, k: int) -> dict[str, np.ndarray]:
-                return {
-                    "cloudlet_length": rng.uniform(source.low, source.high, size=k),
-                    "cloudlet_pes": np.full(k, source.pes, dtype=np.int64),
-                    "cloudlet_file_size": np.full(k, source.file_size, dtype=float),
-                    "cloudlet_output_size": np.full(k, source.output_size, dtype=float),
-                }
-
-        return Pass()
+        return lambda k: _fixed_columns(self, rng.uniform(self.low, self.high, size=k))
 
 
 @dataclass(frozen=True)
@@ -192,19 +179,15 @@ class MaterializedCloudlets:
     cloudlet_file_size: np.ndarray
     cloudlet_output_size: np.ndarray
 
-    def open_pass(self, seed: int | None, start: int = 0) -> _ChunkPass:
-        source = self
+    def open_pass(self, seed: int | None, start: int = 0) -> TakeColumns:
+        cursor = start
 
-        class Pass(_ChunkPass):
-            def __init__(self) -> None:
-                self.cursor = start
+        def take(k: int) -> dict[str, np.ndarray]:
+            nonlocal cursor
+            lo, cursor = cursor, cursor + k
+            return {name: getattr(self, name)[lo:cursor] for name in _CLOUDLET_FIELDS}
 
-            def take(self, k: int) -> dict[str, np.ndarray]:
-                lo, hi = self.cursor, self.cursor + k
-                self.cursor = hi
-                return {name: getattr(source, name)[lo:hi] for name in _CLOUDLET_FIELDS}
-
-        return Pass()
+        return take
 
 
 @dataclass(frozen=True)
@@ -304,10 +287,10 @@ class ScenarioChunks:
                 f"[0, {self.num_cloudlets})"
             )
         offset = start
-        chunk_pass = self.cloudlets.open_pass(self.seed, offset)
+        take = self.cloudlets.open_pass(self.seed, offset)
         while offset < stop:
             k = min(self.chunk_size, stop - offset)
-            yield offset, self.chunk_arrays(**chunk_pass.take(k))
+            yield offset, self.chunk_arrays(**take(k))
             offset += k
 
     def chunk_arrays(self, **cloudlet_columns: np.ndarray) -> ScenarioArrays:

@@ -1,26 +1,26 @@
-"""Tests for the MAPE-K control loop and the controlled online broker."""
+"""Tests for the MAPE-K control loop and the online broker's actuators."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.cloud.control import ControlConfig, ControlLoop, ControlledOnlineBroker
+from repro.cloud.control import ControlConfig, ControlLoop
 from repro.cloud.datacenter import FaultNotice
-from repro.cloud.online import OnlineCloudSimulation
+from repro.cloud.online import OnlineBroker, OnlineCloudSimulation
 from repro.core.eventqueue import Event
 from repro.core.tags import EventTag
 from repro.schedulers.online import OnlineGreedyMCT, OnlineLeastLoaded
 from repro.workloads.timeline import Burst, Timeline, Trigger, VmFault
 
 
-def make_broker(num_vms=4, num_cloudlets=6, standby_vms=0, **kwargs):
+def make_broker(num_vms=4, num_cloudlets=6, standby_vms=0):
     """A detached broker: enough for mask/actuator unit tests.
 
     Policy/context stay ``None`` — they are only consulted during
     placement, which these tests never reach.
     """
-    return ControlledOnlineBroker(
+    return OnlineBroker(
         name="broker",
         vms=[object() for _ in range(num_vms)],
         cloudlets=[object() for _ in range(num_cloudlets)],
@@ -29,7 +29,6 @@ def make_broker(num_vms=4, num_cloudlets=6, standby_vms=0, **kwargs):
         context=None,
         vm_placement={i: 0 for i in range(num_vms)},
         standby_vms=standby_vms,
-        **kwargs,
     )
 
 
@@ -75,10 +74,6 @@ class TestBrokerMasks:
     def test_standby_must_leave_one_active(self):
         with pytest.raises(ValueError, match="at least one active"):
             make_broker(num_vms=3, standby_vms=3)
-
-    def test_max_attempts_floor(self):
-        with pytest.raises(ValueError, match="max_attempts"):
-            make_broker(max_attempts=0)
 
     def test_fault_notice_flips_alive(self):
         broker = make_broker(num_vms=4)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cloud.online import OnlineCloudSimulation
+from repro.cloud.online import MAX_ATTEMPTS, OnlineBroker, OnlineCloudSimulation
 from repro.cloud.simulation import CloudSimulation
 from repro.schedulers import RoundRobinScheduler
 from repro.schedulers.online import (
@@ -132,22 +132,25 @@ class TestBatchAdapter:
 
 
 class TestValidation:
-    def test_policy_returning_bad_vm_detected(self, small_hetero):
+    @pytest.mark.parametrize("standby_vms", [0, 1], ids=["plain", "standby"])
+    def test_policy_returning_bad_vm_detected(self, small_hetero, standby_vms):
+        """Out-of-range picks raise even when parked VMs force masking."""
+
         class Broken(OnlineRoundRobin):
             def assign(self, cloudlet_idx, now, backlog, context):
                 return 10_000
 
         with pytest.raises(ValueError, match="invalid VM index"):
-            OnlineCloudSimulation(small_hetero, Broken(), seed=0).run()
+            OnlineCloudSimulation(
+                small_hetero, Broken(), seed=0, standby_vms=standby_vms
+            ).run()
 
 
 class TestBrokerEdgeCases:
     """PR 6 edge cases: empty waves, cancelled tails, interleaved notices."""
 
-    def _broker(self, num_vms=3, num_cloudlets=5, **kwargs):
-        from repro.cloud.control import ControlledOnlineBroker
-
-        return ControlledOnlineBroker(
+    def _broker(self, num_vms=3, num_cloudlets=5):
+        return OnlineBroker(
             name="broker",
             vms=[object() for _ in range(num_vms)],
             cloudlets=[object() for _ in range(num_cloudlets)],
@@ -155,7 +158,6 @@ class TestBrokerEdgeCases:
             policy=None,
             context=None,
             vm_placement={i: 0 for i in range(num_vms)},
-            **kwargs,
         )
 
     def test_empty_arrival_wave_is_harmless(self):
@@ -184,7 +186,7 @@ class TestBrokerEdgeCases:
         broker = self._broker()
         broker.send_now = lambda *args, **kwargs: None
         broker._inflight[2] = {0, 1, 2, 3}
-        broker.moves[0] = broker.max_attempts  # pinned: moved too often
+        broker.moves[0] = MAX_ATTEMPTS  # pinned: moved too often
         broker._planned_bounces.add(1)  # already mid-bounce
         assert broker.cancel_for_rebalance(2, max_cancel=10) == 2
         assert broker._planned_bounces == {1, 2, 3}

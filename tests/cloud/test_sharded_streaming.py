@@ -4,11 +4,16 @@ The property suite (``tests/properties/test_shard_properties.py``) pins
 the shard math inline; this module covers the pieces only a real run
 exercises: the spawn-pool transport, worker-side telemetry merging
 (``stream.chunks`` stays a once-only total, ``stream.peak_rss`` is the
-max across shard workers), the ``run_point(shards=)`` surface, and
-shard-count-invariant cache keys.
+max across shard workers), recovery from a lost pool worker, the
+``run_point(shards=)`` surface, and shard-count-invariant cache keys.
 """
 
 from __future__ import annotations
+
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from repro.cache import ResultCache
 from repro.cloud.fast import (
     ShardOutcome,
     StreamingSimulation,
+    _shard_pool,
     execute_shard,
     shutdown_shard_pool,
 )
@@ -177,6 +183,46 @@ def test_sharded_telemetry_merges_worker_spans():
         # Each cloudlet's hops count once, in the worker that walks it:
         # the carry planner's walks do not count.
         assert sharded.counters["rbs.walk_hops"] == serial.counters["rbs.walk_hops"]
+
+
+# -- lost workers -------------------------------------------------------------
+
+
+def _kill_one_pool_worker(workers: int) -> None:
+    """SIGKILL one idle shard-pool worker and wait until the pool is broken."""
+    pool = _shard_pool(workers)
+    os.kill(pool.submit(os.getpid).result(timeout=60), signal.SIGKILL)
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        try:
+            pool.submit(int).result(timeout=30)
+        except BrokenProcessPool:
+            return
+        time.sleep(0.05)
+    pytest.fail("the pool never noticed its killed worker")
+
+
+@pytest.mark.parametrize("name", ["rbs", "greedy-mct"])
+def test_lost_worker_between_runs_costs_one_rebuild(name):
+    stream = _small_stream()
+    serial = StreamingSimulation(stream, make_scheduler(name), seed=2).run()
+    StreamingSimulation(stream, make_scheduler(name), seed=2, shards=2).run()
+    _kill_one_pool_worker(2)
+    obs.reset()
+    with obs.enabled():
+        sharded = StreamingSimulation(
+            stream, make_scheduler(name), seed=2, shards=2
+        ).run()
+        rebuilds = obs.snapshot().counters.get("stream.pool_rebuilds", 0)
+    assert rebuilds == 1
+    assert sharded.vm_finish_times.tobytes() == serial.vm_finish_times.tobytes()
+    assert sharded.vm_costs.tobytes() == serial.vm_costs.tobytes()
+    assert (sharded.makespan, sharded.time_imbalance, sharded.total_cost) == (
+        serial.makespan, serial.time_imbalance, serial.total_cost
+    )
+    # The rebuilt pool serves the next run as a healthy one.
+    again = StreamingSimulation(stream, make_scheduler(name), seed=2, shards=2).run()
+    assert again.vm_finish_times.tobytes() == serial.vm_finish_times.tobytes()
 
 
 # -- cache invariance ---------------------------------------------------------

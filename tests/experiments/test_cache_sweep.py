@@ -189,57 +189,3 @@ class TestZooSweepCache:
         cold = run_sweep(**self.SWEEP, cache=cache)
         warm = run_sweep(**self.SWEEP, cache=cache, workers=2)
         assert warm == cold
-
-
-class TestOnlineEngineCache:
-    """Dynamic-surface cells (timeline/control) key and replay correctly."""
-
-    def _point(self, cache, **kwargs):
-        from repro.schedulers.online import OnlineGreedyMCT
-        from repro.workloads.heterogeneous import heterogeneous_scenario
-
-        scenario = heterogeneous_scenario(4, 12, seed=2)
-        return run_point(
-            scenario, OnlineGreedyMCT(), seed=0, engine="online",
-            cache=cache, **kwargs,
-        )
-
-    def test_online_hit_replays(self, cache):
-        from repro.workloads.timeline import Timeline, VmFault
-
-        timeline = Timeline(
-            entries=(VmFault(at="+1s", vm_index=0, downtime="3s"),), name="c"
-        )
-        cold = self._point(cache, timeline=timeline)
-        warm = self._point(cache, timeline=timeline)
-        assert (cache.hits, cache.misses) == (1, 1)
-        assert warm.makespan == cold.makespan
-        assert warm.info["faults"] == 1
-
-    def test_dynamic_configs_get_distinct_keys(self, cache):
-        from repro.cloud.control import ControlConfig
-        from repro.workloads.timeline import Timeline, VmFault
-
-        timeline = Timeline(
-            entries=(VmFault(at="+1s", vm_index=0, downtime="3s"),), name="c"
-        )
-        self._point(cache)
-        self._point(cache, timeline=timeline)
-        self._point(cache, timeline=timeline, control=ControlConfig(standby_vms=1))
-        self._point(cache, standby_vms=1)
-        assert (cache.hits, cache.misses) == (0, 4)
-        assert len(cache) == 4
-
-    def test_dynamic_kwargs_rejected_on_other_engines(self):
-        from repro.schedulers import RoundRobinScheduler
-        from repro.workloads.timeline import Timeline, VmFault
-
-        scenario = heterogeneous_scenario(4, 12, seed=2)
-        timeline = Timeline(
-            entries=(VmFault(at="+1s", vm_index=0, downtime="3s"),), name="c"
-        )
-        with pytest.raises(ValueError, match="require engine='online'"):
-            run_point(
-                scenario, RoundRobinScheduler(), seed=0, engine="fast",
-                timeline=timeline,
-            )

@@ -8,10 +8,9 @@ The dynamic-scenario path's safety case:
 * **Run determinism** — a controlled online run (timeline + MAPE-K loop)
   is bit-identical across repetitions: assignments, finish times and the
   loop's action ledger.
-* **Grid determinism** — ``run_sweep(engine="online")`` with a timeline
-  and control produces the same records serially and under ``workers=2``.
-* **Null dynamics** — passing the dynamic surface's defaults explicitly
-  reproduces the plain online run byte-for-byte.
+* **Null dynamics** — passing ``OnlineCloudSimulation``'s timeline,
+  control and standby defaults explicitly reproduces the plain online run
+  byte-for-byte.
 
 All properties run derandomised (fixed example set per test) so CI
 failures reproduce locally byte-for-byte.
@@ -25,8 +24,6 @@ from hypothesis import strategies as st
 
 from repro.cloud.control import ControlConfig
 from repro.cloud.online import OnlineCloudSimulation
-from repro.experiments.figures import ScenarioFamily
-from repro.experiments.runner import run_sweep
 from repro.schedulers.online import OnlineGreedyMCT
 from repro.workloads.heterogeneous import heterogeneous_scenario
 from repro.workloads.timeline import (
@@ -107,36 +104,6 @@ def test_controlled_run_is_bit_identical(timeline: Timeline, seed: int):
     np.testing.assert_array_equal(a.finish_times, b.finish_times)
     assert a.makespan == b.makespan
     assert a.info["control"] == b.info["control"]
-
-
-def _strip_wall_clock(record) -> dict:
-    row = record.__dict__.copy()
-    row.pop("scheduling_time")  # wall clock, never bit-identical
-    return row
-
-
-def test_online_sweep_workers_match_serial():
-    timeline = Timeline(
-        base_rate=10.0,
-        entries=(VmFault(at="+1s", vm_index=0, downtime="4s"),),
-        name="sweep-storm",
-    )
-    kwargs = dict(
-        scenario_factory=ScenarioFamily("heterogeneous"),
-        scheduler_factories={"online-greedy-mct": OnlineGreedyMCT},
-        vm_counts=(4, 6),
-        num_cloudlets=16,
-        seeds=(0, 1),
-        engine="online",
-        timeline=timeline,
-        control=ControlConfig(cadence=0.5, standby_vms=1),
-    )
-    serial = run_sweep(**kwargs)
-    parallel = run_sweep(**kwargs, workers=2)
-    assert len(serial) == len(parallel) == 4
-    assert [_strip_wall_clock(r) for r in serial] == [
-        _strip_wall_clock(r) for r in parallel
-    ]
 
 
 def test_null_dynamics_reproduce_plain_run():

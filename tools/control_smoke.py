@@ -9,10 +9,11 @@ contract the docs promise:
    higher.
 2. **Determinism** — two identical controlled runs produce bit-identical
    assignments, timings and control summaries.
-3. **Ablation** — with an inert control config (thresholds that never
-   fire, no standby pool) the controlled broker reproduces the plain
-   :class:`~repro.cloud.online.OnlineBroker` schedule byte-for-byte, and
-   passing the new keyword defaults explicitly changes nothing.
+3. **Ablation** — the one :class:`~repro.cloud.online.OnlineBroker`
+   with an inert loop attached (thresholds that never fire, no standby
+   pool) reproduces its own schedule without a loop byte-for-byte, and
+   passing the timeline/control/standby defaults explicitly changes
+   nothing.
 
 Prints the storm table; exit status 0 on success, any contract violation
 raises.
