@@ -255,11 +255,12 @@ def main(
         "seed": SEED,
         "cpu_count": os.cpu_count(),
         "note": (
-            "speedup_sharded_vs_serial folds two effects: pool parallelism "
-            "(needs >= 'shards' cores; cpu_count is recorded for that) and "
-            "lean shard execution — on constant workloads multi-shard runs "
-            "skip the per-chunk float folds the merge rebuilds from counts, "
-            "so sharding can beat serial even on one core. rbs plans each "
+            "speedup_sharded_vs_serial is pool parallelism net of dispatch "
+            "and merge (needs >= 'shards' cores; cpu_count is recorded for "
+            "that). Constant workloads fold from counts at every shard "
+            "count: serial and sharded runs alike count assignments per "
+            "chunk and the merge rebuilds the per-VM folds from the counts, "
+            "so neither pays a per-chunk float fold. rbs plans each "
             "carry from the boundary's partial sampling round, so its "
             "workers are the only ones to walk their ranges. peak RSS is the "
             "ru_maxrss high-water mark, max across parent and shard workers; "

@@ -204,22 +204,23 @@ def _repeated_add_fold(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Left fold of ``counts[i]`` float additions of ``values[i]``, per position.
 
     ``out[i] = fl((...((0 + v) + v)...) + v)`` with ``counts[i]`` addends —
-    exactly the value the serial ``np.add.at`` fold leaves on a VM that
-    receives the same constant every time (``0 + v == v`` exactly, and
-    ``np.add.accumulate`` is a strict left fold).  Grouped by unique value,
-    so the cost is O(unique_values · max_count) — trivial for a fleet of a
-    few VM types.
+    exactly the value the ``np.add.at`` fold leaves on a VM that receives
+    the same constant every time (``0 + v == v`` exactly, and
+    ``np.add.accumulate`` is a strict left fold).  Positions sharing a
+    value share one accumulation, run only as far as the largest count
+    among them, so it takes at most ``sum(counts)`` additions: never more
+    than the fold it stands in for.
     """
     out = np.zeros(values.shape[0])
-    counts = np.asarray(counts, dtype=np.int64)
-    active = counts > 0
-    if not active.any():
+    active = np.flatnonzero(counts)
+    if not active.size:
         return out
-    kmax = int(counts.max())
-    for v in np.unique(values[active]):
-        sel = active & (values == v)
-        acc = np.add.accumulate(np.full(kmax, v))
-        out[sel] = acc[counts[sel] - 1]
+    unique, group = np.unique(values[active], return_inverse=True)
+    order = np.argsort(group, kind="stable")
+    groups = np.split(active[order], np.flatnonzero(np.diff(group[order])) + 1)
+    for value, members in zip(unique, groups):
+        reps = counts[members]
+        out[members] = np.add.accumulate(np.full(int(reps.max()), value))[reps - 1]
     return out
 
 
@@ -261,30 +262,44 @@ def _validate_chunk(assignment: np.ndarray, k: int, m: int, offset: int) -> None
         )
 
 
+def _folds_from_counts(stream: "ScenarioChunks", collect: bool) -> bool:
+    """Whether a run's per-VM accumulators are rebuilt from assignment counts.
+
+    On a :class:`~repro.workloads.streaming.ConstantCloudlets` stream every
+    cloudlet a VM receives adds the same execution time and cost, so a
+    bounded run needs only how many each VM got: :func:`execute_shard`
+    counts instead of folding floats, and the merge rebuilds the
+    ``np.add.at`` fold from the counts byte for byte (any chunk size, any
+    shard count).  Collect mode and every other source fold per chunk.
+    """
+    from repro.workloads.streaming import ConstantCloudlets
+
+    return not collect and isinstance(stream.cloudlets, ConstantCloudlets)
+
+
 @dataclass
 class ShardOutcome:
     """Per-shard accumulators produced by :func:`execute_shard`.
 
     Everything a parent needs to merge shards exactly: the per-VM partial
-    sums, the min/max execution-time envelope, and the worker-side
-    telemetry values (``peak_rss_bytes``, chunk count) that must be
-    aggregated max-wise / sum-wise rather than last-wins.  Collect mode
-    folds only ``backlog`` (the merge's shift for later shards): its
-    per-cloudlet arrays carry everything else, so ``vm_costs``, ``counts``
-    and the envelope keep their empty initial values.
+    sums (or counts), the min/max execution-time envelope, and the
+    worker-side telemetry values (``peak_rss_bytes``, chunk count) that
+    must be aggregated max-wise / sum-wise rather than last-wins.  Collect
+    mode folds only ``backlog`` (the merge's shift for later shards): its
+    per-cloudlet arrays carry everything else, so ``vm_costs`` and the
+    envelope keep their empty initial values.
     """
 
     shard_index: int
     num_chunks: int
     scheduling_time: float
-    #: per-VM partial float folds; ``None`` in lean mode (constant
-    #: workloads), where the merge rebuilds them from ``counts`` instead
-    #: of paying to compute, pickle and ship redundant float arrays.
+    #: per-VM partial float folds; ``None`` when the run folds from counts
+    #: (:func:`_folds_from_counts`), where the merge rebuilds them.
     backlog: "np.ndarray | None"
     vm_costs: "np.ndarray | None"
-    #: per-VM assignment counts (int64) — exactly mergeable, lets the merge
-    #: rebuild the serial float fold bit-for-bit on constant workloads.
-    counts: np.ndarray
+    #: per-VM assignment counts (int64), only when the run folds from
+    #: counts; ``None`` otherwise.
+    counts: "np.ndarray | None"
     exec_min: float
     exec_max: float
     peak_rss_bytes: int
@@ -301,7 +316,6 @@ def execute_shard(
     plan: "ShardPlan",
     carry: "dict[str, Any] | None" = None,
     collect: bool = False,
-    lean: bool = False,
 ) -> ShardOutcome:
     """Run one shard's chunks through the execution fold.
 
@@ -313,12 +327,14 @@ def execute_shard(
     times are shard-local; the merger shifts them by the per-VM backlog
     prefix of earlier shards.
 
-    ``lean`` (constant workloads, bounded mode, multi-shard only) skips
-    the per-chunk float folds entirely and ships ``backlog``/``vm_costs``
-    as ``None`` — the merge rebuilds them bit-exactly from the integer
-    ``counts``, so the floats would be dead pickle weight.
+    A bounded run of a constant stream (:func:`_folds_from_counts`) only
+    counts each VM's cloudlets and returns ``backlog``/``vm_costs`` as
+    ``None``; the merge rebuilds them, and the envelope, from the counts.
+    Every other bounded run folds execution times and costs per chunk
+    and returns ``counts`` as ``None``.
     """
     m = stream.num_vms
+    counted = _folds_from_counts(stream, collect)
     rng = spawn_rng(seed, f"scheduler/{stream.name}")
 
     t0 = time.perf_counter()
@@ -348,12 +364,10 @@ def execute_shard(
         scheduling_time += time.perf_counter() - t0
         _validate_chunk(assignment, chunk.num_cloudlets, m, offset)
 
-        if lean:
-            with _TEL.span("sim.execute"):
-                counts += np.bincount(assignment, minlength=m)
-            continue
-
         with _TEL.span("sim.execute"):
+            if counted:
+                counts += np.bincount(assignment, minlength=m)
+                continue
             # Each VM's backlog from previous chunks of this shard, read
             # before this chunk folds in (all zero on the first chunk).
             carried = backlog[assignment] if collect and num_chunks > 1 else None
@@ -362,8 +376,8 @@ def execute_shard(
             )
             if collect:
                 # Chunk-local FIFO prefix sums, shifted by the carried backlog.
-                # A collect result reads nothing else, so the cost fold,
-                # counts and envelope below are bounded-mode only.
+                # A collect result reads nothing else, so the cost fold and
+                # envelope below are bounded-mode only.
                 start, finish = grouped_fifo_times(assignment, exec_chunk, m)
                 if carried is not None:
                     start += carried
@@ -374,7 +388,6 @@ def execute_shard(
                 parts["costs"].append(cloudlet_costs(chunk, assignment))
                 continue
             np.add.at(vm_costs, assignment, cloudlet_costs(chunk, assignment))
-            counts += np.bincount(assignment, minlength=m)
             exec_min = min(exec_min, float(exec_chunk.min()))
             exec_max = max(exec_max, float(exec_chunk.max()))
 
@@ -382,9 +395,9 @@ def execute_shard(
         shard_index=plan.index,
         num_chunks=num_chunks,
         scheduling_time=scheduling_time,
-        backlog=None if lean else backlog,
-        vm_costs=None if lean else vm_costs,
-        counts=counts,
+        backlog=None if counted else backlog,
+        vm_costs=None if counted else vm_costs,
+        counts=counts if counted else None,
         exec_min=exec_min,
         exec_max=exec_max,
         peak_rss_bytes=peak_rss_bytes(),
@@ -408,13 +421,13 @@ def _execute_shard_task(payload: tuple) -> "tuple[ShardOutcome, dict | None]":
     Instead the chunk count and peak RSS travel in the
     :class:`ShardOutcome` and the parent publishes them once.
     """
-    stream, scheduler, seed, plan, carry, collect, lean, with_telemetry = payload
+    stream, scheduler, seed, plan, carry, collect, with_telemetry = payload
     _TEL.reset()
     if with_telemetry:
         _TEL.enable()
     else:
         _TEL.disable()
-    outcome = execute_shard(stream, scheduler, seed, plan, carry, collect, lean)
+    outcome = execute_shard(stream, scheduler, seed, plan, carry, collect)
     snap = _TEL.snapshot().to_dict() if with_telemetry else None
     return outcome, snap
 
@@ -494,13 +507,18 @@ class StreamingSimulation:
     (:meth:`~repro.schedulers.streaming.StreamingScheduler.plan_carries`),
     each shard folds its chunks independently (:func:`execute_shard` —
     in spawn-pool workers, or inline with ``shard_parallel=False``), and
-    the parent merges the per-VM partial sums.  ``shards=None`` or ``1``
-    runs the single degenerate shard in-process: the historical serial
-    path.
+    the parent merges the per-VM partial sums (or counts).  ``shards=None``
+    or ``1`` runs the single degenerate shard in-process: the historical
+    serial path.
 
     Determinism contract: the execution fold accumulates with
     ``np.add.at`` (unbuffered, strictly index-ordered), so every bounded
-    metric is bit-for-bit identical for *any* chunk size.  Collect mode
+    metric is bit-for-bit identical for *any* chunk size.  A bounded run
+    of a constant stream (the homogeneous family) folds from per-VM
+    assignment counts at every shard count, serial included: the merge
+    rebuilds exactly that ``np.add.at`` fold from them, so its metrics
+    and accumulators are bit-identical at any chunk size and any shard
+    count, on any fleet.  Collect mode
     is byte-equal to :class:`FastSimulation` whenever the per-cloudlet
     execution times are exactly representable (the homogeneous tables,
     dyadic fleets).  Bounded-mode scalars additionally match the
@@ -509,9 +527,9 @@ class StreamingSimulation:
     ``total_cost`` can differ from the in-memory pairwise sum by
     float reassociation ulps (see docs/performance.md, "When streaming
     is bit-safe").  Sharding keeps assignments bit-identical for every
-    shard count unconditionally; the merged accumulator metrics are
-    bit-identical on the same exactly-representable domains where
-    chunking is (shard merging reassociates the same sums).
+    shard count unconditionally; on other sources the merged accumulator
+    metrics are bit-identical on the same exactly-representable domains
+    where chunking is (shard merging reassociates the same sums).
 
     Parameters
     ----------
@@ -595,22 +613,12 @@ class StreamingSimulation:
                 )
 
         # -- execute ---------------------------------------------------------
-        from repro.workloads.streaming import ConstantCloudlets
-
-        # Lean shards skip the per-chunk float folds when the merge will
-        # rebuild them from counts anyway (constant workloads, bounded
-        # mode, multiple shards) — less per-shard work and less pickle.
-        lean = (
-            len(plans) > 1
-            and not self.collect
-            and isinstance(stream.cloudlets, ConstantCloudlets)
-        )
         outcomes: list[ShardOutcome] = []
         if len(plans) > 1 and self.shard_parallel:
             with_telemetry = _TEL.enabled
             for outcome, snap in _run_shard_tasks([
                 (stream, self.scheduler, self.seed, plan, carry,
-                 self.collect, lean, with_telemetry)
+                 self.collect, with_telemetry)
                 for plan, carry in zip(plans, carries)
             ]):
                 if snap is not None:
@@ -620,8 +628,7 @@ class StreamingSimulation:
             for plan, carry in zip(plans, carries):
                 outcomes.append(
                     execute_shard(
-                        stream, self.scheduler, self.seed, plan, carry,
-                        self.collect, lean,
+                        stream, self.scheduler, self.seed, plan, carry, self.collect
                     )
                 )
 
@@ -638,6 +645,7 @@ class StreamingSimulation:
     ) -> "SimulationResult | StreamingResult":
         m = stream.num_vms
         n = stream.num_cloudlets
+        counted = _folds_from_counts(stream, self.collect)
 
         backlog = np.zeros(m)
         vm_costs = np.zeros(m)
@@ -667,38 +675,30 @@ class StreamingSimulation:
                 collected["start"].append(start)
                 collected["finish"].append(finish)
                 collected["costs"].append(parts["costs"])
-            if outcome.backlog is not None:
+            if counted:
+                counts += outcome.counts
+            else:
                 backlog += outcome.backlog
                 vm_costs += outcome.vm_costs
-            counts += outcome.counts
-            exec_min = min(exec_min, outcome.exec_min)
-            exec_max = max(exec_max, outcome.exec_max)
+                exec_min = min(exec_min, outcome.exec_min)
+                exec_max = max(exec_max, outcome.exec_max)
             num_chunks += outcome.num_chunks
             scheduling_time += outcome.scheduling_time
 
-        if len(outcomes) > 1 and not self.collect:
-            from repro.workloads.streaming import ConstantCloudlets
-
-            if isinstance(stream.cloudlets, ConstantCloudlets):
-                # Constant workloads: each VM's serial fold is a repeated
-                # addition of one per-VM constant, so rebuilding it from the
-                # exactly-merged integer counts makes the sharded accumulators
-                # bit-identical to serial even off the dyadic domain (the
-                # partial-sum merge above reassociates by shard boundary).
-                # The constants: one cloudlet per VM, priced like any chunk.
-                one_each = stream.chunk_arrays(**stream.cloudlets.open_pass(stream.seed)(m))
-                exec_const = one_each.cloudlet_length / stream.vm_mips
-                cost_const = cloudlet_costs(one_each, np.arange(m))
-                backlog = _repeated_add_fold(exec_const, counts)
-                vm_costs = _repeated_add_fold(cost_const, counts)
-                # Lean shards also skip the exec-time envelope; every
-                # assigned execution time is exactly length / vm_mips[v],
-                # so the serial min/max are the envelope of the constants
-                # on occupied VMs — the identical IEEE divisions.
-                occupied = exec_const[counts > 0]
-                if occupied.size:
-                    exec_min = float(occupied.min())
-                    exec_max = float(occupied.max())
+        if counted:
+            # Each VM's fold adds one per-VM constant per cloudlet, so the
+            # exactly merged counts rebuild it byte for byte at any shard
+            # count (summing float partials would reassociate at each shard
+            # boundary).  The constants: one cloudlet per VM, priced like
+            # any chunk.  Every assigned execution time is exactly
+            # length / vm_mips[v], so the envelope is the constants' on the
+            # occupied VMs: the identical IEEE divisions.
+            one_each = stream.chunk_arrays(**stream.cloudlets.open_pass(stream.seed)(m))
+            exec_const = one_each.cloudlet_length / stream.vm_mips
+            backlog = _repeated_add_fold(exec_const, counts)
+            vm_costs = _repeated_add_fold(cloudlet_costs(one_each, np.arange(m)), counts)
+            occupied = exec_const[counts > 0]
+            exec_min, exec_max = float(occupied.min()), float(occupied.max())
 
         # Telemetry values that must aggregate max-wise across workers:
         # a parent-side ru_maxrss read alone would silently under-report

@@ -118,24 +118,31 @@ class BatchAdapter(OnlineScheduler):
     Arrivals sharing one simulation instant form a wave; the wrapped batch
     scheduler solves each wave as an independent batch problem (it never
     sees the live backlog — by design, so the adapter exposes the batch
-    formulations' blind spot under sustained load).
+    formulations' blind spot under sustained load).  A cloudlet the broker
+    re-places after a later wave began (a crash bounce or a rebalance
+    cancel) is solved as a wave of its own.
     """
 
     def __init__(self, scheduler: Scheduler) -> None:
         self.scheduler = scheduler
-        self._pending: list[int] = []
         self._wave_assignment: dict[int, int] = {}
+        #: every cloudlet some wave contained, so far.
+        self._answered: set[int] = set()
 
     @property
     def name(self) -> str:
         return f"batch[{self.scheduler.name}]"
 
     def start(self, context: SchedulingContext) -> None:
-        self._pending.clear()
         self._wave_assignment.clear()
+        self._answered.clear()
 
     def begin_wave(self, cloudlet_indices: np.ndarray, context: SchedulingContext) -> None:
         """Solve one wave with the wrapped batch scheduler."""
+        self._wave_assignment = self._solve(cloudlet_indices, context)
+        self._answered.update(self._wave_assignment)
+
+    def _solve(self, cloudlet_indices, context: SchedulingContext) -> dict[int, int]:
         indices = np.asarray(cloudlet_indices, dtype=np.int64)
         sub_context = SchedulingContext(
             arrays=context.arrays.take(indices, np.arange(context.num_vms)),
@@ -143,18 +150,18 @@ class BatchAdapter(OnlineScheduler):
             scenario_name=context.scenario_name,
         )
         result = self.scheduler.schedule_checked(sub_context)
-        self._wave_assignment = {
-            int(ci): int(vm) for ci, vm in zip(indices, result.assignment)
-        }
+        return {int(ci): int(vm) for ci, vm in zip(indices, result.assignment)}
 
     def assign(self, cloudlet_idx, now, backlog, context) -> int:
-        try:
-            return self._wave_assignment[int(cloudlet_idx)]
-        except KeyError:
-            raise RuntimeError(
-                f"cloudlet {cloudlet_idx} was not part of the current wave; "
-                "the online broker must call begin_wave first"
-            ) from None
+        idx = int(cloudlet_idx)
+        if idx in self._wave_assignment:
+            return self._wave_assignment[idx]
+        if idx in self._answered:
+            return self._solve([idx], context)[idx]
+        raise RuntimeError(
+            f"cloudlet {cloudlet_idx} was not part of the current wave; "
+            "the online broker must call begin_wave first"
+        )
 
 
 __all__ = [

@@ -91,19 +91,37 @@ _FLEET_FIELDS = (
 
 
 #: One sequential pass over a cloudlet source (see ``open_pass``):
-#: ``take(k)`` returns the next ``k`` cloudlets' columns.
+#: ``take(k)`` returns the next ``k`` cloudlets' columns.  Consumers treat
+#: them as read-only: a generated source hands every chunk of a pass
+#: read-only prefixes of the same arrays for the columns that do not vary.
 TakeColumns = Callable[[int], dict[str, np.ndarray]]
 
 
-def _fixed_columns(source, length: np.ndarray) -> dict[str, np.ndarray]:
-    """One chunk's columns: ``length`` plus the source's per-cloudlet constants."""
-    k = length.shape[0]
-    return {
-        "cloudlet_length": length,
-        "cloudlet_pes": np.full(k, source.pes, dtype=np.int64),
-        "cloudlet_file_size": np.full(k, source.file_size, dtype=float),
-        "cloudlet_output_size": np.full(k, source.output_size, dtype=float),
+def _constant_columns(source, **values: float) -> TakeColumns:
+    """One pass's ``take`` over columns that never vary along it.
+
+    The source's pes, file size and output size, plus any float column
+    named in ``values``, are built once at the first request's length,
+    read-only, and every later chunk gets a prefix of them.  A pass's
+    first chunk is its longest, so they are rebuilt only for a caller
+    that asks for more than it first did.
+    """
+    spec = {
+        "cloudlet_pes": (source.pes, np.int64),
+        "cloudlet_file_size": (source.file_size, float),
+        "cloudlet_output_size": (source.output_size, float),
+        **{name: (value, float) for name, value in values.items()},
     }
+    columns: dict[str, np.ndarray] = {}
+
+    def take(k: int) -> dict[str, np.ndarray]:
+        if not columns or k > columns["cloudlet_pes"].shape[0]:
+            for name, (value, dtype) in spec.items():
+                columns[name] = np.full(k, value, dtype=dtype)
+                columns[name].flags.writeable = False
+        return {name: column[:k] for name, column in columns.items()}
+
+    return take
 
 
 def _advance_uniform_draws(rng: np.random.Generator, count: int) -> None:
@@ -139,7 +157,9 @@ class ConstantCloudlets:
     output_size: float = 300.0
 
     def open_pass(self, seed: int | None, start: int = 0) -> TakeColumns:
-        return lambda k: _fixed_columns(self, np.full(k, self.length, dtype=float))
+        """Every column is constant: each chunk gets read-only prefixes
+        of one set of arrays built for the pass."""
+        return _constant_columns(self, cloudlet_length=self.length)
 
 
 @dataclass(frozen=True)
@@ -162,7 +182,11 @@ class UniformLengthCloudlets:
     def open_pass(self, seed: int | None, start: int = 0) -> TakeColumns:
         rng = spawn_rng(seed, self.rng_label)
         _advance_uniform_draws(rng, start)
-        return lambda k: _fixed_columns(self, rng.uniform(self.low, self.high, size=k))
+        fixed = _constant_columns(self)
+        return lambda k: {
+            "cloudlet_length": rng.uniform(self.low, self.high, size=k),
+            **fixed(k),
+        }
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cloud.online import MAX_ATTEMPTS, OnlineBroker, OnlineCloudSimulation
 from repro.cloud.simulation import CloudSimulation
-from repro.schedulers import RoundRobinScheduler
+from repro.schedulers import RoundRobinScheduler, make_scheduler
 from repro.schedulers.online import (
     BatchAdapter,
     OnlineGreedyMCT,
@@ -17,6 +17,9 @@ from repro.schedulers.online import (
 )
 from repro.workloads.arrivals import ArrivalProcess, BatchArrivals, PoissonArrivals
 from repro.workloads.heterogeneous import heterogeneous_scenario
+
+from tests.integration.test_golden_online import RUNS as GOLDEN_RUNS
+
 
 class EvenArrivals(ArrivalProcess):
     """One arrival every ``interval`` seconds from t=0."""
@@ -116,6 +119,35 @@ class TestBatchAdapter:
         adapter.start(tiny_context)
         with pytest.raises(RuntimeError, match="begin_wave"):
             adapter.assign(0, 0.0, np.zeros(4), tiny_context)
+
+    def test_adapter_solves_an_earlier_wave_cloudlet_alone(self, tiny_context):
+        adapter = BatchAdapter(make_scheduler("greedy-mct"))
+        adapter.start(tiny_context)
+        backlog = np.zeros(4)
+        adapter.begin_wave(np.array([0, 1, 2, 3]), tiny_context)
+        adapter.begin_wave(np.array([4, 5]), tiny_context)
+        wave = [adapter.assign(i, 0.0, backlog, tiny_context) for i in (4, 5)]
+        # Alone, cloudlet 3 goes to the fastest VM; the current wave keeps
+        # its own answers, and a cloudlet no wave held still raises.
+        assert adapter.assign(3, 0.0, backlog, tiny_context) == 3
+        assert [adapter.assign(i, 0.0, backlog, tiny_context) for i in (4, 5)] == wave
+        with pytest.raises(RuntimeError, match="begin_wave"):
+            adapter.assign(7, 0.0, backlog, tiny_context)
+
+    @pytest.mark.parametrize(
+        "run, name",
+        [("storm", "greedy-mct"), ("controlled", "basetest"), ("controlled", "greedy-mct")],
+    )
+    def test_bounced_cloudlets_from_earlier_waves_are_replaced(self, run, name):
+        """Crash bounces and rebalance cancels re-place cloudlets after a
+        later wave began; every cloudlet still finishes."""
+        scenario = heterogeneous_scenario(10, 80, seed=5)
+        result = OnlineCloudSimulation(
+            scenario, BatchAdapter(make_scheduler(name)), seed=3, **GOLDEN_RUNS[run]
+        ).run()
+        assert result.num_cloudlets == 80
+        assert np.all(result.finish_times >= result.start_times)
+        assert result.info["retries"] > 0
 
     def test_online_aware_policy_beats_blind_batch_under_load(self):
         """Under sustained arrivals, backlog-aware greedy must beat a batch

@@ -38,6 +38,8 @@ from repro.workloads.streaming import (
     plan_shards,
 )
 
+from tests.cloud.exiting_scheduler import WorkerExitingScheduler
+
 SCHEDULERS = ("basetest", "greedy-mct", "honeybee", "rbs")
 
 
@@ -223,6 +225,45 @@ def test_lost_worker_between_runs_costs_one_rebuild(name):
     # The rebuilt pool serves the next run as a healthy one.
     again = StreamingSimulation(stream, make_scheduler(name), seed=2, shards=2).run()
     assert again.vm_finish_times.tobytes() == serial.vm_finish_times.tobytes()
+
+
+@pytest.mark.parametrize("family", ["homogeneous", "heterogeneous"])
+@pytest.mark.parametrize("name", ["rbs", "greedy-mct"])
+def test_worker_lost_mid_run_costs_one_rebuild(name, family, tmp_path):
+    build = homogeneous_stream if family == "homogeneous" else heterogeneous_stream
+    stream = build(num_vms=19, num_cloudlets=2000, chunk_size=128, seed=11)
+    serial = StreamingSimulation(stream, make_streaming_scheduler(name), seed=2).run()
+    healthy = StreamingSimulation(
+        stream, make_streaming_scheduler(name), seed=2, shards=3
+    ).run()
+    marker = tmp_path / "exit-worker"
+    marker.touch()
+    exiting = WorkerExitingScheduler(make_streaming_scheduler(name), str(marker))
+    obs.reset()
+    with obs.enabled():
+        recovered = StreamingSimulation(stream, exiting, seed=2, shards=3).run()
+        rebuilds = obs.snapshot().counters.get("stream.pool_rebuilds", 0)
+    assert not marker.exists()  # one worker took the marker and exited
+    assert rebuilds == 1
+    compared = ("vm_finish_times", "vm_costs")
+    for field in compared:
+        assert getattr(recovered, field).tobytes() == getattr(healthy, field).tobytes()
+    assert (recovered.makespan, recovered.time_imbalance, recovered.total_cost) == (
+        healthy.makespan, healthy.time_imbalance, healthy.total_cost
+    )
+    # Against serial, at the family's bar: shard merging reassociates the
+    # per-VM sums of random lengths.
+    for field in compared:
+        got, want = getattr(recovered, field), getattr(serial, field)
+        if family == "homogeneous":
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+    # The rebuilt pool serves the next run as a healthy one.
+    again = StreamingSimulation(
+        stream, make_streaming_scheduler(name), seed=2, shards=3
+    ).run()
+    assert again.vm_finish_times.tobytes() == healthy.vm_finish_times.tobytes()
 
 
 # -- cache invariance ---------------------------------------------------------

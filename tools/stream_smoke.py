@@ -16,7 +16,11 @@ over mixed VMs, which reach greedy-MCT's and honey-bee's general paths:
    arrays per run.
 2. **Chunk invariance** — every bounded metric (and the per-VM
    accumulator arrays) is bit-identical across chunk sizes, in both
-   families.
+   families.  Constant cloudlets fold from per-VM counts at every shard
+   count, so on the homogeneous family each scheduler also runs once in
+   collect mode, and the bounded accumulators must equal, byte for byte,
+   one ``np.add.at`` fold of that run's assignment and costs (the
+   rebuild's oracle).
 3. **Telemetry** — ``stream.chunks`` / ``stream.peak_rss`` gauges are
    populated when telemetry is on.
 4. **Shard invariance** (``--shards N``) — the same points run sharded
@@ -92,6 +96,25 @@ def check_same(name: str, what: str, a, b, rtol: float = 0.0) -> None:
             raise AssertionError(f"{name}: {field} not {what}{detail}")
 
 
+def check_add_at_fold(name: str, num_cloudlets: int, result) -> None:
+    """Raise unless a homogeneous ``result``'s per-VM accumulators equal one
+    ``np.add.at`` fold over a collect-mode run of the same point."""
+    stream = homogeneous_stream(NUM_VMS, num_cloudlets, seed=SEED, chunk_size=CHUNK_SIZES[1])
+    collected = StreamingSimulation(
+        stream, make_streaming_scheduler(name), seed=SEED, collect=True
+    ).run()
+    assignment = collected.assignment
+    lengths = stream.to_arrays().cloudlet_length
+    folds = {"vm_finish_times": np.zeros(NUM_VMS), "vm_costs": np.zeros(NUM_VMS)}
+    np.add.at(folds["vm_finish_times"], assignment, lengths / stream.vm_mips[assignment])
+    np.add.at(folds["vm_costs"], assignment, collected.costs)
+    for field, fold in folds.items():
+        if getattr(result, field).tobytes() != fold.tobytes():
+            raise AssertionError(
+                f"{name}: {field} differs from the np.add.at fold of a collect-mode run"
+            )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = smoke_parser(__doc__)
     parser.add_argument("--cloudlets", type=int, default=100_000)
@@ -123,6 +146,8 @@ def main(argv: list[str] | None = None) -> int:
             baseline, _ = run_one(name, args.family, args.cloudlets, CHUNK_SIZES[0])
             result, elapsed = run_one(name, args.family, args.cloudlets, CHUNK_SIZES[1])
             check_same(name, "chunk-invariant", baseline, result)
+            if args.family == "homogeneous":
+                check_add_at_fold(name, args.cloudlets, result)
             # Per-scheduler gate: ru_maxrss is a process-lifetime high-water
             # mark, so the first scheduler to blow the budget is the one
             # named here — an O(n) regression can't hide behind the
