@@ -54,7 +54,8 @@ Defaults follow Table II: 50 ants, α=0.01, β=0.99, ρ=0.4, Q=100.
 Vectorisation: the construction loop is O(num_cloudlets) Python steps.
 When every ant faces the same distribution (static heuristic, no tabu)
 one cumulative sum plus a batched ``searchsorted`` draws for the whole
-colony; otherwise the (ants × VMs) probability block is sampled row-wise.
+colony, and each ant's loads are folded after the loop; otherwise the
+(ants × VMs) probability block is sampled row-wise.
 """
 
 from __future__ import annotations
@@ -303,49 +304,83 @@ class _ColonyState:
             and self._uniform_batch()
         ):
             return self._construct_uniform_gumbel(rng)
+        tau_pow = self.tau ** cfg.alpha
+        if cfg.tabu == "off" and not cfg.load_aware:
+            return self._construct_shared(rng, tau_pow)
         loads = np.zeros((ants, m))
         assignments = np.empty((ants, n), dtype=np.int64)
         ant_rows = np.arange(ants)
-        tau_pow = self.tau ** cfg.alpha
         allowed = np.ones((ants, m), dtype=bool) if cfg.tabu == "pass" else None
-        # All ants share one distribution when nothing ant-specific enters it.
-        shared = allowed is None and not cfg.load_aware
 
         order = rng.permutation(n)
         for i in order:
             t_row = self.tau_pow_row(i, tau_pow)
-            if shared:
-                w1 = t_row * self.eta_pow_row(i)  # (m,)
-                cum = np.cumsum(w1)
-                u = rng.random(ants) * cum[-1]
-                choice = np.minimum(
-                    np.searchsorted(cum, u, side="right"), m - 1
-                )
+            d_row = self.d_row(i)
+            if cfg.load_aware:
+                w = t_row * (d_row + loads) ** (-cfg.beta)  # (ants, m)
             else:
-                d_row = self.d_row(i)
-                if cfg.load_aware:
-                    w = t_row * (d_row + loads) ** (-cfg.beta)  # (ants, m)
-                else:
-                    w = np.broadcast_to(t_row * self.eta_pow_row(i), (ants, m)).copy()
-                if allowed is not None:
-                    base = w[0] if cfg.load_aware is False else None
-                    w = np.where(allowed, w, 0.0)
-                    dead = w.sum(axis=1) <= 0
-                    if dead.any():
-                        # Full pass over the fleet completed: tabu resets.
-                        allowed[dead] = True
-                        if cfg.load_aware:
-                            w[dead] = (t_row * (d_row + loads) ** (-cfg.beta))[dead]
-                        else:
-                            w[dead] = base
-                cum = np.cumsum(w, axis=1)
-                u = rng.random(ants) * cum[:, -1]
-                choice = np.minimum((cum < u[:, None]).sum(axis=1), m - 1)
+                w = np.broadcast_to(t_row * self.eta_pow_row(i), (ants, m)).copy()
+            if allowed is not None:
+                base = w[0] if cfg.load_aware is False else None
+                w = np.where(allowed, w, 0.0)
+                dead = w.sum(axis=1) <= 0
+                if dead.any():
+                    # Full pass over the fleet completed: tabu resets.
+                    allowed[dead] = True
+                    if cfg.load_aware:
+                        w[dead] = (t_row * (d_row + loads) ** (-cfg.beta))[dead]
+                    else:
+                        w[dead] = base
+            cum = np.cumsum(w, axis=1)
+            u = rng.random(ants) * cum[:, -1]
+            choice = np.minimum((cum < u[:, None]).sum(axis=1), m - 1)
             assignments[:, i] = choice
             loads[ant_rows, choice] += self.d_row(i)[choice]
             if allowed is not None:
                 allowed[ant_rows, choice] = False
         return assignments, loads.max(axis=1)
+
+    def _construct_shared(
+        self, rng: np.random.Generator, tau_pow: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Construction when every ant draws from one distribution.
+
+        With the static heuristic and per-step tabu nothing ant-specific
+        enters cloudlet ``i``'s distribution, so a step is one cumulative
+        sum and one ``searchsorted`` for the whole colony.  Loads never
+        feed back into the draws, so they are folded after the loop: one
+        ``bincount`` over an ant's visits in visit order adds the same
+        times to each VM in the same order as a per-step accumulator.
+        """
+        n, m, ants = self.n, self.m, self.cfg.num_ants
+        assignments = np.empty((ants, n), dtype=np.int64)
+        pair = tau_pow.ndim == 2
+        eta_pow_row = self.eta_pow_row
+        order = rng.permutation(n)
+        for i in order:
+            cum = np.cumsum((tau_pow[i] if pair else tau_pow) * eta_pow_row(i))
+            assignments[:, i] = np.searchsorted(
+                cum, rng.random(ants) * cum[-1], side="right"
+            )
+        # A draw that rounds up to cum[-1] lands past the last VM.
+        np.minimum(assignments, m - 1, out=assignments)
+        # One Eq. 6 row read per step, as the per-step accumulator made.
+        _TEL.count("kernel.rows_requested", n)
+        _TEL.count("kernel.rows_memoised", n)
+        # ``d_row(i)[a_i]`` for every cloudlet: the kernel's matrix entries,
+        # or Eq. 6 computed as the memoised rows compute it.
+        times_of = (
+            self.kernel.assignment_times
+            if self.kernel.matrix is not None
+            else self.arrays.assigned_exec_time
+        )
+        lengths = np.empty(ants)
+        for a in range(ants):
+            times = times_of(assignments[a])
+            lengths[a] = np.bincount(
+                assignments[a, order], weights=times[order], minlength=m
+            ).max()
+        return assignments, lengths
 
     def _construct_uniform_gumbel(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Exact fast path for identical-cloudlet batches under per-pass tabu.
@@ -388,8 +423,10 @@ class _ColonyState:
         tau *= 1.0 - cfg.rho
         deposits = cfg.q / lengths  # (ants,)
         if tau.ndim == 2:
-            rows = np.tile(np.arange(n), cfg.num_ants)
-            np.add.at(tau, (rows, assignments.ravel()), np.repeat(deposits, n))
+            # Flat cell indices, ant by ant: each cell gets its additions
+            # in the same order as the (row, column) form, several times faster.
+            cells = (np.arange(n) * tau.shape[1] + assignments).ravel()
+            np.add.at(tau.reshape(-1), cells, np.repeat(deposits, n))
             if cfg.elitist and best_assignment is not None and np.isfinite(best_length):
                 tau[np.arange(n), best_assignment] += cfg.q / best_length
         else:

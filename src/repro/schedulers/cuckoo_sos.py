@@ -24,8 +24,10 @@ improvement — the ecosystem's fitness is non-increasing within a phase):
   worst nests — never the best — are rebuilt uniformly at random, the
   cuckoo host-abandonment move.
 
-Continuous interaction arithmetic is rounded back to VM indices before
-evaluation by GSA's :func:`~repro.schedulers.gsa.discretise`.  The loop,
+The operator holds its ecosystem's VM indices as float64, so each
+phase's continuous arithmetic runs in place on the block it just drew,
+without converting the ecosystem; the result is rounded back to VM
+indices as GSA's :func:`~repro.schedulers.gsa.discretise` does.  The loop,
 incumbent bookkeeping and convergence trace come from
 :class:`repro.optim.IterativeOptimizer`.
 
@@ -54,7 +56,6 @@ import numpy as np
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.optim import Candidate, FitnessKernel, IterativeOptimizer, MoveOperator
 from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult, optimizer_result
-from repro.schedulers.gsa import discretise
 
 
 def levy_sigma(beta: float) -> float:
@@ -70,7 +71,19 @@ def levy_steps(
     """Heavy-tailed Lévy step block via Mantegna: ``u / |v|^(1/beta)``."""
     u = rng.normal(0.0, levy_sigma(beta), size=shape)
     v = rng.normal(0.0, 1.0, size=shape)
-    return u / np.maximum(np.abs(v), 1e-12) ** (1 / beta)
+    np.abs(v, out=v)
+    np.maximum(v, 1e-12, out=v)
+    v **= 1 / beta
+    u /= v
+    return u
+
+
+def _discretise_in_place(block: np.ndarray, num_vms: int) -> np.ndarray:
+    """:func:`~repro.schedulers.gsa.discretise` in place: ``block`` rounded
+    and clipped to VM indices, kept float64."""
+    np.rint(block, out=block)
+    np.clip(block, 0, num_vms - 1, out=block)
+    return block
 
 
 class _CuckooSosOperator(MoveOperator):
@@ -101,8 +114,12 @@ class _CuckooSosOperator(MoveOperator):
         self.kernel = FitnessKernel(
             self.context.arrays, time_model="compute", max_matrix_cells=0
         )
-        self.population = rng.integers(0, m, size=(p, n), dtype=np.int64)
-        self.fitness = self.kernel.batch_makespans(self.population)
+        population = rng.integers(0, m, size=(p, n), dtype=np.int64)
+        self.fitness = self.kernel.batch_makespans(population)
+        #: the ecosystem: integral VM indices stored as float64, which the
+        #: phases compute on directly; the kernel and the driver take
+        #: rows of it as int64.
+        self.population = population.astype(np.float64)
         g = int(np.argmin(self.fitness))
         return Candidate(self.population[g], float(self.fitness[g]), evaluations=p)
 
@@ -113,43 +130,51 @@ class _CuckooSosOperator(MoveOperator):
         incumbent_assignment: np.ndarray | None,
         incumbent_fitness: float,
     ) -> Candidate:
+        # Each phase works in place on the block it just drew, keeping the
+        # association of ``x + r * (best - mutual * bf)`` and its kin.
         cfg = self.cfg
         p, n = self.population.shape
         m = self.context.num_vms
+        x = self.population
         evaluations = 0
 
-        best = self.population[int(np.argmin(self.fitness))].astype(np.float64)
+        best = x[int(np.argmin(self.fitness))]
         with _TEL.span("cuckoo_sos.mutualism"):
             partners = self._partners(rng)
-            mutual = (self.population + self.population[partners]) / 2.0
-            benefit = rng.integers(1, 3, size=(p, 1)).astype(np.float64)
-            moved = self.population + rng.random((p, n)) * (
-                best[None, :] - mutual * benefit
-            )
-            evaluations += self._accept(discretise(moved, m))
+            mutual = x[partners]
+            mutual += x
+            mutual /= 2.0
+            mutual *= rng.integers(1, 3, size=(p, 1)).astype(np.float64)
+            np.subtract(best, mutual, out=mutual)
+            moved = rng.random((p, n))
+            moved *= mutual
+            moved += x
+            evaluations += self._accept(_discretise_in_place(moved, m))
 
-        best = self.population[int(np.argmin(self.fitness))].astype(np.float64)
+        best = x[int(np.argmin(self.fitness))]
         with _TEL.span("cuckoo_sos.commensalism"):
             partners = self._partners(rng)
-            moved = self.population + (rng.random((p, n)) * 2.0 - 1.0) * (
-                best[None, :] - self.population[partners]
-            )
-            evaluations += self._accept(discretise(moved, m))
+            moved = rng.random((p, n))
+            moved *= 2.0
+            moved -= 1.0
+            pull = x[partners]
+            np.subtract(best, pull, out=pull)
+            moved *= pull
+            moved += x
+            evaluations += self._accept(_discretise_in_place(moved, m))
 
         with _TEL.span("cuckoo_sos.parasitism"):
-            parasites = self.population.copy()
             infect = rng.random((p, n)) < cfg.parasite_rate
             fresh = rng.integers(0, m, size=(p, n), dtype=np.int64)
-            parasites[infect] = fresh[infect]
-            evaluations += self._accept(parasites)
+            evaluations += self._accept(np.where(infect, fresh, self.population))
 
-        best = self.population[int(np.argmin(self.fitness))].astype(np.float64)
+        best = x[int(np.argmin(self.fitness))]
         with _TEL.span("cuckoo_sos.cuckoo"):
-            steps = levy_steps(rng, (p, n), cfg.levy_beta)
-            flown = self.population + cfg.step_scale * steps * (
-                self.population - best[None, :]
-            )
-            evaluations += self._accept(discretise(flown, m))
+            flown = levy_steps(rng, (p, n), cfg.levy_beta)
+            flown *= cfg.step_scale
+            flown *= x - best
+            flown += x
+            evaluations += self._accept(_discretise_in_place(flown, m))
             abandon = int(cfg.abandon_fraction * p)
             if abandon:
                 # Worst nests, by stable fitness order — never the best.

@@ -243,11 +243,23 @@ class ScenarioArrays:
 
         Bandwidth terms with ``bw_j == 0`` contribute zero (no transfer cost).
         """
-        length = self.cloudlet_length[cloudlet_idx]
-        infile = self.cloudlet_file_size[cloudlet_idx]
-        compute = length / (self.vm_pes * self.vm_mips)
+        length, infile = self.cloudlet_length[cloudlet_idx], self.cloudlet_file_size[cloudlet_idx]
+        return self._eq6(length, infile, self.vm_pes, self.vm_mips, self.vm_bw)
+
+    def assigned_exec_time(self, assignment: np.ndarray) -> np.ndarray:
+        """Eq. 6 time of every cloudlet on its assigned VM.
+
+        Entry ``i`` equals ``expected_exec_time(i)[assignment[i]]`` bit for bit.
+        """
+        pes, mips, bw = self.vm_pes[assignment], self.vm_mips[assignment], self.vm_bw[assignment]
+        return self._eq6(self.cloudlet_length, self.cloudlet_file_size, pes, mips, bw)
+
+    @staticmethod
+    def _eq6(length, infile, pes, mips, bw) -> np.ndarray:
+        """Eq. 6, element-wise over cloudlet and (gathered) VM columns."""
+        compute = length / (pes * mips)
         with np.errstate(divide="ignore"):
-            transfer = np.where(self.vm_bw > 0, infile / self.vm_bw, 0.0)
+            transfer = np.where(bw > 0, infile / bw, 0.0)
         return compute + transfer
 
     def exec_time_matrix(self) -> np.ndarray:

@@ -12,6 +12,10 @@ Every scheduler oracle returns ``(assignment, info)`` like
 ``SchedulingResult``.  For RBS's parts, :func:`rbs_walk_oracle` is the
 scalar walk alone and :func:`rbs_carries_oracle` the serial re-walk
 reference for its shard carries (``tests/schedulers/test_rbs.py``).
+For ACO's parts, :func:`aco_shared_construct_oracle` is the colony
+construction with per-step load accumulation and
+:func:`aco_pheromone_update_oracle` the evaporation and deposit with the
+2-D ``np.add.at`` (``tests/schedulers/test_aco.py``).
 
 :func:`estimated_vm_finish_times` and :func:`estimate_makespan` are the
 reference estimators the scheduler tests rank assignments by.
@@ -210,6 +214,53 @@ def rbs_carries_oracle(stream, rng: np.random.Generator, plans, num_groups=None)
         _, _, state = rbs_walk_oracle(groups, omegas[:b], starts[:b])
         carries.append({"omega_gen": omega_gen, "starts_gen": starts_gen, **state})
     return carries
+
+
+def aco_shared_construct_oracle(state, rng: np.random.Generator):
+    """ACO construction when every ant draws from one distribution.
+
+    The static heuristic with per-step tabu, one step per cloudlet in a
+    random visit order: each ant draws a VM from the cloudlet's cumulative
+    ``τ^α · η^β`` weights, and its per-VM loads grow by that VM's Eq. 6
+    time at once.  ``state`` is a ``_ColonyState``; returns the
+    ``(assignments, tour_lengths)`` its ``construct`` returns.
+    """
+    cfg = state.cfg
+    n, m, ants = state.n, state.m, cfg.num_ants
+    loads = np.zeros((ants, m))
+    assignments = np.empty((ants, n), dtype=np.int64)
+    ant_rows = np.arange(ants)
+    tau_pow = state.tau ** cfg.alpha
+    for i in rng.permutation(n):
+        cum = np.cumsum(state.tau_pow_row(i, tau_pow) * state.eta_pow_row(i))
+        u = rng.random(ants) * cum[-1]
+        choice = np.minimum(np.searchsorted(cum, u, side="right"), m - 1)
+        assignments[:, i] = choice
+        loads[ant_rows, choice] += state.d_row(i)[choice]
+    return assignments, loads.max(axis=1)
+
+
+def aco_pheromone_update_oracle(state, assignments, lengths, best_assignment, best_length):
+    """ACO's evaporation and deposits (Eq. 7, 9-11) on ``state.tau``.
+
+    The per-pair layout deposits through ``np.add.at`` with
+    ``(cloudlet, VM)`` index pairs, ant by ant.
+    """
+    cfg = state.cfg
+    n = assignments.shape[1]
+    tau = state.tau
+    tau *= 1.0 - cfg.rho
+    deposits = np.repeat(cfg.q / lengths, n)
+    elitist = cfg.elitist and best_assignment is not None and np.isfinite(best_length)
+    if tau.ndim == 2:
+        np.add.at(tau, (np.tile(np.arange(n), cfg.num_ants), assignments.ravel()), deposits)
+        if elitist:
+            tau[np.arange(n), best_assignment] += cfg.q / best_length
+    else:
+        np.add.at(tau, assignments.ravel(), deposits)
+        if elitist:
+            np.add.at(tau, best_assignment, np.full(n, cfg.q / best_length))
+    np.clip(tau, 1e-12, None, out=tau)
 
 
 def estimated_vm_finish_times(

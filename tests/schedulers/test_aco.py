@@ -5,10 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.schedulers.aco import AntColonyScheduler
+from repro import obs
+from repro.obs.telemetry import TELEMETRY
+from repro.schedulers.aco import AntColonyScheduler, _ColonyOperator
 from repro.schedulers.base import SchedulingContext, validate_assignment
 from repro.schedulers.round_robin import RoundRobinScheduler
 from repro.workloads.heterogeneous import heterogeneous_scenario
+from repro.workloads.homogeneous import homogeneous_scenario
+
+from tests.schedulers.oracles import aco_pheromone_update_oracle, aco_shared_construct_oracle
 
 
 def ctx(scenario, seed=0):
@@ -123,3 +128,59 @@ class TestBehaviour:
         scenario = heterogeneous_scenario(num_vms=1, num_cloudlets=5, num_datacenters=1, seed=0)
         result = small_aco().schedule(ctx(scenario))
         np.testing.assert_array_equal(result.assignment, np.zeros(5, dtype=np.int64))
+
+
+class TestSharedConstructionOracle:
+    """The shared-distribution construction and the deposit against the
+    step-by-step reference loops in ``tests/schedulers/oracles.py``.
+
+    ``_ColonyState.construct`` folds each ant's loads after its draw loop
+    and the per-pair layout deposits through flat indices; both must
+    reproduce the reference bit for bit, also after earlier updates, and
+    report the same kernel row counters.
+    """
+
+    SHAPES = {"n<m": (12, 5), "n>m": (5, 40)}
+    FAMILIES = {"hetero": heterogeneous_scenario, "homog": homogeneous_scenario}
+    PRIOR_UPDATES = 3
+
+    @staticmethod
+    def _rows(run):
+        """``run()``'s result and the ``kernel.rows_*`` counters it added."""
+        before = TELEMETRY.snapshot()
+        result = run()
+        added = TELEMETRY.snapshot().diff(before).counters
+        return result, {k: v for k, v in added.items() if k.startswith("kernel.rows_")}
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("ants", [1, 7, 50])
+    @pytest.mark.parametrize("pheromone", ["pair", "vm"])
+    def test_construct_and_update_match_the_oracle(self, family, shape, ants, pheromone):
+        num_vms, num_cloudlets = self.SHAPES[shape]
+        scenario = self.FAMILIES[family](num_vms, num_cloudlets, num_datacenters=1, seed=3)
+        cfg = AntColonyScheduler(num_ants=ants, pheromone=pheromone)
+        fast, slow = (_ColonyOperator(cfg, ctx(scenario)) for _ in range(2))
+        fast.initialize(None)
+        slow.initialize(None)
+        fast_rng, slow_rng = np.random.default_rng(11), np.random.default_rng(11)
+        best, best_length = None, np.inf
+        with obs.enabled():
+            for update in range(self.PRIOR_UPDATES + 1):
+                (got, got_lengths), got_rows = self._rows(
+                    lambda: fast.state.construct(fast_rng)
+                )
+                (want, want_lengths), want_rows = self._rows(
+                    lambda: aco_shared_construct_oracle(slow.state, slow_rng)
+                )
+                assert got.tobytes() == want.tobytes(), update
+                assert got_lengths.tobytes() == want_lengths.tobytes(), update
+                assert got_rows == want_rows and want_rows["kernel.rows_memoised"] > 0
+                if update == self.PRIOR_UPDATES:
+                    break
+                k = int(np.argmin(got_lengths))
+                if got_lengths[k] < best_length:
+                    best, best_length = got[k].copy(), float(got_lengths[k])
+                fast.state.update_pheromone(got, got_lengths, best, best_length)
+                aco_pheromone_update_oracle(slow.state, want, want_lengths, best, best_length)
+                assert fast.state.tau.tobytes() == slow.state.tau.tobytes(), update

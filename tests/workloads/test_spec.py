@@ -102,3 +102,16 @@ class TestScenarioSpec:
         row = arr.expected_exec_time(0)
         assert np.isfinite(row).all()
         np.testing.assert_allclose(row, arr.cloudlet_length[0] / arr.vm_mips)
+
+    @pytest.mark.parametrize("zero_bw", [False, True])
+    def test_assigned_exec_time_reads_the_rows_bit_for_bit(self, tiny_scenario, zero_bw):
+        import dataclasses
+
+        vms = tuple(
+            dataclasses.replace(v, bw=0.0) if zero_bw and j % 2 else v
+            for j, v in enumerate(tiny_scenario.vms)
+        )
+        arr = dataclasses.replace(tiny_scenario, vms=vms).arrays()
+        assignment = np.random.default_rng(0).integers(0, arr.num_vms, arr.num_cloudlets)
+        expected = [arr.expected_exec_time(i)[j] for i, j in enumerate(assignment)]
+        assert arr.assigned_exec_time(assignment).tolist() == expected
