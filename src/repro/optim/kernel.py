@@ -89,6 +89,9 @@ class FitnessKernel:
         #: memoised rows keyed by the cloudlet characteristics that enter
         #: the time model — one entry total for homogeneous batches.
         self._row_cache: dict[tuple[float, float], np.ndarray] = {}
+        #: ``"compute"`` batch weights: the lengths tiled over the largest
+        #: block seen so far; a smaller block reads a prefix.
+        self._tiled_lengths = np.empty(0)
         #: evaluations performed through this kernel (batch rows + deltas).
         self.evaluations = 0
 
@@ -170,7 +173,9 @@ class FitnessKernel:
         m = self.num_vms
         offsets = (np.arange(p)[:, None] * m + positions).ravel()
         if self.time_model == "compute":
-            weights = np.broadcast_to(self.arrays.cloudlet_length, (p, n)).ravel()
+            if self._tiled_lengths.size < p * n:
+                self._tiled_lengths = np.tile(self.arrays.cloudlet_length, p)
+            weights = self._tiled_lengths[: p * n]
         else:
             if self._matrix is not None:
                 weights = self._matrix[np.arange(n)[None, :], positions].ravel()

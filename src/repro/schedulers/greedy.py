@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.schedulers.streaming import ChunkAssigner, StreamingScheduler
+from repro.schedulers.streaming import ChunkAssigner, StreamingScheduler, cyclic_take
 from repro.workloads.spec import ScenarioArrays
 from repro.workloads.streaming import ConstantCloudlets, ScenarioChunks
 
@@ -106,7 +106,8 @@ class GreedyMinCompletionScheduler(StreamingScheduler):
     with *constant* cloudlet lengths collapse further: every VM starts at
     ready 0 and every placement adds the same increment, so placements
     cycle ``0, 1, ..., m-1`` forever and cloudlet ``i`` lands on VM
-    ``i % m`` — a pure-numpy, offset-pure expression.
+    ``i % m``: an offset-pure cyclic run that
+    :func:`~repro.schedulers.streaming.cyclic_take` slices.
 
     Sharding: the cyclic fast path needs no carry; the other paths carry
     the per-VM ``ready`` vector, reproduced at each shard boundary by the
@@ -143,6 +144,7 @@ class GreedyMinCompletionScheduler(StreamingScheduler):
             # One increment, computed with the exact expression the
             # uniform path uses (length * inv) so the info diagnostics agree.
             step = float(stream.cloudlets.length * inv)
+            vms = np.arange(m, dtype=np.int64)
 
             class Assigner(ChunkAssigner):
                 def __init__(self) -> None:
@@ -151,7 +153,7 @@ class GreedyMinCompletionScheduler(StreamingScheduler):
                 def assign(self, chunk: ScenarioArrays, offset: int) -> np.ndarray:
                     k = chunk.num_cloudlets
                     self._end = max(self._end, offset + k)
-                    return np.arange(offset, offset + k, dtype=np.int64) % m
+                    return cyclic_take(vms, offset, k)
 
                 def info(self) -> dict[str, Any]:
                     # VM 0 is first served each cycle, so it holds the max

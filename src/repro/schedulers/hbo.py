@@ -63,7 +63,7 @@ import numpy as np
 
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.schedulers.base import SchedulingContext, SchedulingResult
-from repro.schedulers.streaming import ChunkAssigner, StreamingScheduler
+from repro.schedulers.streaming import ChunkAssigner, StreamingScheduler, cyclic_take
 from repro.workloads.spec import ScenarioArrays
 from repro.workloads.streaming import ConstantCloudlets, ScenarioChunks
 
@@ -247,48 +247,57 @@ class _HoneyBeeConstAssigner(ChunkAssigner):
     through positions: the ``r``-th cloudlet a datacenter receives goes
     to VM slot ``r % size``.  With the closed-form datacenter sequence of
     :class:`_Scout`, index ``i`` maps to its scheduled position ``t``
-    through the group schedule (``proc_start``), so any chunk is
-    computable in isolation: no carry, no pre-pass, O(num_vms) tables.
+    through the group schedule, so any chunk is computable in isolation:
+    no carry, no pre-pass, O(num_vms) tables.
+
+    A chunk is a few cyclic runs, each sliced by :func:`cyclic_take`.  A
+    run ends at a group start (``t`` jumps), at a ``cap`` multiple of
+    ``t`` (the next ranked datacenter takes over) or at the chunk's end;
+    once every datacenter is saturated, the rest of a group is one run
+    on ``eff[0]``.  The per-cloudlet form of the same map is the oracle
+    in ``tests/schedulers/oracles.py``.
     """
 
     def __init__(
         self,
         g_starts: np.ndarray,
         proc_start: np.ndarray,
-        eff: np.ndarray,
-        sizes_dc: np.ndarray,
-        members_concat: np.ndarray,
-        member_off: np.ndarray,
+        eff: "list[int]",
+        dc_vms: "list[np.ndarray]",
         cap: int,
         info: "dict[str, Any]",
     ) -> None:
-        self._g_starts = g_starts
-        self._proc_start = proc_start
+        self._bounds = g_starts.tolist()
+        self._schedule = proc_start.tolist()
         self._eff = eff
-        self._num_eff = int(eff.size)
-        self._sizes_dc = sizes_dc
-        self._members_concat = members_concat
-        self._member_off = member_off
+        self._dc_vms = dc_vms
         self._cap = cap
         self._info = info
 
     def assign(self, chunk: ScenarioArrays, offset: int) -> np.ndarray:
         k = chunk.num_cloudlets
-        i = np.arange(offset, offset + k, dtype=np.int64)
-        g = np.searchsorted(self._g_starts, i, side="right") - 1
-        # Scheduled position of index i: its group's scheduled start plus
-        # the in-group rank (groups are contiguous index ranges, and
-        # within a group scheduled order == index order).
-        t = self._proc_start[g] + (i - self._g_starts[g])
-        block = t // self._cap
-        under_cap = block < self._num_eff
-        d = np.where(
-            under_cap, self._eff[np.minimum(block, self._num_eff - 1)], self._eff[0]
-        )
-        r = np.where(
-            under_cap, t - block * self._cap, t - self._cap * self._num_eff + self._cap
-        )
-        return self._members_concat[self._member_off[d] + r % self._sizes_dc[d]]
+        bounds, cap, eff = self._bounds, self._cap, self._eff
+        runs, j = [], 0
+        while j < k:
+            i = offset + j
+            g = bisect_right(bounds, i) - 1
+            # Scheduled position of index i: its group's scheduled start
+            # plus the in-group rank (groups are contiguous index ranges,
+            # and within a group scheduled order == index order).
+            t = self._schedule[g] + i - bounds[g]
+            stop = min(k, bounds[g + 1] - offset)
+            block = t // cap
+            if block < len(eff):
+                dc, r = eff[block], t - block * cap
+                stop = min(stop, j + cap - r)
+            else:
+                # eff[0] took its first cap in block 0 and takes the rest.
+                dc, r = eff[0], t - cap * (len(eff) - 1)
+            runs.append(cyclic_take(self._dc_vms[dc], r, stop - j))
+            j = stop
+        if len(runs) == 1:
+            return runs[0]
+        return np.concatenate(runs) if runs else np.empty(0, dtype=np.int64)
 
     def info(self) -> "dict[str, Any]":
         return dict(self._info)
@@ -504,24 +513,17 @@ class HoneyBeeScheduler(StreamingScheduler):
     ) -> _HoneyBeeConstAssigner:
         n, q = stream.num_cloudlets, stream.num_datacenters
         c = float(stream.cloudlets.length)
-        dc_vms = params["dc_vms"]
-
         g_starts = self._group_starts(n, q)
         # The descending float-sum keys of the general path, via the
         # constant-array pairwise replica, so ties and order match exactly.
         proc_start = self._group_schedule(
             g_starts, [_pairwise_const_sum(c, int(size)) for size in np.diff(g_starts)]
         )
-        sizes_dc = np.array([members.size for members in dc_vms], dtype=np.int64)
-        member_off = np.zeros(q, dtype=np.int64)
-        member_off[1:] = np.cumsum(sizes_dc)[:-1]
         return _HoneyBeeConstAssigner(
             g_starts,
             proc_start,
-            np.array(params["eff"], dtype=np.int64),
-            sizes_dc,
-            np.concatenate(dc_vms),
-            member_off,
+            params["eff"],
+            params["dc_vms"],
             params["cap"],
             params["info"],
         )

@@ -32,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from repro.obs.telemetry import TELEMETRY as _TEL
-from repro.schedulers.streaming import ChunkAssigner, StreamingScheduler
+from repro.schedulers.streaming import ChunkAssigner, StreamingScheduler, cyclic_take
 from repro.workloads.spec import ScenarioArrays
 from repro.workloads.streaming import ScenarioChunks
 
@@ -101,7 +101,7 @@ class BiasedWalk:
             idx = np.flatnonzero(choice == g)
             if idx.size:
                 cursor = int(self.cursor[g])
-                out[idx] = np.resize(np.roll(self.groups[g], -cursor), idx.size)
+                out[idx] = cyclic_take(self.groups[g], cursor, idx.size)
                 self.cursor[g] = (cursor + idx.size) % self.sizes[g]
         return out, hops
 

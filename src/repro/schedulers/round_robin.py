@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.schedulers.streaming import ChunkAssigner, StreamingScheduler
+from repro.schedulers.streaming import ChunkAssigner, StreamingScheduler, cyclic_take
 from repro.workloads.spec import ScenarioArrays
 from repro.workloads.streaming import ScenarioChunks
 
@@ -48,13 +48,12 @@ class RoundRobinScheduler(StreamingScheduler):
         rng: np.random.Generator,
         carry: "dict[str, Any] | None" = None,
     ) -> ChunkAssigner:
-        m = stream.num_vms
+        vms = np.arange(stream.num_vms, dtype=np.int64)
         start = self.start_offset
 
         class Assigner(ChunkAssigner):
             def assign(self, chunk: ScenarioArrays, offset: int) -> np.ndarray:
-                k = chunk.num_cloudlets
-                return (np.arange(offset, offset + k, dtype=np.int64) + start) % m
+                return cyclic_take(vms, offset + start, chunk.num_cloudlets)
 
             def carry_out(self) -> None:
                 return None  # offset-pure: any chunk is computable in isolation

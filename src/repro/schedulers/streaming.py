@@ -27,6 +27,11 @@ bounded-state property test in ``tests/properties``).  HBO and RBS keep
 ``num_cloudlets`` (HBO's global group ordering, RBS's ω/start draw
 split), so their ``open()`` pre-scans or fast-forwards over the stream.
 
+Four placements are cyclic runs over a list of VMs: round-robin itself,
+greedy-MCT with constant cloudlets on a uniform fleet, HBO's scouts with
+constant cloudlets on identical VMs, and RBS's Step 6 inside a group.
+Each builds its runs with :func:`cyclic_take`.
+
 Schedulers without a streaming form (the metaheuristics) are explicitly
 in-memory-only: :func:`as_streaming` wraps them in
 :class:`InMemoryFallback`, which schedules once over the stream's own
@@ -58,6 +63,27 @@ import numpy as np
 from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult
 from repro.workloads.spec import ScenarioArrays
 from repro.workloads.streaming import ScenarioChunks
+
+
+def cyclic_take(members: np.ndarray, first: int, k: int) -> np.ndarray:
+    """``members[(first + np.arange(k)) % members.size]``, built by slicing.
+
+    The ``k`` placements of a cyclic run over ``members`` that starts at
+    position ``first`` of the cycle (see the module docstring's list of
+    cyclic placements).  A run that does not wrap is one slice, a run
+    that wraps once is two, and only a run that wraps again tiles the
+    cycle.  No per-element ``%`` or ``//`` is computed, and the result
+    never shares memory with ``members``.
+    """
+    size = members.size
+    start = first % size
+    if start + k <= size:
+        return members[start : start + k].copy()
+    if start + k <= 2 * size:
+        return np.concatenate((members[start:], members[: start + k - size]))
+    # np.tile repeats in one C loop; np.resize concatenates one copy per lap.
+    rolled = np.concatenate((members[start:], members[:start]))
+    return np.tile(rolled, -(-k // size))[:k]
 
 
 class ChunkAssigner(abc.ABC):
@@ -292,6 +318,7 @@ def as_streaming(scheduler: Scheduler) -> StreamingScheduler:
 
 
 __all__ = [
+    "cyclic_take",
     "ChunkAssigner",
     "StreamingScheduler",
     "InMemoryFallback",

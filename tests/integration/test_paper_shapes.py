@@ -8,23 +8,63 @@ be stable.  The full sweeps live in ``benchmarks/`` and
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.cloud.fast import FastSimulation
-from repro.cloud.simulation import CloudSimulation
+from repro.cloud.simulation import CloudSimulation, timed_schedule
 from repro.schedulers import (
     AntColonyScheduler,
     HoneyBeeScheduler,
     RandomBiasedSamplingScheduler,
     RoundRobinScheduler,
 )
+from repro.schedulers.base import SchedulingContext
 from repro.workloads.heterogeneous import heterogeneous_scenario
 from repro.workloads.homogeneous import homogeneous_scenario
 
+#: Batch decisions timed per scheduler.  The timing guards compare the
+#: medians, so one slow moment of a shared host cannot flip an ordering.
+TIMED_DECISIONS = 5
 
-@pytest.fixture(scope="module")
-def hetero_results():
+#: Sleep added to one scheduler's decision in the guards' positive
+#: controls: several times the slowest decision the guards time.
+SLOWDOWN_S = 0.2
+
+
+def median_scheduling_times(scenario, schedulers) -> dict[str, float]:
+    """Median wall clock of ``TIMED_DECISIONS`` batch decisions per scheduler.
+
+    Each sample is the decision the simulations time (``timed_schedule``
+    on a fresh context).  The rounds interleave the schedulers, so a slow
+    stretch of the host costs each of them one sample, not one of them
+    every sample.
+    """
+    samples: dict[str, list[float]] = {name: [] for name in schedulers}
+    for _ in range(TIMED_DECISIONS):
+        for name, scheduler in schedulers.items():
+            context = SchedulingContext.from_scenario(scenario, seed=0)
+            samples[name].append(timed_schedule(scheduler, context)[1])
+    return {name: float(np.median(values)) for name, values in samples.items()}
+
+
+class SlowedBaseTest(RoundRobinScheduler):
+    """Base Test that sleeps ``SLOWDOWN_S`` before each decision."""
+
+    def schedule(self, context):
+        time.sleep(SLOWDOWN_S)
+        return super().schedule(context)
+
+
+def with_slowed_base_test(scenario, times: dict[str, float]) -> dict[str, float]:
+    """``times`` with basetest re-timed as :class:`SlowedBaseTest`."""
+    slowed = median_scheduling_times(scenario, {"basetest": SlowedBaseTest()})
+    return {**times, **slowed}
+
+
+def hetero_point():
     """One mid-sweep heterogeneous point (paper regime: cloudlets >> VMs)."""
     scenario = heterogeneous_scenario(num_vms=40, num_cloudlets=400, seed=0)
     schedulers = {
@@ -33,10 +73,31 @@ def hetero_results():
         "honeybee": HoneyBeeScheduler(),
         "rbs": RandomBiasedSamplingScheduler(),
     }
+    return scenario, schedulers
+
+
+@pytest.fixture(scope="module")
+def hetero_results():
+    scenario, schedulers = hetero_point()
     return {
         name: CloudSimulation(scenario, sched, seed=0).run()
         for name, sched in schedulers.items()
     }
+
+
+@pytest.fixture(scope="module")
+def hetero_times():
+    return median_scheduling_times(*hetero_point())
+
+
+def assert_fig6b_ordering(times: dict[str, float]) -> None:
+    assert times["basetest"] < times["rbs"] < times["honeybee"] < times["antcolony"]
+
+
+def assert_base_test_fastest(times: dict[str, float]) -> None:
+    for name, seconds in times.items():
+        if name != "basetest":
+            assert seconds > times["basetest"], name
 
 
 class TestHeterogeneousShapes:
@@ -47,9 +108,13 @@ class TestHeterogeneousShapes:
     def test_fig6a_hbo_beats_basetest(self, hetero_results):
         assert hetero_results["honeybee"].makespan < hetero_results["basetest"].makespan
 
-    def test_fig6b_scheduling_time_ordering(self, hetero_results):
-        times = {k: r.scheduling_time for k, r in hetero_results.items()}
-        assert times["basetest"] < times["rbs"] < times["honeybee"] < times["antcolony"]
+    def test_fig6b_scheduling_time_ordering(self, hetero_times):
+        assert_fig6b_ordering(hetero_times)
+
+    def test_fig6b_guard_fails_on_a_slowed_scheduler(self, hetero_times):
+        slowed = with_slowed_base_test(hetero_point()[0], hetero_times)
+        with pytest.raises(AssertionError):
+            assert_fig6b_ordering(slowed)
 
     def test_fig6c_aco_imbalance_above_spreading_policies(self, hetero_results):
         imb = {k: r.time_imbalance for k, r in hetero_results.items()}
@@ -67,20 +132,29 @@ class TestHeterogeneousShapes:
         assert max(costs) / min(costs) < 1.15
 
 
+def homog_point():
+    scenario = homogeneous_scenario(num_vms=25, num_cloudlets=500, seed=0)
+    schedulers = {
+        "antcolony": AntColonyScheduler(num_ants=5, max_iterations=2, tabu="pass"),
+        "basetest": RoundRobinScheduler(),
+        "honeybee": HoneyBeeScheduler(),
+        "rbs": RandomBiasedSamplingScheduler(),
+    }
+    return scenario, schedulers
+
+
 class TestHomogeneousShapes:
     @pytest.fixture(scope="class")
     def homog_results(self):
-        scenario = homogeneous_scenario(num_vms=25, num_cloudlets=500, seed=0)
-        schedulers = {
-            "antcolony": AntColonyScheduler(num_ants=5, max_iterations=2, tabu="pass"),
-            "basetest": RoundRobinScheduler(),
-            "honeybee": HoneyBeeScheduler(),
-            "rbs": RandomBiasedSamplingScheduler(),
-        }
+        scenario, schedulers = homog_point()
         return {
             name: FastSimulation(scenario, sched, seed=0).run()
             for name, sched in schedulers.items()
         }
+
+    @pytest.fixture(scope="class")
+    def homog_times(self):
+        return median_scheduling_times(*homog_point())
 
     def test_fig4_all_converge_to_base_test(self, homog_results):
         base = homog_results["basetest"].makespan
@@ -93,11 +167,13 @@ class TestHomogeneousShapes:
         for result in homog_results.values():
             assert result.time_imbalance == pytest.approx(0.0, abs=1e-9)
 
-    def test_fig5_base_test_schedules_fastest(self, homog_results):
-        base = homog_results["basetest"].scheduling_time
-        for name, result in homog_results.items():
-            if name != "basetest":
-                assert result.scheduling_time > base, name
+    def test_fig5_base_test_schedules_fastest(self, homog_times):
+        assert_base_test_fastest(homog_times)
+
+    def test_fig5_guard_fails_on_a_slowed_base_test(self, homog_times):
+        slowed = with_slowed_base_test(homog_point()[0], homog_times)
+        with pytest.raises(AssertionError):
+            assert_base_test_fastest(slowed)
 
     def test_makespan_decreases_with_fleet_size(self):
         mks = []

@@ -88,6 +88,21 @@ class TestBatchEvaluation:
         serial = np.array([kernel.makespan(p) for p in positions])
         np.testing.assert_allclose(batch, serial, rtol=1e-12)
 
+    def test_compute_batch_loads_bit_equal_for_any_block_order(self, arrays):
+        # One kernel serves blocks that grow, shrink and grow past every
+        # earlier one; each must equal a fresh weighted bincount.
+        kernel = FitnessKernel(arrays, time_model="compute")
+        rng = np.random.default_rng(11)
+        n, m = arrays.num_cloudlets, arrays.num_vms
+        for p in (1, 6, 3, 6, 9, 2):
+            positions = rng.integers(0, m, size=(p, n))
+            expected = np.bincount(
+                (np.arange(p)[:, None] * m + positions).ravel(),
+                weights=np.broadcast_to(arrays.cloudlet_length, (p, n)).ravel(),
+                minlength=p * m,
+            ).reshape(p, m)
+            assert kernel.batch_loads(positions).tobytes() == expected.tobytes(), p
+
     def test_uniform_batch_matches_general_path_for_identical_cloudlets(self):
         from repro.workloads.homogeneous import homogeneous_scenario
 

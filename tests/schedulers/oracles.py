@@ -9,7 +9,10 @@ and fast paths; these slow loops are what they are pinned against
 beyond the exactly representable domain.
 
 Every scheduler oracle returns ``(assignment, info)`` like
-``SchedulingResult``.  For RBS's parts, :func:`rbs_walk_oracle` is the
+``SchedulingResult``.  :func:`honeybee_const_oracle` is HBO's
+constant-cloudlet closed form computed per cloudlet, the reference for
+the cyclic runs of its constant path (``tests/schedulers/test_cyclic.py``).
+For RBS's parts, :func:`rbs_walk_oracle` is the
 scalar walk alone and :func:`rbs_carries_oracle` the serial re-walk
 reference for its shard carries (``tests/schedulers/test_rbs.py``).
 For ACO's parts, :func:`aco_shared_construct_oracle` is the colony
@@ -127,6 +130,32 @@ def honeybee_oracle(
         "spills": spills,
         "cap_per_dc": cap,
     }
+
+
+def honeybee_const_oracle(assigner, offset: int, k: int) -> np.ndarray:
+    """HBO's constant-cloudlet closed form, one cloudlet at a time.
+
+    Maps each index of ``[offset, offset + k)`` through the tables of a
+    ``_HoneyBeeConstAssigner`` on its own: its group by ``searchsorted``,
+    its scheduled position ``t``, its datacenter block ``t // cap`` (the
+    cheapest datacenter once every block is saturated) and its VM slot
+    by ``%``.  The assigner slices whole cyclic runs instead.
+    """
+    g_starts = np.asarray(assigner._bounds, dtype=np.int64)
+    proc_start = np.asarray(assigner._schedule, dtype=np.int64)
+    eff = np.asarray(assigner._eff, dtype=np.int64)
+    cap = assigner._cap
+    sizes = np.array([members.size for members in assigner._dc_vms], dtype=np.int64)
+    members = np.concatenate(assigner._dc_vms)
+    member_off = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    i = np.arange(offset, offset + k, dtype=np.int64)
+    g = np.searchsorted(g_starts, i, side="right") - 1
+    t = proc_start[g] + (i - g_starts[g])
+    block = t // cap
+    under_cap = block < eff.size
+    d = np.where(under_cap, eff[np.minimum(block, eff.size - 1)], eff[0])
+    r = np.where(under_cap, t - block * cap, t - cap * eff.size + cap)
+    return members[member_off[d] + r % sizes[d]]
 
 
 def _rbs_groups(num_vms: int, num_groups: "int | None") -> "list[list[int]]":

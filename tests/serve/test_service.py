@@ -89,6 +89,15 @@ class TestSubmission:
             assert (placed.placements >= 0).all()
             assert (placed.placements < spec.num_vms).all()
 
+    def test_basetest_batch_wraps_the_fleet(self):
+        # 17 cloudlets from offset 490 on a 500-VM fleet: the last 10 VMs,
+        # then the first 7.
+        _, service = make_service(num_vms=500, scheduler="basetest")
+        service.submit("edge", {"count": 490, "length": 1000.0})
+        placed = service.submit("edge", {"count": 17, "length": 1000.0})
+        assert placed.offset == 490
+        assert placed.placements.tolist() == [*range(490, 500), *range(7)]
+
     def test_unknown_fleet_is_a_404(self):
         _, service = make_service()
         with pytest.raises(ServeError) as excinfo:

@@ -17,10 +17,14 @@ over mixed VMs, which reach greedy-MCT's and honey-bee's general paths:
 2. **Chunk invariance** — every bounded metric (and the per-VM
    accumulator arrays) is bit-identical across chunk sizes, in both
    families.  Constant cloudlets fold from per-VM counts at every shard
-   count, so on the homogeneous family each scheduler also runs once in
+   count, so on the homogeneous family each scheduler also runs in
    collect mode, and the bounded accumulators must equal, byte for byte,
    one ``np.add.at`` fold of that run's assignment and costs (the
-   rebuild's oracle).
+   rebuild's oracle).  Every accumulator of a constant stream is a
+   function of the per-VM counts, so a permutation error inside a cyclic
+   run would pass those checks; the collect-mode assignments must
+   therefore be byte-equal across both chunk sizes and, with
+   ``--shards N``, between serial and sharded runs.
 3. **Telemetry** — ``stream.chunks`` / ``stream.peak_rss`` gauges are
    populated when telemetry is on.
 4. **Shard invariance** (``--shards N``) — the same points run sharded
@@ -96,14 +100,31 @@ def check_same(name: str, what: str, a, b, rtol: float = 0.0) -> None:
             raise AssertionError(f"{name}: {field} not {what}{detail}")
 
 
-def check_add_at_fold(name: str, num_cloudlets: int, result) -> None:
-    """Raise unless a homogeneous ``result``'s per-VM accumulators equal one
-    ``np.add.at`` fold over a collect-mode run of the same point."""
-    stream = homogeneous_stream(NUM_VMS, num_cloudlets, seed=SEED, chunk_size=CHUNK_SIZES[1])
-    collected = StreamingSimulation(
-        stream, make_streaming_scheduler(name), seed=SEED, collect=True
+def collect_run(name: str, num_cloudlets: int, chunk_size: int, shards: int | None = None):
+    """A collect-mode run of the homogeneous point, and its stream."""
+    stream = homogeneous_stream(NUM_VMS, num_cloudlets, seed=SEED, chunk_size=chunk_size)
+    result = StreamingSimulation(
+        stream, make_streaming_scheduler(name), seed=SEED, collect=True, shards=shards
     ).run()
+    return result, stream
+
+
+def check_collected(name: str, num_cloudlets: int, result, shards: int | None) -> None:
+    """Raise unless a homogeneous ``result``'s per-VM accumulators equal one
+    ``np.add.at`` fold over a collect-mode run of the same point, and that
+    run's assignment is byte-equal at the other chunk size and sharded."""
+    collected, stream = collect_run(name, num_cloudlets, CHUNK_SIZES[1])
     assignment = collected.assignment
+    others = {f"chunk size {CHUNK_SIZES[0]}": (CHUNK_SIZES[0], None)}
+    if shards:
+        others[f"--shards {shards}"] = (CHUNK_SIZES[1], shards)
+    for what, (chunk_size, n_shards) in others.items():
+        other, _ = collect_run(name, num_cloudlets, chunk_size, n_shards)
+        if other.assignment.tobytes() != assignment.tobytes():
+            raise AssertionError(
+                f"{name}: collect-mode assignment at {what} differs from "
+                f"chunk size {CHUNK_SIZES[1]}"
+            )
     lengths = stream.to_arrays().cloudlet_length
     folds = {"vm_finish_times": np.zeros(NUM_VMS), "vm_costs": np.zeros(NUM_VMS)}
     np.add.at(folds["vm_finish_times"], assignment, lengths / stream.vm_mips[assignment])
@@ -147,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
             result, elapsed = run_one(name, args.family, args.cloudlets, CHUNK_SIZES[1])
             check_same(name, "chunk-invariant", baseline, result)
             if args.family == "homogeneous":
-                check_add_at_fold(name, args.cloudlets, result)
+                check_collected(name, args.cloudlets, result, args.shards)
             # Per-scheduler gate: ru_maxrss is a process-lifetime high-water
             # mark, so the first scheduler to blow the budget is the one
             # named here — an O(n) regression can't hide behind the
