@@ -24,23 +24,20 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cloud.cloudlet import Cloudlet, CloudletStatus
+from repro.cloud.broker import FleetBroker
+from repro.cloud.cloudlet import Cloudlet
 from repro.cloud.control import ControlConfig, ControlLoop
 from repro.cloud.datacenter import FaultNotice
-from repro.cloud.faults import FaultInjector
 from repro.cloud.simulation import (
     ExecutionModel,
     SimulationResult,
     build_simulation,
     cloudlet_costs,
     cloudlet_times,
-    make_cloudlet_scheduler,
     run_info,
     simulation_result,
 )
 from repro.cloud.vm import Vm
-from repro.core.entity import Entity
-from repro.core.eventqueue import Event
 from repro.core.rng import spawn_rng
 from repro.core.tags import EventTag
 from repro.obs.telemetry import TELEMETRY as _TEL
@@ -58,7 +55,7 @@ if TYPE_CHECKING:
 MAX_ATTEMPTS = 32
 
 
-class OnlineBroker(Entity):
+class OnlineBroker(FleetBroker):
     """Submits cloudlets as they arrive; places each with an online policy.
 
     The broker maintains ``backlog``: per-VM estimated outstanding execution
@@ -67,8 +64,8 @@ class OnlineBroker(Entity):
     the online policies key on.  It also carries the mechanisms a
     :class:`~repro.cloud.control.ControlLoop` actuates:
 
-    * an ``alive`` mask maintained from datacenter ``FAULT_NOTICE`` events
-      and an ``active`` mask owned by the autoscaler (the ``standby_vms``
+    * the ``alive`` mask kept from datacenter ``FAULT_NOTICE`` events and
+      an ``active`` mask owned by the autoscaler (the ``standby_vms``
       highest-indexed VMs start parked);
     * self-healing: a ``FAILED`` return (crash bounce or rebalance cancel)
       is re-placed through the policy at once; a cloudlet that fails
@@ -94,29 +91,23 @@ class OnlineBroker(Entity):
         vm_placement: dict[int, int],
         standby_vms: int = 0,
     ) -> None:
-        super().__init__(name)
+        super().__init__(name, vms, cloudlets, vm_placement)
         if len(arrival_times) != len(cloudlets):
             raise ValueError("arrival_times must be index-aligned with cloudlets")
         num_vms = len(vms)
-        if not 0 <= standby_vms < num_vms:
+        if not (isinstance(standby_vms, (int, np.integer)) and 0 <= standby_vms < num_vms):
             raise ValueError(
-                f"standby_vms must leave at least one active VM, got "
-                f"{standby_vms} of {num_vms}"
+                f"standby_vms must be an integer leaving at least one active "
+                f"VM, got {standby_vms!r} of {num_vms}"
             )
-        self.vms = vms
-        self.cloudlets = cloudlets
         self.arrival_times = np.asarray(arrival_times, dtype=float)
-        if self.arrival_times.size and self.arrival_times.min() < 0:
-            raise ValueError("arrival times must be non-negative")
+        if not (np.isfinite(self.arrival_times).all() and (self.arrival_times >= 0).all()):
+            raise ValueError("arrival times must be finite and non-negative")
         self.policy = policy
         self.context = context
-        self.vm_placement = dict(vm_placement)
         self.backlog = np.zeros(num_vms)
-        self.finished: list[Cloudlet] = []
-        self.assignment = np.full(len(cloudlets), -1, dtype=np.int64)
         #: accumulated wall-clock seconds inside the policy (scheduling time).
         self.decision_seconds = 0.0
-        self.alive = np.ones(num_vms, dtype=bool)
         self.active = np.ones(num_vms, dtype=bool)
         self.active[num_vms - standby_vms :] = False
         self._all_eligible = not standby_vms
@@ -132,7 +123,6 @@ class OnlineBroker(Entity):
         #: cloudlets we cancelled ourselves; their bounce is a planned move,
         #: not a failure, so it never counts toward ``MAX_ATTEMPTS``.
         self._planned_bounces: set[int] = set()
-        self._acks_outstanding = 0
         #: arrival instant -> cloudlet indices (a "wave").
         self._waves: dict[float, list[int]] = defaultdict(list)
         for idx, t in enumerate(self.arrival_times):
@@ -140,44 +130,20 @@ class OnlineBroker(Entity):
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def start(self) -> None:
+    def _on_fleet_ready(self) -> None:
         arr = self.context.arrays
         # Python floats: the same IEEE quotients as the numpy columns, without
         # numpy scalar overhead on every placement and return.
         self._lengths = arr.cloudlet_length.tolist()
         self._speeds = (arr.vm_mips * arr.vm_pes).tolist()
         self.policy.start(self.context)
-        self._acks_outstanding = len(self.vms)
-        for idx, vm in enumerate(self.vms):
-            self.send(self.vm_placement[idx], 0.0, EventTag.VM_CREATE, data=vm)
+        for instant in sorted(self._waves):
+            self.schedule_self(
+                max(0.0, instant - self.now), EventTag.TIMER, data=instant
+            )
 
-    def process_event(self, event: Event) -> None:
-        if event.tag is EventTag.VM_CREATE_ACK:
-            self._process_ack(event)
-        elif event.tag is EventTag.TIMER:
-            self._process_wave(event.data)
-        elif event.tag is EventTag.CLOUDLET_RETURN:
-            self._process_return(event)
-        elif event.tag is EventTag.FAULT_NOTICE:
-            notice: FaultNotice = event.data
-            for vm_id in notice.vm_ids:
-                self.alive[vm_id] = notice.kind == "vm-recovered"
-            self._refresh_eligible()
-        else:
-            raise ValueError(f"{self.name}: unexpected event tag {event.tag!r}")
-
-    def _process_ack(self, event: Event) -> None:
-        vm, success = event.data
-        if not success:
-            raise RuntimeError(f"{self.name}: datacenter rejected vm {vm.vm_id}")
-        self._acks_outstanding -= 1
-        if self._acks_outstanding == 0:
-            for instant in sorted(self._waves):
-                self.schedule_self(
-                    max(0.0, instant - self.now), EventTag.TIMER, data=instant
-                )
-
-    def _process_wave(self, instant: float) -> None:
+    def _on_timer(self, instant: float) -> None:
+        """Place the arrival wave due at ``instant``."""
         indices = self._waves[instant]
         t0 = time.perf_counter()
         if isinstance(self.policy, BatchAdapter):
@@ -185,6 +151,10 @@ class OnlineBroker(Entity):
         for idx in indices:
             self._place_cloudlet(idx)
         self.decision_seconds += time.perf_counter() - t0
+
+    def _on_fault_notice(self, notice: FaultNotice) -> None:
+        super()._on_fault_notice(notice)
+        self._refresh_eligible()
 
     # -- placement ---------------------------------------------------------------
 
@@ -222,26 +192,24 @@ class OnlineBroker(Entity):
     def _place_cloudlet(self, idx: int) -> None:
         """Place one cloudlet: choose a VM, book the backlog, submit."""
         vm_idx = self._choose_vm(idx)
-        self.assignment[idx] = vm_idx
         self.backlog[vm_idx] += self._estimate(idx, vm_idx)
         self._inflight[vm_idx].add(idx)
-        cloudlet = self.cloudlets[idx]
-        cloudlet.vm_id = self.vms[vm_idx].vm_id
-        self.send_now(
-            self.vm_placement[vm_idx], EventTag.CLOUDLET_SUBMIT, data=cloudlet
-        )
+        self.submit(idx, vm_idx)
 
-    def _process_return(self, event: Event) -> None:
-        cloudlet: Cloudlet = event.data
+    def _unbook(self, cloudlet: Cloudlet) -> int:
+        """Take a returned cloudlet off its VM's books; return its index."""
         idx = cloudlet.cloudlet_id
         vm_idx = int(self.assignment[idx])
         self._inflight[vm_idx].discard(idx)
         self.backlog[vm_idx] -= self._estimate(idx, vm_idx)
-        if cloudlet.status is not CloudletStatus.FAILED:
-            # A cancel can race the finish and lose; clear the stale marker.
-            self._planned_bounces.discard(idx)
-            self.finished.append(cloudlet)
-            return
+        return idx
+
+    def _on_finish(self, cloudlet: Cloudlet) -> None:
+        # A cancel can race the finish and lose; clear the stale marker.
+        self._planned_bounces.discard(self._unbook(cloudlet))
+
+    def _on_bounce(self, cloudlet: Cloudlet) -> None:
+        idx = self._unbook(cloudlet)
         if idx in self._planned_bounces:
             self._planned_bounces.discard(idx)
             self.moves[idx] += 1
@@ -253,12 +221,7 @@ class OnlineBroker(Entity):
                     f"{MAX_ATTEMPTS} placement attempts"
                 )
             self.retries += 1
-        cloudlet.reset_for_retry()
         self._place_cloudlet(idx)
-
-    @property
-    def all_finished(self) -> bool:
-        return len(self.finished) == len(self.cloudlets)
 
     # -- actuators (a control loop's Execute phase) ------------------------------
 
@@ -418,21 +381,7 @@ class OnlineCloudSimulation:
         )
         sim.register(broker)
 
-        if fault_plan:
-            sim.register(
-                FaultInjector(
-                    name="timeline-faults",
-                    plan=list(fault_plan),
-                    vm_entity=env.vm_placement,
-                    owner_id=broker.id,
-                    vm_factory=lambda i: scenario.vms[i].build(
-                        vm_id=i,
-                        cloudlet_scheduler=make_cloudlet_scheduler(
-                            self.execution_model
-                        ),
-                    ),
-                )
-            )
+        env.inject_faults(fault_plan, broker)
         loop = None
         if self.control is not None:
             loop = ControlLoop(

@@ -41,19 +41,17 @@ import numpy as np
 from repro.cloud.broker import DatacenterBroker
 from repro.cloud.cloudlet import Cloudlet, CloudletStatus
 from repro.cloud.datacenter import FaultNotice
-from repro.cloud.faults import FaultEvent, FaultInjector, validate_fault_plan
+from repro.cloud.faults import FaultEvent, validate_fault_plan
 from repro.cloud.simulation import (
     ExecutionModel,
     SimulationResult,
     build_simulation,
     cloudlet_costs,
     cloudlet_times,
-    make_cloudlet_scheduler,
     run_info,
     simulation_result,
     timed_schedule,
 )
-from repro.core.eventqueue import Event
 from repro.core.rng import spawn_rng
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.core.tags import EventTag
@@ -74,7 +72,7 @@ class RetryPolicy(abc.ABC):
     """
 
     def __init__(self, max_attempts: int = 5) -> None:
-        if max_attempts < 1:
+        if not max_attempts >= 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.max_attempts = max_attempts
 
@@ -115,8 +113,12 @@ class ExponentialBackoffRetry(RetryPolicy):
         max_attempts: int = 5,
     ) -> None:
         super().__init__(max_attempts)
-        if base_delay < 0 or max_delay < 0 or factor < 1:
-            raise ValueError("base_delay/max_delay must be >= 0 and factor >= 1")
+        # Each comparison is written so that NaN fails it.
+        for name, value, low in (
+            ("base_delay", base_delay, 0), ("max_delay", max_delay, 0), ("factor", factor, 1)
+        ):
+            if not value >= low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if not 0 <= jitter < 1:
             raise ValueError(f"jitter must be in [0, 1), got {jitter}")
         self.base_delay = base_delay
@@ -173,7 +175,7 @@ class ReschedulingBroker(DatacenterBroker):
         speculation_multiple: float | None = None,
     ) -> None:
         super().__init__(name, vms, cloudlets, assignment, vm_placement)
-        if speculation_multiple is not None and speculation_multiple <= 1:
+        if speculation_multiple is not None and not speculation_multiple > 1:
             raise ValueError(
                 f"speculation_multiple must exceed 1, got {speculation_multiple}"
             )
@@ -183,11 +185,8 @@ class ReschedulingBroker(DatacenterBroker):
         self.rng = rng
         self.speculation_multiple = speculation_multiple
 
-        num_cloudlets = len(self.cloudlets)
-        self._alive = np.ones(len(self.vms), dtype=bool)
         #: execution attempts per cloudlet (1 = the initial dispatch).
-        self.attempts = np.zeros(num_cloudlets, dtype=np.int64)
-        self.final_assignment = np.asarray(assignment, dtype=np.int64).copy()
+        self.attempts = np.ones(len(self.cloudlets), dtype=np.int64)
         #: per-VM estimated outstanding execution seconds.
         self.backlog = np.zeros(len(self.vms))
         #: retry instant -> bounced cloudlet indices awaiting that instant.
@@ -206,51 +205,34 @@ class ReschedulingBroker(DatacenterBroker):
     # -- fleet state -------------------------------------------------------------
 
     @property
+    def final_assignment(self) -> np.ndarray:
+        """The VM index each cloudlet was last dispatched to."""
+        return self.assignment
+
+    @property
     def dead_vm_indices(self) -> list[int]:
         """Indices of VMs currently believed dead."""
-        return [int(i) for i in np.flatnonzero(~self._alive)]
+        return [int(i) for i in np.flatnonzero(~self.alive)]
 
     @property
     def all_finished(self) -> bool:
         """Every cloudlet either finished or was deterministically abandoned."""
         return len(self.finished) + len(self.dead_letter) == len(self.cloudlets)
 
-    # -- event handling ----------------------------------------------------------
-
-    def process_event(self, event: Event) -> None:
-        if event.tag is EventTag.FAULT_NOTICE:
-            self._process_fault_notice(event.data)
-        elif event.tag is EventTag.TIMER:
-            kind = event.data[0]
-            if kind == "retry":
-                self._process_retry_batch(event.data[1])
-            elif kind == "speculate":
-                self._process_speculation(event.data[1], event.data[2])
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"{self.name}: unknown timer {event.data!r}")
-        else:
-            super().process_event(event)
-
-    def _process_fault_notice(self, notice: FaultNotice) -> None:
+    def _on_fault_notice(self, notice: FaultNotice) -> None:
+        super()._on_fault_notice(notice)
         if notice.kind == "vm-failed":
-            for vm_index in notice.vm_ids:
-                self._alive[vm_index] = False
-                # Resident estimates died with the VM; bounces re-add theirs
-                # at their retry dispatch.
-                self.backlog[vm_index] = 0.0
-        elif notice.kind == "vm-recovered":
-            for vm_index in notice.vm_ids:
-                self._alive[vm_index] = True
+            # Resident estimates died with the VM; bounces re-add theirs
+            # at their retry dispatch.
+            self.backlog[list(notice.vm_ids)] = 0.0
+
+    def _on_timer(self, data: tuple) -> None:
+        if data[0] == "retry":
+            self._process_retry_batch(data[1])
+        else:
+            self._process_speculation(data[1], data[2])
 
     # -- dispatch ----------------------------------------------------------------
-
-    def _submit_cloudlets(self) -> None:
-        if self._submitted:
-            return
-        self._submitted = True
-        for c_idx in range(len(self.cloudlets)):
-            self.attempts[c_idx] = 1
-            self._dispatch(c_idx, int(self.assignment[c_idx]))
 
     def _exec_estimate(self, c_idx: int, vm_idx: int) -> float:
         arr = self.context.arrays
@@ -258,16 +240,11 @@ class ReschedulingBroker(DatacenterBroker):
             arr.cloudlet_length[c_idx] / (arr.vm_mips[vm_idx] * arr.vm_pes[vm_idx])
         )
 
-    def _dispatch(self, c_idx: int, vm_idx: int) -> None:
-        """Send cloudlet ``c_idx`` to VM ``vm_idx`` and arm its watchdog."""
-        cloudlet = self.cloudlets[c_idx]
-        if cloudlet.status is not CloudletStatus.CREATED:
-            cloudlet.reset_for_retry()
-        self.final_assignment[c_idx] = vm_idx
-        cloudlet.vm_id = self.vms[vm_idx].vm_id
+    def submit(self, c_idx: int, vm_idx: int) -> None:
+        """Book the cloudlet on ``vm_idx``, send it and arm its watchdog."""
         estimate = self._exec_estimate(c_idx, vm_idx)
         self.backlog[vm_idx] += estimate
-        self.send_now(self.vm_placement[vm_idx], EventTag.CLOUDLET_SUBMIT, data=cloudlet)
+        super().submit(c_idx, vm_idx)
         if self.speculation_multiple is not None:
             # Expected completion = everything queued ahead plus this
             # cloudlet's own run; the watchdog fires at a multiple of it.
@@ -280,23 +257,28 @@ class ReschedulingBroker(DatacenterBroker):
 
     # -- returns and bounces -----------------------------------------------------
 
-    def _process_return(self, event: Event) -> None:
-        cloudlet: Cloudlet = event.data
+    def _unbook(self, cloudlet: Cloudlet) -> int:
+        """Release a returned cloudlet's backlog estimate; return its index."""
         c_idx = cloudlet.cloudlet_id
-        vm_idx = int(self.final_assignment[c_idx])
+        vm_idx = int(self.assignment[c_idx])
         self.backlog[vm_idx] = max(
             0.0, self.backlog[vm_idx] - self._exec_estimate(c_idx, vm_idx)
         )
-        if cloudlet.status is CloudletStatus.FAILED:
-            self._handle_bounce(c_idx)
-            return
+        return c_idx
+
+    def _on_finish(self, cloudlet: Cloudlet) -> None:
+        c_idx = self._unbook(cloudlet)
         if c_idx in self._bounce_time:
             self.recovery_times.append(self.now - self._bounce_time.pop(c_idx))
-        self.finished.append(cloudlet)
 
-    def _handle_bounce(self, c_idx: int) -> None:
+    def _on_bounce(self, cloudlet: Cloudlet) -> None:
+        c_idx = self._unbook(cloudlet)
         self._bounce_time.setdefault(c_idx, self.now)
         self.attempts[c_idx] += 1
+        self._retry(c_idx)
+
+    def _retry(self, c_idx: int) -> None:
+        """Wait out the retry policy's delay, or dead-letter past its bound."""
         delay = self.retry_policy.next_delay(int(self.attempts[c_idx]), self.rng)
         if delay is None:
             self.dead_letter.append(c_idx)
@@ -315,7 +297,7 @@ class ReschedulingBroker(DatacenterBroker):
     def _process_retry_batch(self, due: float) -> None:
         """Re-place every cloudlet whose retry matured at this instant."""
         indices = self._retry_buckets.pop(due)
-        alive = np.flatnonzero(self._alive)
+        alive = np.flatnonzero(self.alive)
         if alive.size == 0:
             # Nothing to run on right now: dead-letter deterministically
             # rather than spin (recoveries later cannot resurrect these).
@@ -330,7 +312,7 @@ class ReschedulingBroker(DatacenterBroker):
         if _TEL.enabled:
             _TEL.count("resilience.reschedules")
         for local_c, c_idx in enumerate(indices):
-            self._dispatch(c_idx, int(alive[result.assignment[local_c]]))
+            self.submit(c_idx, int(alive[result.assignment[local_c]]))
 
     def _process_speculation(self, c_idx: int, attempt: int) -> None:
         """Watchdog: cancel a cloudlet that overstayed its expected runtime."""
@@ -339,7 +321,7 @@ class ReschedulingBroker(DatacenterBroker):
         cloudlet = self.cloudlets[c_idx]
         if cloudlet.status is CloudletStatus.SUCCESS or c_idx in self.dead_letter:
             return
-        vm_idx = int(self.final_assignment[c_idx])
+        vm_idx = int(self.assignment[c_idx])
         self.speculative_cancels += 1
         if _TEL.enabled:
             _TEL.count("resilience.speculative_cancels")
@@ -362,16 +344,14 @@ class RoundRobinRecoveryBroker(ReschedulingBroker):
 
     _retry_cursor = 0  # the first ``+=`` turns this default into instance state
 
-    def _handle_bounce(self, c_idx: int) -> None:
-        self._bounce_time.setdefault(c_idx, self.now)
-        self.attempts[c_idx] += 1
+    def _retry(self, c_idx: int) -> None:
         self.retries += 1
         num_vms = len(self.vms)
         for _ in range(num_vms):
             vm_idx = self._retry_cursor % num_vms
             self._retry_cursor += 1
-            if self._alive[vm_idx]:
-                self._dispatch(c_idx, vm_idx)
+            if self.alive[vm_idx]:
+                self.submit(c_idx, vm_idx)
                 return
         raise RuntimeError("every VM has failed; cloudlets cannot be recovered")
 
@@ -440,16 +420,7 @@ def run_resilient(
         speculation_multiple=speculation_multiple,
     )
     env.sim.register(broker)
-    injector = FaultInjector(
-        name="fault-injector",
-        plan=failures,
-        vm_entity=env.vm_placement,
-        owner_id=broker.id,
-        vm_factory=lambda i: scenario.vms[i].build(
-            vm_id=i, cloudlet_scheduler=make_cloudlet_scheduler(execution_model)
-        ),
-    )
-    env.sim.register(injector)
+    env.inject_faults(failures, broker)
 
     with _TEL.span("sim.execute"):
         env.sim.run()

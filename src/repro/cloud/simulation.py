@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Literal
+from typing import Any, Callable, Literal, Sequence
 
 import numpy as np
 
@@ -29,9 +29,11 @@ from repro.cloud.cloudlet_scheduler import (
     CloudletSchedulerTimeShared,
 )
 from repro.cloud.datacenter import Datacenter
+from repro.cloud.faults import FaultEvent, FaultInjector
 from repro.cloud.host import Host
 from repro.cloud.vm import Vm
 from repro.core.engine import Simulation
+from repro.core.entity import Entity
 from repro.obs.manifest import capture_manifest
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.obs.telemetry import TelemetrySnapshot
@@ -356,6 +358,17 @@ class SimulationEnvironment:
     cloudlets: list[Cloudlet]
     #: vm index -> owning datacenter entity id.
     vm_placement: dict[int, int]
+    #: vm index -> a fresh VM, built as the fleet was.
+    build_vm: Callable[[int], Vm]
+
+    def inject_faults(self, plan: Sequence[FaultEvent], owner: Entity) -> None:
+        """Register an injector for a non-empty ``plan``; a recovered VM is
+        rebuilt by :attr:`build_vm` and re-registered to ``owner``."""
+        if plan:
+            self.sim.register(FaultInjector(
+                "fault-injector", plan, self.vm_placement,
+                owner_id=owner.id, vm_factory=self.build_vm,
+            ))
 
 
 def build_simulation(
@@ -366,8 +379,9 @@ def build_simulation(
 ) -> SimulationEnvironment:
     """Build kernel + datacenters + VMs + cloudlets for ``scenario``.
 
-    The caller registers its broker (and any fault injector) on the
-    returned :attr:`SimulationEnvironment.sim` and runs it.
+    The caller registers its broker on the returned
+    :attr:`SimulationEnvironment.sim`, then any fault plan through
+    :meth:`SimulationEnvironment.inject_faults`, and runs it.
     """
     sim = Simulation(trace=trace)
     datacenters: list[Datacenter] = []
@@ -379,10 +393,13 @@ def build_simulation(
         )
         sim.register(dc)
         datacenters.append(dc)
-    vms = [
-        spec.build(vm_id=i, cloudlet_scheduler=make_cloudlet_scheduler(execution_model))
-        for i, spec in enumerate(scenario.vms)
-    ]
+
+    def build_vm(i: int) -> Vm:
+        return scenario.vms[i].build(
+            vm_id=i, cloudlet_scheduler=make_cloudlet_scheduler(execution_model)
+        )
+
+    vms = [build_vm(i) for i in range(len(scenario.vms))]
     cloudlets = [spec.build(cloudlet_id=i) for i, spec in enumerate(scenario.cloudlets)]
     vm_placement = {
         i: datacenters[scenario.vm_datacenter[i]].id for i in range(len(vms))
@@ -393,6 +410,7 @@ def build_simulation(
         vms=vms,
         cloudlets=cloudlets,
         vm_placement=vm_placement,
+        build_vm=build_vm,
     )
 
 

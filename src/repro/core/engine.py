@@ -119,8 +119,10 @@ class Simulation:
         priority: int = 0,
     ) -> Event:
         """Enqueue an event ``delay`` time units from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        if not delay >= 0:  # NaN fails this comparison too
+            raise SimulationError(
+                f"negative delay {delay}" if delay < 0 else f"delay is {delay}"
+            )
         if not 0 <= dst < len(self._entities):
             raise SimulationError(f"unknown destination entity id {dst}")
         return self._queue.push(

@@ -18,11 +18,15 @@ from typing import Any
 
 import numpy as np
 
-from repro.cloud.cloudlet import Cloudlet, CloudletStatus
-from repro.cloud.simulation import build_simulation, run_info, timed_schedule
+from repro.cloud.broker import FleetBroker
+from repro.cloud.cloudlet import Cloudlet
+from repro.cloud.simulation import (
+    build_simulation,
+    cloudlet_times,
+    run_info,
+    timed_schedule,
+)
 from repro.cloud.vm import Vm
-from repro.core.entity import Entity
-from repro.core.eventqueue import Event
 from repro.core.tags import EventTag
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.workloads.spec import ScenarioSpec
@@ -30,7 +34,7 @@ from repro.workflows.dag import WorkflowSpec
 from repro.workflows.schedulers import WorkflowScheduler
 
 
-class WorkflowBroker(Entity):
+class WorkflowBroker(FleetBroker):
     """Submits workflow tasks as their dependencies complete."""
 
     def __init__(
@@ -42,13 +46,7 @@ class WorkflowBroker(Entity):
         assignment: np.ndarray,
         vm_placement: dict[int, int],
     ) -> None:
-        super().__init__(name)
-        self.workflow = workflow
-        self.scenario = scenario
-        self.vms = vms
-        self.assignment = np.asarray(assignment, dtype=np.int64)
-        self.vm_placement = dict(vm_placement)
-        self.cloudlets = [
+        cloudlets = [
             Cloudlet(
                 cloudlet_id=t.task_id,
                 length=t.length,
@@ -58,43 +56,20 @@ class WorkflowBroker(Entity):
             )
             for t in workflow.tasks
         ]
+        super().__init__(name, vms, cloudlets, vm_placement, assignment)
+        self.workflow = workflow
+        self.scenario = scenario
         n = workflow.num_tasks
         self._remaining_parents = np.zeros(n, dtype=np.int64)
         for _, v, _ in workflow.edges:
             self._remaining_parents[v] += 1
         self._ready_time = np.zeros(n)
-        self.finish = np.full(n, -1.0)
-        self.start_times = np.full(n, -1.0)
         self.released = np.zeros(n, dtype=bool)
         self.transfer_seconds_total = 0.0
-        self._acks_outstanding = 0
-        self._done = 0
 
-    # -- lifecycle ----------------------------------------------------------------
-
-    def start(self) -> None:
-        self._acks_outstanding = len(self.vms)
-        for idx, vm in enumerate(self.vms):
-            self.send(self.vm_placement[idx], 0.0, EventTag.VM_CREATE, data=vm)
-
-    def process_event(self, event: Event) -> None:
-        if event.tag is EventTag.VM_CREATE_ACK:
-            self._process_ack(event)
-        elif event.tag is EventTag.TIMER:
-            self._submit(int(event.data))
-        elif event.tag is EventTag.CLOUDLET_RETURN:
-            self._process_return(event)
-        else:
-            raise ValueError(f"{self.name}: unexpected event tag {event.tag!r}")
-
-    def _process_ack(self, event: Event) -> None:
-        vm, success = event.data
-        if not success:
-            raise RuntimeError(f"{self.name}: datacenter rejected vm {vm.vm_id}")
-        self._acks_outstanding -= 1
-        if self._acks_outstanding == 0:
-            for t in self.workflow.entry_tasks():
-                self._release(t)
+    def _on_fleet_ready(self) -> None:
+        for t in self.workflow.entry_tasks():
+            self._release(t)
 
     def _release(self, task: int) -> None:
         """Schedule task submission at its data-ready time."""
@@ -104,11 +79,9 @@ class WorkflowBroker(Entity):
         delay = max(0.0, self._ready_time[task] - self.now)
         self.schedule_self(delay, EventTag.TIMER, data=task)
 
-    def _submit(self, task: int) -> None:
-        cloudlet = self.cloudlets[task]
-        vm_idx = int(self.assignment[task])
-        cloudlet.vm_id = self.vms[vm_idx].vm_id
-        self.send_now(self.vm_placement[vm_idx], EventTag.CLOUDLET_SUBMIT, data=cloudlet)
+    def _on_timer(self, task: int) -> None:
+        """``task``'s inputs are ready: submit it to its VM."""
+        self.submit(task, int(self.assignment[task]))
 
     def _transfer_seconds(self, parent: int, child: int, data: float) -> float:
         if self.assignment[parent] == self.assignment[child]:
@@ -116,14 +89,8 @@ class WorkflowBroker(Entity):
         bw = self.scenario.vms[int(self.assignment[child])].bw
         return data / bw if bw > 0 else 0.0
 
-    def _process_return(self, event: Event) -> None:
-        cloudlet: Cloudlet = event.data
-        if cloudlet.status is CloudletStatus.FAILED:
-            raise RuntimeError(f"{self.name}: task {cloudlet.cloudlet_id} failed")
+    def _on_finish(self, cloudlet: Cloudlet) -> None:
         task = cloudlet.cloudlet_id
-        self.finish[task] = cloudlet.finish_time
-        self.start_times[task] = cloudlet.exec_start_time
-        self._done += 1
         for child, data in self.workflow.children(task):
             transfer = self._transfer_seconds(task, child, data)
             self.transfer_seconds_total += transfer
@@ -133,10 +100,6 @@ class WorkflowBroker(Entity):
             self._remaining_parents[child] -= 1
             if self._remaining_parents[child] == 0:
                 self._release(child)
-
-    @property
-    def all_finished(self) -> bool:
-        return self._done == self.workflow.num_tasks
 
 
 def workflow_costs(
@@ -230,18 +193,19 @@ class WorkflowSimulation:
         if not broker.all_finished:
             raise RuntimeError("workflow drained with unfinished tasks (dependency bug)")
 
+        _, start, finish = cloudlet_times(broker.cloudlets)
         fastest = float(max(v.mips * v.pes for v in scenario.vms))
         serial = float(sum(t.length for t in workflow.tasks) / fastest)
         return WorkflowResult(
             workflow_name=workflow.name,
             scheduler_name=self.scheduler.name,
             scheduling_time=scheduling_time,
-            makespan=float(broker.finish.max()),
+            makespan=float(finish.max()),
             critical_path_bound=workflow.critical_path_seconds(fastest),
             serial_time=serial,
             assignment=assignment,
-            start_times=broker.start_times,
-            finish_times=broker.finish,
+            start_times=start,
+            finish_times=finish,
             transfer_seconds=broker.transfer_seconds_total,
             total_cost=float(workflow_costs(workflow, scenario, assignment).sum()),
             events_processed=env.sim.events_processed,

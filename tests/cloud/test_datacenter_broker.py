@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cloud.broker import DatacenterBroker
@@ -9,8 +10,49 @@ from repro.cloud.characteristics import DatacenterCharacteristics
 from repro.cloud.cloudlet import Cloudlet
 from repro.cloud.datacenter import Datacenter
 from repro.cloud.host import Host
+from repro.cloud.online import OnlineBroker
+from repro.cloud.resilience import ImmediateRetry, ReschedulingBroker
+from repro.cloud.simulation import build_simulation
 from repro.cloud.vm import Vm
 from repro.core.engine import Simulation
+from repro.core.rng import spawn_rng
+from repro.schedulers import RoundRobinScheduler, SchedulingContext
+from repro.schedulers.online import OnlineRoundRobin
+from repro.workflows.broker import WorkflowBroker
+from repro.workflows.dag import WorkflowSpec, WorkflowTask
+from repro.workloads.homogeneous import homogeneous_scenario
+
+#: every DES broker; each follows the one protocol of the broker core.
+BROKER_KINDS = ["batch", "rescheduling", "online", "workflow"]
+
+
+def make_broker(kind, scenario, vms, cloudlets, vm_placement):
+    """One broker of ``kind`` over ``scenario``'s VMs and cloudlets."""
+    assignment = [i % len(vms) for i in range(len(cloudlets))]
+    context = SchedulingContext.from_scenario(scenario, 0)
+    if kind == "batch":
+        return DatacenterBroker("b", vms, cloudlets, assignment, vm_placement)
+    if kind == "rescheduling":
+        return ReschedulingBroker(
+            "b", vms, cloudlets, assignment, vm_placement,
+            scheduler=RoundRobinScheduler(), context=context,
+            retry_policy=ImmediateRetry(), rng=spawn_rng(0, "t"),
+        )
+    if kind == "online":
+        return OnlineBroker(
+            "b", vms, cloudlets, np.zeros(len(cloudlets)), OnlineRoundRobin(),
+            context, vm_placement,
+        )
+    tasks = tuple(
+        WorkflowTask(task_id=i, length=c.length) for i, c in enumerate(cloudlets)
+    )
+    workflow = WorkflowSpec(
+        name="chain", tasks=tasks,
+        edges=tuple((i, i + 1, 10.0) for i in range(len(tasks) - 1)),
+    )
+    return WorkflowBroker(
+        "b", workflow, scenario, vms, np.asarray(assignment), vm_placement
+    )
 
 
 def make_host(host_id=0, pes=8, mips=2000.0):
@@ -73,19 +115,18 @@ class TestProtocol:
         assert all(vm.is_created for vm in vms)
         assert dc.hosts[0].vm_count == len(vms)
 
-    def test_broker_raises_when_vm_cannot_be_placed(self):
+    @pytest.mark.parametrize("kind", BROKER_KINDS)
+    def test_broker_raises_when_vm_cannot_be_placed(self, kind):
+        """Every rejected VM is listed, once the last ack is in."""
+        scenario = homogeneous_scenario(2, 2, seed=0)
+        env = build_simulation(scenario)
         sim = Simulation()
-        # Host too slow for the requested VM.
+        # Host too slow for either 1000-MIPS VM.
         dc = Datacenter("dc-0", hosts=[make_host(mips=500.0)])
         sim.register(dc)
-        vms = [Vm(vm_id=0, mips=1000.0)]
-        cloudlets = [Cloudlet(cloudlet_id=0, length=100.0)]
-        broker = DatacenterBroker(
-            "broker", vms=vms, cloudlets=cloudlets, assignment=[0],
-            vm_placement={0: dc.id},
-        )
+        broker = make_broker(kind, scenario, env.vms, env.cloudlets, {0: dc.id, 1: dc.id})
         sim.register(broker)
-        with pytest.raises(RuntimeError, match="rejected"):
+        with pytest.raises(RuntimeError, match=r"rejected VMs \[0, 1\] \(2 total\)"):
             sim.run()
 
 class TestValidation:

@@ -8,9 +8,12 @@ from repro.cloud.broker import DatacenterBroker
 from repro.cloud.cloudlet import Cloudlet
 from repro.cloud.datacenter import Datacenter
 from repro.cloud.host import Host
+from repro.cloud.simulation import build_simulation
 from repro.cloud.vm import Vm
 from repro.core.engine import Simulation
 from repro.core.tags import EventTag
+from repro.workloads.homogeneous import homogeneous_scenario
+from tests.cloud.test_datacenter_broker import BROKER_KINDS, make_broker
 
 
 def make_host():
@@ -73,22 +76,30 @@ class TestUnexpectedTags:
         sim.schedule(delay=0.0, src=-1, dst=dc.id, tag=EventTag.NONE)
         sim.run()  # no error
 
-    def test_broker_rejects_unknown_tag(self):
-        sim, dc = minimal_sim()
-        broker = DatacenterBroker(
-            "b",
-            [Vm(vm_id=0, mips=1000.0)],
-            [Cloudlet(cloudlet_id=0, length=100.0)],
-            assignment=[0],
-            vm_placement={0: dc.id},
-        )
-        sim.register(broker)
-        sim.run()
-        sim.schedule(
+    @pytest.mark.parametrize("kind", BROKER_KINDS)
+    def test_broker_rejects_unknown_tag(self, kind):
+        scenario = homogeneous_scenario(2, 2, seed=0)
+        env = build_simulation(scenario)
+        broker = make_broker(kind, scenario, env.vms, env.cloudlets, env.vm_placement)
+        env.sim.register(broker)
+        env.sim.run()
+        assert broker.all_finished
+        env.sim.schedule(
             delay=0.0, src=-1, dst=broker.id, tag=EventTag.VM_DATACENTER_EVENT
         )
         with pytest.raises(ValueError, match="unexpected event tag"):
-            sim.run()
+            env.sim.run()
+
+    @pytest.mark.parametrize("kind", BROKER_KINDS)
+    def test_broker_ignores_none_and_end_of_simulation(self, kind):
+        scenario = homogeneous_scenario(2, 2, seed=0)
+        env = build_simulation(scenario)
+        broker = make_broker(kind, scenario, env.vms, env.cloudlets, env.vm_placement)
+        env.sim.register(broker)
+        for tag in (EventTag.NONE, EventTag.END_OF_SIMULATION):
+            env.sim.schedule(delay=0.0, src=-1, dst=broker.id, tag=tag)
+        env.sim.run()  # no error
+        assert broker.all_finished
 
 
 class TestFailedCloudletPath:
@@ -103,7 +114,7 @@ class TestFailedCloudletPath:
         cloudlet = Cloudlet(cloudlet_id=0, length=100.0)
 
         class Misrouter(DatacenterBroker):
-            def _submit_cloudlets(self):
+            def _on_fleet_ready(self):
                 # Route the cloudlet to dc1 although the VM lives in dc0.
                 self.cloudlets[0].vm_id = 0
                 self.send_now(dc1.id, EventTag.CLOUDLET_SUBMIT, data=self.cloudlets[0])

@@ -177,6 +177,31 @@ class TestValidation:
                 small_hetero, Broken(), seed=0, standby_vms=standby_vms
             ).run()
 
+    @pytest.mark.parametrize(
+        "arrivals",
+        [
+            BatchArrivals(at=np.nan),
+            PoissonArrivals(rate=np.nan),
+            PoissonArrivals(rate=2.0, start=np.nan),
+        ],
+        ids=["batch-at-nan", "poisson-rate-nan", "poisson-start-nan"],
+    )
+    def test_non_finite_arrival_times_rejected(self, arrivals):
+        """NaN arrival settings used to run with NaN submission times."""
+        scenario = heterogeneous_scenario(6, 30, seed=0)
+        with pytest.raises(ValueError, match="arrival times must be finite"):
+            OnlineCloudSimulation(
+                scenario, OnlineGreedyMCT(), arrivals=arrivals, seed=0
+            ).run()
+
+    def test_fractional_standby_rejected(self):
+        """A fractional reserve used to fail inside numpy's slicing."""
+        scenario = heterogeneous_scenario(6, 30, seed=0)
+        with pytest.raises(ValueError, match="standby_vms must be an integer"):
+            OnlineCloudSimulation(
+                scenario, OnlineGreedyMCT(), seed=0, standby_vms=2.5
+            ).run()
+
 
 class TestBrokerEdgeCases:
     """PR 6 edge cases: empty waves, cancelled tails, interleaved notices."""
@@ -196,7 +221,7 @@ class TestBrokerEdgeCases:
         """A wave instant with no cloudlets places nothing and doesn't raise."""
         broker = self._broker()
         before = broker.assignment.copy()
-        broker._process_wave(123.456)  # instant that never had arrivals
+        broker._on_timer(123.456)  # instant that never had arrivals
         np.testing.assert_array_equal(broker.assignment, before)
         assert all(not s for s in broker._inflight)
 

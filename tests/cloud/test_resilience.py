@@ -73,6 +73,32 @@ class TestRetryPolicies:
             ExponentialBackoffRetry(factor=0.5)
 
 
+class TestNanSettingsRejected:
+    """A NaN recovery setting fails at construction and names itself.
+
+    Each used to pass its ``<``/``<=`` check: NaN speculation dead-lettered
+    cloudlets, NaN ``max_delay`` broke causality, NaN ``base_delay`` or
+    ``factor`` made every retry wait ``max_delay``.
+    """
+
+    @pytest.mark.parametrize("name", ["base_delay", "max_delay", "factor"])
+    def test_backoff_parameter(self, name):
+        with pytest.raises(ValueError, match=name):
+            ExponentialBackoffRetry(**{name: float("nan")})
+
+    def test_max_attempts(self):
+        with pytest.raises(ValueError, match="max_attempts"):
+            ImmediateRetry(max_attempts=float("nan"))
+
+    def test_speculation_multiple(self):
+        scenario = heterogeneous_scenario(6, 30, seed=0)
+        with pytest.raises(ValueError, match="speculation_multiple"):
+            run_resilient(
+                scenario, RoundRobinScheduler(), [VmFailure(1, 2.0, None)],
+                seed=0, speculation_multiple=float("nan"),
+            )
+
+
 class TestRetryCursorStability:
     """Blind recovery's rotation cursor walks VM indices, so the sequence
     does not jump when the alive set shrinks mid-rotation.
@@ -394,12 +420,34 @@ class TestRoundRobinRecoveryPins:
     Heterogeneous 12×120 at seed 1 under a recovering crash, a host crash
     and a straggler, drawn as :func:`run_chaos_suite` draws its plans.  A
     pin is the SHA-256 of (final assignment, start times, finish times)
-    plus the retry count and the kernel's processed-event count.
+    plus the retry count and the kernel's processed-event count.  The
+    same cells also pin rescheduling with speculation on, which the
+    gauntlet's faulty rows (speculation off) never reach.
     """
 
     CONFIG = ChaosConfig(
         num_vm_failures=1, num_host_failures=1, num_stragglers=1, recover_fraction=1.0
     )
+
+    @classmethod
+    def _run(cls, name, execution_model, **kwargs):
+        """One resilient run on the chaos cell; returns (result, digest)."""
+        scenario = heterogeneous_scenario(12, 120, seed=1)
+        clean = CloudSimulation(
+            scenario, make_scheduler(name), seed=1, execution_model=execution_model
+        ).run()
+        plan = generate_fault_plan(
+            scenario, clean.makespan, cls.CONFIG, spawn_rng(1, f"chaos/{scenario.name}")
+        )
+        result = run_resilient(
+            scenario, make_scheduler(name), plan, seed=1,
+            execution_model=execution_model, **kwargs,
+        )
+        digest = hashlib.sha256()
+        digest.update(np.asarray(result.assignment, dtype=np.int64).tobytes())
+        digest.update(np.asarray(result.start_times, dtype=np.float64).tobytes())
+        digest.update(np.asarray(result.finish_times, dtype=np.float64).tobytes())
+        return result, digest.hexdigest()
 
     @pytest.mark.parametrize(
         "name, execution_model, sha256, retries, events",
@@ -416,23 +464,38 @@ class TestRoundRobinRecoveryPins:
         ids=["basetest", "greedy-mct", "honeybee", "rbs-time-shared"],
     )
     def test_decisions_pinned(self, name, execution_model, sha256, retries, events):
-        scenario = heterogeneous_scenario(12, 120, seed=1)
-        clean = CloudSimulation(
-            scenario, make_scheduler(name), seed=1, execution_model=execution_model
-        ).run()
-        plan = generate_fault_plan(
-            scenario, clean.makespan, self.CONFIG, spawn_rng(1, f"chaos/{scenario.name}")
-        )
-        result = run_resilient(
-            scenario, make_scheduler(name), plan, seed=1,
-            recovery="round_robin", execution_model=execution_model,
-        )
-        digest = hashlib.sha256()
-        digest.update(np.asarray(result.assignment, dtype=np.int64).tobytes())
-        digest.update(np.asarray(result.start_times, dtype=np.float64).tobytes())
-        digest.update(np.asarray(result.finish_times, dtype=np.float64).tobytes())
-        assert digest.hexdigest() == sha256
+        result, digest = self._run(name, execution_model, recovery="round_robin")
+        assert digest == sha256
         assert result.info["retries"] == retries
+        assert result.events_processed == events
+
+    @pytest.mark.parametrize(
+        "name, execution_model, multiple, sha256, retries, cancels, events",
+        [
+            ("greedy-mct", "space-shared", 1.05,
+             "f393878398bd48b937ef6c4097035caa4b84f6dbe853ff76d059ea11d127ffe7",
+             22, 2, 603),
+            ("honeybee", "space-shared", 1.05,
+             "0c260f108018370cda4bf2839ea4ae25485131634284d99b42a2b151005d4e0a",
+             40, 5, 678),
+            ("basetest", "time-shared", 2.0,
+             "b4577a0748e69bb5e95feacd0b0d0a6a6c330cd63b6f850c0de0e34e78821e68",
+             53, 44, 769),
+            ("rbs", "time-shared", 2.0,
+             "1b42336dc8a83c744ec6c08e02bb62450fad4939d611f93e14433d225572b8fd",
+             71, 50, 847),
+        ],
+        ids=["greedy-mct", "honeybee", "basetest-time-shared", "rbs-time-shared"],
+    )
+    def test_speculative_rescheduling_pinned(
+        self, name, execution_model, multiple, sha256, retries, cancels, events
+    ):
+        result, digest = self._run(
+            name, execution_model, speculation_multiple=multiple
+        )
+        assert digest == sha256
+        assert result.info["retries"] == retries
+        assert result.info["speculative_cancels"] == cancels
         assert result.events_processed == events
 
 

@@ -248,6 +248,12 @@ class TestRunLoop:
         with pytest.raises(SimulationError, match="negative delay"):
             sim.schedule(delay=-0.5, src=-1, dst=0, tag=EventTag.NONE)
 
+    def test_schedule_nan_delay_rejected(self):
+        sim = Simulation()
+        sim.register(Recorder("r"))
+        with pytest.raises(SimulationError, match="delay is nan"):
+            sim.schedule(delay=float("nan"), src=-1, dst=0, tag=EventTag.NONE)
+
     def test_schedule_to_unknown_destination_rejected(self):
         sim = Simulation()
         with pytest.raises(SimulationError, match="unknown destination"):

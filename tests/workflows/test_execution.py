@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,76 @@ class TestExecution:
         sc = homogeneous_scenario(2, 2, seed=0)
         result = WorkflowSimulation(wf, sc, HeftScheduler()).run()
         assert result.makespan == pytest.approx(1.0)
+
+
+class TestWorkflowPins:
+    """The workflow broker's event order, pinned exactly.
+
+    Each pin is the SHA-256 of (start times, finish times) plus the
+    kernel's processed-event count and the summed transfer seconds, for
+    both workflow schedulers on a 6-VM heterogeneous scenario.
+    """
+
+    WORKFLOWS = {
+        "random": lambda seed: random_workflow(24, edge_probability=0.2, seed=seed),
+        "layered": lambda seed: layered_workflow(4, 4, seed=seed),
+        "fork-join": lambda seed: fork_join_workflow(8, seed=seed),
+    }
+    SCHEDULERS = {"heft": HeftScheduler, "roundrobin": RoundRobinWorkflowScheduler}
+
+    @pytest.mark.parametrize(
+        "scheduler, workflow, seed, sha256, events, transfer",
+        [
+            ("heft", "random", 0,
+             "e9f0e02c5c7d726e275c2ecbfb2549523e4089471743c752894c55af8cb0e1d5",
+             108, 7.656066581689705),
+            ("heft", "random", 1,
+             "3a20339b4a35f2202966f5b9f691ebaf50cbe041c69ce1941951a1128917cef8",
+             108, 7.428666549173547),
+            ("heft", "layered", 0,
+             "e3a13445ea28f2f311c14856d224fe590b9e29ffc58c846e876baa461537253b",
+             76, 7.842531264533042),
+            ("heft", "layered", 1,
+             "eeb17fa9484abaf3c64f76c552e9298add4fd81abdf2d5798ca29a86fb2b51ed",
+             76, 6.752078119448675),
+            ("heft", "fork-join", 0,
+             "c59a9c2887f2034da1e70e538a953c3d85c6da8f807aff9af7f18989a38b200e",
+             52, 2.2909092344522253),
+            ("heft", "fork-join", 1,
+             "92ba1fb521996f1aa467b5a0722302dc78e5491da7b503135f807bc8a4b5a577",
+             52, 2.403129385526605),
+            ("roundrobin", "random", 0,
+             "6d334393036a192dba75c64b7da505163cf3bf75dc9e1810fcec00c39a7a5f4f",
+             108, 10.303831834157481),
+            ("roundrobin", "random", 1,
+             "5375f7c762e129e2ea5f514b1bf3515cddf24c5d93eb05b227e93659170bb2df",
+             108, 9.24015126158501),
+            ("roundrobin", "layered", 0,
+             "1594026bdc4538dfdbbd1f0914200bfd7999949a350248b2b35c7d1a065e1e69",
+             76, 8.790366461195266),
+            ("roundrobin", "layered", 1,
+             "203aade7e70e3712a839146b7f70fcacc23384b6931c9ede9b8ca22b2ac64745",
+             76, 8.58362118969191),
+            ("roundrobin", "fork-join", 0,
+             "125782f24c94baaadee5d104ed39db1e12b5ecd890ec2d9aa11f117cf645bb4f",
+             52, 2.7500976530626446),
+            ("roundrobin", "fork-join", 1,
+             "fecdf6f9c1517a647357f88f5749aece32ed0e1b7fcb2e79d4153dc12c0f28da",
+             52, 2.636324591101353),
+        ],
+    )
+    def test_event_order_pinned(self, scheduler, workflow, seed, sha256, events, transfer):
+        result = WorkflowSimulation(
+            self.WORKFLOWS[workflow](seed),
+            heterogeneous_scenario(6, 10, seed=3),
+            self.SCHEDULERS[scheduler](),
+        ).run()
+        digest = hashlib.sha256()
+        digest.update(np.asarray(result.start_times, dtype=np.float64).tobytes())
+        digest.update(np.asarray(result.finish_times, dtype=np.float64).tobytes())
+        assert digest.hexdigest() == sha256
+        assert result.events_processed == events
+        assert result.transfer_seconds == transfer
 
 
 class TestWorkflowCosts:
