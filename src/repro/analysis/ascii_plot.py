@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
+from repro.core.checks import check_number
+
 _MARKERS = "ABHRMNGPXYZW"
 
 
@@ -48,8 +50,8 @@ def ascii_plot(
     for name, ys in series.items():
         if len(ys) != len(x):
             raise ValueError(f"series {name!r} length {len(ys)} != len(x) {len(x)}")
-    if width < 20 or height < 5:
-        raise ValueError("width must be >= 20 and height >= 5")
+    check_number("width", width, ge=20, integer=True)
+    check_number("height", height, ge=5, integer=True)
 
     all_y = [float(v) for ys in series.values() for v in ys]
     if logy:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cloud.simulation import SimulationResult
+from repro.core.checks import check_number
 
 
 def gantt_chart(
@@ -30,10 +31,8 @@ def gantt_chart(
     fleet exceeds ``max_rows``, the rows with the highest and lowest busy
     time are kept (annotated with an ellipsis marker).
     """
-    if width < 10:
-        raise ValueError(f"width must be >= 10, got {width}")
-    if max_rows < 2:
-        raise ValueError(f"max_rows must be >= 2, got {max_rows}")
+    check_number("width", width, ge=10, integer=True)
+    check_number("max_rows", max_rows, ge=2, integer=True)
     if num_vms is None:
         num_vms = int(result.assignment.max()) + 1 if result.assignment.size else 0
     if num_vms < 1:

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 
+from repro.core.checks import check_number
+
 
 def _check_rates(arrival_rate: float, service_rate: float, servers: int = 1) -> float:
-    if arrival_rate <= 0 or service_rate <= 0:
-        raise ValueError("arrival_rate and service_rate must be positive")
-    if servers < 1:
-        raise ValueError(f"servers must be >= 1, got {servers}")
+    check_number("arrival_rate", arrival_rate, gt=0)
+    check_number("service_rate", service_rate, gt=0)
+    check_number("servers", servers, ge=1, integer=True)
     rho = arrival_rate / (servers * service_rate)
     if rho >= 1:
         raise ValueError(
@@ -57,10 +58,8 @@ def erlang_c(servers: int, offered_load: float) -> float:
     ``offered_load`` is ``a = lambda / mu`` (in Erlangs); requires
     ``a < servers``.
     """
-    if servers < 1:
-        raise ValueError(f"servers must be >= 1, got {servers}")
-    if offered_load <= 0:
-        raise ValueError(f"offered_load must be positive, got {offered_load}")
+    check_number("servers", servers, ge=1, integer=True)
+    check_number("offered_load", offered_load, gt=0)
     if offered_load >= servers:
         raise ValueError(
             f"unstable: offered load {offered_load} >= servers {servers}"
@@ -88,8 +87,8 @@ def mmc_mean_sojourn(arrival_rate: float, service_rate: float, servers: int) -> 
 
 def little_l(arrival_rate: float, mean_sojourn: float) -> float:
     """Little's law: ``L = lambda * W``."""
-    if arrival_rate <= 0 or mean_sojourn < 0:
-        raise ValueError("arrival_rate must be positive and mean_sojourn non-negative")
+    check_number("arrival_rate", arrival_rate, gt=0)
+    check_number("mean_sojourn", mean_sojourn, ge=0)
     return arrival_rate * mean_sojourn
 
 

@@ -131,10 +131,14 @@ class FleetBroker(Entity):
         """``cloudlet`` came back finished (it is already in ``finished``)."""
 
     def _on_bounce(self, cloudlet: Cloudlet) -> None:
-        """``cloudlet`` came back ``FAILED``; this broker does not retry."""
+        """``cloudlet`` came back ``FAILED``; this broker does not retry.
+
+        The VM is named from ``assignment``: a datacenter resets a crash
+        victim's ``vm_id`` before it bounces it.
+        """
+        vm = self.vms[self.assignment[cloudlet.cloudlet_id]]
         raise RuntimeError(
-            f"{self.name}: cloudlet {cloudlet.cloudlet_id} failed "
-            f"(vm {cloudlet.vm_id} missing in target datacenter)"
+            f"{self.name}: cloudlet {cloudlet.cloudlet_id} failed on vm {vm.vm_id}"
         )
 
     def _on_timer(self, data: Any) -> None:

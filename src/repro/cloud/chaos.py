@@ -47,6 +47,7 @@ from repro.cloud.faults import (
 )
 from repro.cloud.resilience import RetryPolicy, run_resilient
 from repro.cloud.simulation import CloudSimulation, SimulationResult
+from repro.core.checks import check_number
 from repro.core.rng import spawn_rng
 from repro.metrics.resilience import RecoveryMetrics, recovery_metrics, storm_metrics
 from repro.schedulers.base import Scheduler
@@ -78,28 +79,15 @@ class ChaosConfig:
     duration_window: tuple[float, float] = (0.1, 0.4)
 
     def __post_init__(self) -> None:
-        if min(self.num_vm_failures, self.num_host_failures, self.num_stragglers) < 0:
-            raise ValueError("fault counts must be non-negative")
-        if not 0 <= self.recover_fraction <= 1:
-            raise ValueError(
-                f"recover_fraction must be in [0, 1], got {self.recover_fraction}"
-            )
-        for name, (lo, hi) in (
-            ("fault_window", self.fault_window),
-            ("downtime_window", self.downtime_window),
-            ("duration_window", self.duration_window),
-        ):
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"{name} bounds must be finite, got ({lo}, {hi})")
-            if not 0 < lo <= hi:
-                raise ValueError(f"{name} must satisfy 0 < lo <= hi, got ({lo}, {hi})")
-        lo, hi = self.factor_window
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"factor_window bounds must be finite, got ({lo}, {hi})")
-        if not 0 < lo <= hi < 1:
-            raise ValueError(
-                f"factor_window must satisfy 0 < lo <= hi < 1, got ({lo}, {hi})"
-            )
+        for name in ("num_vm_failures", "num_host_failures", "num_stragglers"):
+            check_number(name, getattr(self, name), ge=0, integer=True)
+        check_number("recover_fraction", self.recover_fraction, ge=0, le=1)
+        for name in ("fault_window", "downtime_window", "duration_window", "factor_window"):
+            lo, hi = getattr(self, name)
+            check_number(f"{name} low", lo, gt=0)
+            check_number(f"{name} high", hi, ge=lo)
+        # A straggler factor slows its VM down, so it stays below 1.
+        check_number("factor_window high", self.factor_window[1], lt=1)
 
     @property
     def num_anchors(self) -> int:
@@ -121,10 +109,7 @@ def generate_fault_plan(
     VM is left untouched (a plan that crashes the whole fleet measures
     nothing but dead-letters).
     """
-    if not math.isfinite(baseline_makespan) or baseline_makespan <= 0:
-        raise ValueError(
-            f"baseline makespan must be positive and finite, got {baseline_makespan}"
-        )
+    check_number("baseline makespan", baseline_makespan, gt=0)
     needed = config.num_anchors
     if needed == 0:
         return []

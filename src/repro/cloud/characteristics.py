@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.cloud.cloudlet import Cloudlet
 from repro.cloud.vm import Vm
+from repro.core.checks import check_number
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,9 +47,8 @@ class DatacenterCharacteristics:
 
     def __post_init__(self) -> None:
         for field_name in ("cost_per_mem", "cost_per_storage", "cost_per_bw", "cost_per_cpu"):
-            value = getattr(self, field_name)
-            if value < 0:
-                raise ValueError(f"{field_name} must be non-negative, got {value}")
+            check_number(field_name, getattr(self, field_name), ge=0)
+        check_number("timezone", self.timezone)
 
     def cloudlet_cost(self, cloudlet: Cloudlet, vm: Vm) -> float:
         """Price one finished cloudlet run on ``vm`` in this datacenter.

@@ -12,6 +12,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.core.checks import check_number
+
 
 class CloudletStatus(enum.Enum):
     """Lifecycle of a cloudlet."""
@@ -59,10 +61,8 @@ class Cloudlet:
     remaining_length: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise ValueError(f"cloudlet length must be positive, got {self.length}")
-        if self.pes < 1:
-            raise ValueError(f"cloudlet pes must be >= 1, got {self.pes}")
+        check_number("length", self.length, gt=0)
+        check_number("pes", self.pes, ge=1, integer=True)
         if self.file_size < 0 or self.output_size < 0:
             raise ValueError("file sizes must be non-negative")
         self.remaining_length = float(self.length)

@@ -28,12 +28,12 @@ exactly reproducible from ``(scenario, policy, timeline, config, seed)``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
+from repro.core.checks import check_number
 from repro.core.entity import Entity
 from repro.core.eventqueue import Event
 from repro.core.tags import EventTag
@@ -74,26 +74,16 @@ class ControlConfig:
     history: int = 64
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.cadence) or self.cadence <= 0:
-            raise ValueError(f"cadence must be positive and finite, got {self.cadence}")
-        if not math.isfinite(self.cooldown) or self.cooldown < 0:
-            raise ValueError(f"cooldown must be non-negative, got {self.cooldown}")
-        if self.max_moves_per_cycle < 1:
-            raise ValueError(
-                f"max_moves_per_cycle must be >= 1, got {self.max_moves_per_cycle}"
-            )
-        if not math.isfinite(self.imbalance_threshold) or self.imbalance_threshold <= 1:
-            raise ValueError(
-                f"imbalance_threshold must be > 1, got {self.imbalance_threshold}"
-            )
+        check_number("cadence", self.cadence, gt=0)
+        check_number("cooldown", self.cooldown, ge=0)
+        check_number("max_moves_per_cycle", self.max_moves_per_cycle, ge=1, integer=True)
+        check_number("imbalance_threshold", self.imbalance_threshold, gt=1)
         for name in ("scale_up_backlog", "scale_down_backlog", "sla_seconds"):
             value = getattr(self, name)
-            if value is not None and (not math.isfinite(value) or value <= 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.standby_vms < 0:
-            raise ValueError(f"standby_vms must be non-negative, got {self.standby_vms}")
-        if self.history < 1:
-            raise ValueError(f"history must be >= 1, got {self.history}")
+            if value is not None:
+                check_number(name, value, gt=0)
+        check_number("standby_vms", self.standby_vms, ge=0, integer=True)
+        check_number("history", self.history, ge=1, integer=True)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe form for manifests and cache keys."""

@@ -39,6 +39,7 @@ from repro.cloud.simulation import (
     run_info,
     simulation_result,
 )
+from repro.core.checks import check_number
 from repro.core.rng import spawn_rng
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.obs.telemetry import TelemetrySnapshot
@@ -125,7 +126,7 @@ class FastSimulation:
 
         scenario = self.scenario
         # A view over the spec's cached columns: no copies, one chunk.
-        stream = ScenarioChunks.from_arrays(
+        stream = ScenarioChunks._view(
             scenario.arrays(), name=scenario.name, seed=scenario.seed
         )
         _require_single_pe(stream)
@@ -570,8 +571,8 @@ class StreamingSimulation:
     ) -> None:
         from repro.schedulers.streaming import as_streaming
 
-        if shards is not None and shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
+        if shards is not None:
+            check_number("shards", shards, ge=1, integer=True)
         self.stream = stream
         self.scheduler = as_streaming(scheduler)
         self.seed = seed

@@ -39,12 +39,12 @@ plans live in :mod:`repro.cloud.chaos`.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.cloud.vm import Vm
+from repro.core.checks import check_number
 from repro.core.entity import Entity
 from repro.core.eventqueue import Event
 from repro.core.tags import EventTag
@@ -71,18 +71,10 @@ class VmFailure:
     downtime: float | None = None
 
     def __post_init__(self) -> None:
-        if self.vm_index < 0:
-            raise ValueError(f"vm_index must be non-negative, got {self.vm_index}")
-        if not math.isfinite(self.at_time) or self.at_time < 0:
-            raise ValueError(
-                f"at_time must be finite and non-negative, got {self.at_time}"
-            )
-        if self.downtime is not None and (
-            not math.isfinite(self.downtime) or self.downtime <= 0
-        ):
-            raise ValueError(
-                f"downtime must be positive and finite, got {self.downtime}"
-            )
+        check_number("vm_index", self.vm_index, ge=0, integer=True)
+        check_number("at_time", self.at_time, ge=0)
+        if self.downtime is not None:
+            check_number("downtime", self.downtime, gt=0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,12 +90,8 @@ class HostFailure:
     at_time: float
 
     def __post_init__(self) -> None:
-        if self.vm_index < 0:
-            raise ValueError(f"vm_index must be non-negative, got {self.vm_index}")
-        if not math.isfinite(self.at_time) or self.at_time < 0:
-            raise ValueError(
-                f"at_time must be finite and non-negative, got {self.at_time}"
-            )
+        check_number("vm_index", self.vm_index, ge=0, integer=True)
+        check_number("at_time", self.at_time, ge=0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,18 +109,10 @@ class VmSlowdown:
     factor: float
 
     def __post_init__(self) -> None:
-        if self.vm_index < 0:
-            raise ValueError(f"vm_index must be non-negative, got {self.vm_index}")
-        if not math.isfinite(self.at_time) or self.at_time < 0:
-            raise ValueError(
-                f"at_time must be finite and non-negative, got {self.at_time}"
-            )
-        if not math.isfinite(self.duration) or self.duration <= 0:
-            raise ValueError(
-                f"duration must be positive and finite, got {self.duration}"
-            )
-        if not 0 < self.factor <= 1:
-            raise ValueError(f"factor must be in (0, 1], got {self.factor}")
+        check_number("vm_index", self.vm_index, ge=0, integer=True)
+        check_number("at_time", self.at_time, ge=0)
+        check_number("duration", self.duration, gt=0)
+        check_number("factor", self.factor, gt=0, le=1)
 
 
 FaultEvent = VmFailure | HostFailure | VmSlowdown

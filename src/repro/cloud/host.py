@@ -12,6 +12,7 @@ from typing import Iterable
 
 from repro.cloud.provisioners import BwProvisioner, PeProvisioner, RamProvisioner
 from repro.cloud.vm import Vm
+from repro.core.checks import check_number
 
 
 class Host:
@@ -38,8 +39,8 @@ class Host:
         bw: float,
         storage: float,
     ) -> None:
-        if mips_per_pe <= 0 or pes < 1:
-            raise ValueError("host requires positive mips_per_pe and pes >= 1")
+        check_number("mips_per_pe", mips_per_pe, gt=0)
+        check_number("pes", pes, ge=1, integer=True)
         self.host_id = host_id
         self.mips_per_pe = float(mips_per_pe)
         self.pes = int(pes)

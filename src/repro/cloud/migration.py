@@ -15,6 +15,7 @@ the tests).
 from __future__ import annotations
 
 from repro.cloud.datacenter import Datacenter
+from repro.core.checks import check_number
 from repro.core.entity import Entity
 from repro.core.eventqueue import Event
 from repro.core.tags import EventTag
@@ -47,14 +48,12 @@ class ConsolidationController(Entity):
         moves_per_round: int = 4,
     ) -> None:
         super().__init__(name)
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        if max_rounds < 1 or moves_per_round < 1:
-            raise ValueError("max_rounds and moves_per_round must be >= 1")
         self.datacenter = datacenter
-        self.interval = interval
-        self.max_rounds = max_rounds
-        self.moves_per_round = moves_per_round
+        self.interval = check_number("interval", interval, gt=0)
+        self.max_rounds = check_number("max_rounds", max_rounds, ge=1, integer=True)
+        self.moves_per_round = check_number(
+            "moves_per_round", moves_per_round, ge=1, integer=True
+        )
         self.rounds_run = 0
         self.moves_requested = 0
 

@@ -38,6 +38,7 @@ from repro.cloud.simulation import (
     simulation_result,
 )
 from repro.cloud.vm import Vm
+from repro.core.checks import check_number
 from repro.core.rng import spawn_rng
 from repro.core.tags import EventTag
 from repro.obs.telemetry import TELEMETRY as _TEL
@@ -95,10 +96,11 @@ class OnlineBroker(FleetBroker):
         if len(arrival_times) != len(cloudlets):
             raise ValueError("arrival_times must be index-aligned with cloudlets")
         num_vms = len(vms)
-        if not (isinstance(standby_vms, (int, np.integer)) and 0 <= standby_vms < num_vms):
+        check_number("standby_vms", standby_vms, ge=0, integer=True)
+        if standby_vms >= num_vms:
             raise ValueError(
-                f"standby_vms must be an integer leaving at least one active "
-                f"VM, got {standby_vms!r} of {num_vms}"
+                f"standby_vms must leave at least one active VM, got {standby_vms} "
+                f"of {num_vms}"
             )
         self.arrival_times = np.asarray(arrival_times, dtype=float)
         if not (np.isfinite(self.arrival_times).all() and (self.arrival_times >= 0).all()):
@@ -337,8 +339,7 @@ class OnlineCloudSimulation:
     ) -> None:
         if execution_model not in ("space-shared", "time-shared"):
             raise ValueError(f"unknown execution model {execution_model!r}")
-        if standby_vms < 0:
-            raise ValueError(f"standby_vms must be non-negative, got {standby_vms}")
+        check_number("standby_vms", standby_vms, ge=0, integer=True)
         self.scenario = scenario
         self.policy = policy
         self.arrivals = arrivals or BatchArrivals()

@@ -17,6 +17,7 @@ import abc
 
 import numpy as np
 
+from repro.core.checks import check_number
 from repro.workloads.spec import ScenarioSpec
 
 
@@ -48,12 +49,8 @@ class PowerModelLinear(PowerModel):
     """
 
     def __init__(self, idle_watts: float = 100.0, peak_watts: float = 250.0) -> None:
-        if idle_watts < 0 or peak_watts < idle_watts:
-            raise ValueError(
-                f"need 0 <= idle_watts <= peak_watts, got {idle_watts}, {peak_watts}"
-            )
-        self.idle_watts = idle_watts
-        self.peak_watts = peak_watts
+        self.idle_watts = check_number("idle_watts", idle_watts, ge=0)
+        self.peak_watts = check_number("peak_watts", peak_watts, ge=idle_watts)
 
     def power(self, utilization: float) -> float:
         self._check(utilization)
@@ -90,8 +87,7 @@ def batch_energy(
     One VM is treated as one power domain; host-level consolidation studies
     can divide by VMs-per-host.
     """
-    if makespan <= 0:
-        raise ValueError(f"makespan must be positive, got {makespan}")
+    check_number("makespan", makespan, gt=0)
     model = power_model or PowerModelLinear()
     busy = vm_busy_times(scenario, assignment, exec_times)
     if np.any(busy > makespan * (1 + 1e-9)):

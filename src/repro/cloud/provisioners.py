@@ -7,6 +7,8 @@ host resource to VMs.  They enforce capacity but perform no overbooking.
 
 from __future__ import annotations
 
+from repro.core.checks import check_number
+
 
 class ResourceProvisioner:
     """Tracks allocation of a scalar resource (RAM MB, BW Mbit/s, PEs...).
@@ -20,9 +22,7 @@ class ResourceProvisioner:
     """
 
     def __init__(self, capacity: float, name: str = "resource") -> None:
-        if capacity < 0:
-            raise ValueError(f"{name} capacity must be non-negative, got {capacity}")
-        self.capacity = float(capacity)
+        self.capacity = float(check_number(f"{name} capacity", capacity, ge=0))
         self.name = name
         self._allocated: dict[int, float] = {}
 

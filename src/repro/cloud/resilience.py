@@ -52,6 +52,7 @@ from repro.cloud.simulation import (
     simulation_result,
     timed_schedule,
 )
+from repro.core.checks import check_number
 from repro.core.rng import spawn_rng
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.core.tags import EventTag
@@ -72,9 +73,7 @@ class RetryPolicy(abc.ABC):
     """
 
     def __init__(self, max_attempts: int = 5) -> None:
-        if not max_attempts >= 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        self.max_attempts = max_attempts
+        self.max_attempts = check_number("max_attempts", max_attempts, ge=1, integer=True)
 
     def next_delay(self, attempt: int, rng: np.random.Generator) -> float | None:
         """Delay before execution attempt ``attempt``; ``None`` = give up."""
@@ -113,18 +112,10 @@ class ExponentialBackoffRetry(RetryPolicy):
         max_attempts: int = 5,
     ) -> None:
         super().__init__(max_attempts)
-        # Each comparison is written so that NaN fails it.
-        for name, value, low in (
-            ("base_delay", base_delay, 0), ("max_delay", max_delay, 0), ("factor", factor, 1)
-        ):
-            if not value >= low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
-        if not 0 <= jitter < 1:
-            raise ValueError(f"jitter must be in [0, 1), got {jitter}")
-        self.base_delay = base_delay
-        self.factor = factor
-        self.max_delay = max_delay
-        self.jitter = jitter
+        self.base_delay = check_number("base_delay", base_delay, ge=0)
+        self.factor = check_number("factor", factor, ge=1)
+        self.max_delay = check_number("max_delay", max_delay, ge=0)
+        self.jitter = check_number("jitter", jitter, ge=0, lt=1)
 
     def _delay(self, attempt: int, rng: np.random.Generator) -> float:
         raw = min(self.max_delay, self.base_delay * self.factor ** (attempt - 2))
@@ -175,10 +166,8 @@ class ReschedulingBroker(DatacenterBroker):
         speculation_multiple: float | None = None,
     ) -> None:
         super().__init__(name, vms, cloudlets, assignment, vm_placement)
-        if speculation_multiple is not None and not speculation_multiple > 1:
-            raise ValueError(
-                f"speculation_multiple must exceed 1, got {speculation_multiple}"
-            )
+        if speculation_multiple is not None:
+            check_number("speculation_multiple", speculation_multiple, gt=1)
         self.scheduler = scheduler
         self.context = context
         self.retry_policy = retry_policy

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.cloud.cloudlet_scheduler import CloudletScheduler, CloudletSchedulerSpaceShared
+from repro.core.checks import check_number
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cloud.host import Host
@@ -47,12 +48,10 @@ class Vm:
         size: float = 5000.0,
         cloudlet_scheduler: CloudletScheduler | None = None,
     ) -> None:
-        if mips <= 0:
-            raise ValueError(f"vm mips must be positive, got {mips}")
-        if pes < 1:
-            raise ValueError(f"vm pes must be >= 1, got {pes}")
-        if min(ram, bw, size) < 0:
-            raise ValueError("vm ram/bw/size must be non-negative")
+        check_number("mips", mips, gt=0)
+        check_number("pes", pes, ge=1, integer=True)
+        for name, value in (("ram", ram), ("bw", bw), ("size", size)):
+            check_number(name, value, ge=0)
         self.vm_id = vm_id
         self.mips = float(mips)
         self.pes = int(pes)

@@ -16,6 +16,8 @@ import zlib
 
 import numpy as np
 
+from repro.core.checks import check_number
+
 
 def _label_key(label: str) -> int:
     """Map a text label to a stable 32-bit stream key."""
@@ -36,8 +38,7 @@ def spawn_rng(seed: int | None, label: str = "") -> np.random.Generator:
     """
     if seed is None:
         return np.random.default_rng()
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    check_number("seed", seed, ge=0, integer=True)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_label_key(label),)))
 
 

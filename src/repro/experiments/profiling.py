@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro import obs
+from repro.core.checks import check_number
 from repro.schedulers.base import Scheduler, SchedulingContext
 from repro.workloads.spec import ScenarioSpec
 
@@ -85,8 +86,7 @@ def profile_callable(
     into the report.  Pass ``telemetry=False`` to profile the exact
     production configuration with instrumentation disabled.
     """
-    if top < 1:
-        raise ValueError(f"top must be >= 1, got {top}")
+    check_number("top", top, ge=1, integer=True)
     profiler = cProfile.Profile()
     snapshot: "obs.TelemetrySnapshot | None" = None
     if telemetry:

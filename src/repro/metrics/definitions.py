@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.checks import check_number
+
 
 def _as_float_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -99,8 +101,7 @@ def throughput(finish_times, horizon: float | None = None) -> float:
     finishes = _as_float_array(finish_times, "finish_times")
     if horizon is None:
         horizon = float(finishes.max())
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    check_number("horizon", horizon, gt=0)
     return float(finishes.size / horizon)
 
 

@@ -32,6 +32,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.core.checks import check_number
+
 if TYPE_CHECKING:  # simulation.py imports metrics; keep the cycle type-only
     from repro.cloud.simulation import SimulationResult
 
@@ -149,8 +151,7 @@ def storm_metrics(
     base = recovery_metrics(calm, stormy)
     if sla_seconds is None:
         return base
-    if not math.isfinite(sla_seconds) or sla_seconds <= 0:
-        raise ValueError(f"sla_seconds must be positive and finite, got {sla_seconds}")
+    check_number("sla_seconds", sla_seconds, gt=0)
     flow = stormy.finish_times - stormy.submission_times
     violating = flow > sla_seconds
     violations = int(violating.sum())

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.checks import check_number
+
 
 def _aligned(finish_times, deadlines) -> tuple[np.ndarray, np.ndarray]:
     finish = np.asarray(finish_times, dtype=float)
@@ -84,10 +86,8 @@ def relative_deadlines(
     studies use 2-10.
     """
     lengths = np.asarray(lengths, dtype=float)
-    if vm_mean_mips <= 0:
-        raise ValueError(f"vm_mean_mips must be positive, got {vm_mean_mips}")
-    if slack_factor <= 0:
-        raise ValueError(f"slack_factor must be positive, got {slack_factor}")
+    check_number("vm_mean_mips", vm_mean_mips, gt=0)
+    check_number("slack_factor", slack_factor, gt=0)
     base = np.zeros_like(lengths) if arrival_times is None else np.asarray(
         arrival_times, dtype=float
     )

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.checks import check_number
+
 
 @dataclass(frozen=True, slots=True)
 class SummaryStats:
@@ -45,8 +47,7 @@ def confidence_interval(samples, confidence: float = 0.95) -> float:
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("samples must be a non-empty 1-D sequence")
-    if not 0 < confidence < 1:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    check_number("confidence", confidence, gt=0, lt=1)
     if arr.size == 1:
         return 0.0
     sem = arr.std(ddof=1) / np.sqrt(arr.size)

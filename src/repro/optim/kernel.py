@@ -37,6 +37,7 @@ from typing import Literal
 
 import numpy as np
 
+from repro.core.checks import check_number
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.workloads.spec import ScenarioArrays
 
@@ -69,11 +70,11 @@ class FitnessKernel:
     ) -> None:
         if time_model not in ("compute", "eq6"):
             raise ValueError(f"time_model must be 'compute' or 'eq6', got {time_model!r}")
-        if max_matrix_cells < 0:
-            raise ValueError(f"max_matrix_cells must be >= 0, got {max_matrix_cells}")
         self.arrays = arrays
         self.time_model = time_model
-        self.max_matrix_cells = max_matrix_cells
+        self.max_matrix_cells = check_number(
+            "max_matrix_cells", max_matrix_cells, ge=0, integer=True
+        )
         self.num_cloudlets = arrays.num_cloudlets
         self.num_vms = arrays.num_vms
         #: per-VM compute capacity (MIPS summed over PEs).

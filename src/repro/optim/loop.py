@@ -23,6 +23,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.checks import check_number
 from repro.obs.telemetry import TELEMETRY as _TEL
 
 
@@ -163,16 +164,12 @@ class IterativeOptimizer:
         patience: int | None = None,
         record_every: int = 1,
     ) -> None:
-        if max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-        if patience is not None and patience < 1:
-            raise ValueError(f"patience must be >= 1 or None, got {patience}")
-        if record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {record_every}")
+        if patience is not None:
+            check_number("patience", patience, ge=1, integer=True)
         self.operator = operator
-        self.max_iterations = max_iterations
+        self.max_iterations = check_number("max_iterations", max_iterations, ge=1, integer=True)
         self.patience = patience
-        self.record_every = record_every
+        self.record_every = check_number("record_every", record_every, ge=1, integer=True)
 
     def run(self, rng: np.random.Generator) -> OptimizationOutcome:
         with _TEL.span("optim.run"):

@@ -64,6 +64,7 @@ from typing import Literal
 
 import numpy as np
 
+from repro.core.checks import check_number
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.optim import Candidate, FitnessKernel, IterativeOptimizer, MoveOperator
 from repro.schedulers.base import (
@@ -129,35 +130,27 @@ class AntColonyScheduler(Scheduler):
         patience: int | None = None,
         max_matrix_cells: int = DEFAULT_MAX_MATRIX_CELLS,
     ) -> None:
-        if num_ants < 1:
-            raise ValueError(f"num_ants must be >= 1, got {num_ants}")
-        if not 0 <= rho <= 1:
-            raise ValueError(f"rho must be in [0, 1], got {rho}")
-        if alpha < 0 or beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
-        if q <= 0 or initial_pheromone <= 0:
-            raise ValueError("q and initial_pheromone must be positive")
-        if max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
         if tabu not in ("off", "pass"):
             raise ValueError(f"tabu must be 'off' or 'pass', got {tabu!r}")
         if pheromone not in ("pair", "vm"):
             raise ValueError(f"pheromone must be 'pair' or 'vm', got {pheromone!r}")
-        if patience is not None and patience < 1:
-            raise ValueError(f"patience must be >= 1 or None, got {patience}")
-        self.num_ants = num_ants
-        self.alpha = alpha
-        self.beta = beta
-        self.rho = rho
-        self.q = q
-        self.max_iterations = max_iterations
-        self.initial_pheromone = initial_pheromone
+        if patience is not None:
+            check_number("patience", patience, ge=1, integer=True)
+        self.num_ants = check_number("num_ants", num_ants, ge=1, integer=True)
+        self.alpha = check_number("alpha", alpha, ge=0)
+        self.beta = check_number("beta", beta, ge=0)
+        self.rho = check_number("rho", rho, ge=0, le=1)
+        self.q = check_number("q", q, gt=0)
+        self.max_iterations = check_number("max_iterations", max_iterations, ge=1, integer=True)
+        self.initial_pheromone = check_number("initial_pheromone", initial_pheromone, gt=0)
         self.elitist = elitist
         self.load_aware = load_aware
         self.tabu = tabu
         self.pheromone = pheromone
         self.patience = patience
-        self.max_matrix_cells = max_matrix_cells
+        self.max_matrix_cells = check_number(
+            "max_matrix_cells", max_matrix_cells, ge=0, integer=True
+        )
 
     @property
     def name(self) -> str:

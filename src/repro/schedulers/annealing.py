@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from repro.core.checks import check_number
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.optim import Candidate, FitnessKernel, IncrementalLoads, IterativeOptimizer, MoveOperator
 from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult, optimizer_result
@@ -99,17 +100,11 @@ class SimulatedAnnealingScheduler(Scheduler):
         initial_temperature: float = 0.2,
         cooling: float = 0.999,
     ) -> None:
-        if iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {iterations}")
-        if initial_temperature <= 0:
-            raise ValueError(
-                f"initial_temperature must be positive, got {initial_temperature}"
-            )
-        if not 0 < cooling < 1:
-            raise ValueError(f"cooling must be in (0, 1), got {cooling}")
-        self.iterations = iterations
-        self.initial_temperature = initial_temperature
-        self.cooling = cooling
+        self.iterations = check_number("iterations", iterations, ge=1, integer=True)
+        self.initial_temperature = check_number(
+            "initial_temperature", initial_temperature, gt=0
+        )
+        self.cooling = check_number("cooling", cooling, gt=0, lt=1)
 
     @property
     def name(self) -> str:

@@ -19,8 +19,8 @@ improvement — the ecosystem's fitness is non-increasing within a phase):
   its components re-randomised challenges ``i`` directly (the snapshot
   variant: each organism defends its own slot, which keeps the phase
   write-conflict-free and therefore fully vectorisable);
-* **cuckoo generation** — Lévy flights ``x + alpha · levy(beta) ∘
-  (x - x_best)`` (Mantegna's algorithm), then the ``abandon_fraction``
+* **cuckoo generation** — Lévy flights ``x + (levy(beta) ∘
+  (x - x_best)) · alpha`` (Mantegna's algorithm), then the ``abandon_fraction``
   worst nests — never the best — are rebuilt uniformly at random, the
   cuckoo host-abandonment move.
 
@@ -53,6 +53,7 @@ import math
 
 import numpy as np
 
+from repro.core.checks import check_number
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.optim import Candidate, FitnessKernel, IterativeOptimizer, MoveOperator
 from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult, optimizer_result
@@ -171,8 +172,11 @@ class _CuckooSosOperator(MoveOperator):
         best = x[int(np.argmin(self.fitness))]
         with _TEL.span("cuckoo_sos.cuckoo"):
             flown = levy_steps(rng, (p, n), cfg.levy_beta)
-            flown *= cfg.step_scale
             flown *= x - best
+            # Scaled last: the product above is finite, so a huge
+            # step_scale overflows to ±inf, which the clip maps onto the
+            # fleet, never to the NaN of inf * 0.
+            flown *= cfg.step_scale
             flown += x
             evaluations += self._accept(_discretise_in_place(flown, m))
             abandon = int(cfg.abandon_fraction * p)
@@ -218,26 +222,12 @@ class CuckooSosScheduler(Scheduler):
         step_scale: float = 1.0,
         abandon_fraction: float = 0.25,
     ) -> None:
-        if ecosystem_size < 2:
-            raise ValueError(f"ecosystem_size must be >= 2, got {ecosystem_size}")
-        if max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-        if not 0 < parasite_rate <= 1:
-            raise ValueError(f"parasite_rate must be in (0, 1], got {parasite_rate}")
-        if not 1 < levy_beta <= 2:
-            raise ValueError(f"levy_beta must be in (1, 2], got {levy_beta}")
-        if step_scale <= 0:
-            raise ValueError(f"step_scale must be positive, got {step_scale}")
-        if not 0 <= abandon_fraction < 1:
-            raise ValueError(
-                f"abandon_fraction must be in [0, 1), got {abandon_fraction}"
-            )
-        self.ecosystem_size = ecosystem_size
-        self.max_iterations = max_iterations
-        self.parasite_rate = parasite_rate
-        self.levy_beta = levy_beta
-        self.step_scale = step_scale
-        self.abandon_fraction = abandon_fraction
+        self.ecosystem_size = check_number("ecosystem_size", ecosystem_size, ge=2, integer=True)
+        self.max_iterations = check_number("max_iterations", max_iterations, ge=1, integer=True)
+        self.parasite_rate = check_number("parasite_rate", parasite_rate, gt=0, le=1)
+        self.levy_beta = check_number("levy_beta", levy_beta, gt=1, le=2)
+        self.step_scale = check_number("step_scale", step_scale, gt=0)
+        self.abandon_fraction = check_number("abandon_fraction", abandon_fraction, ge=0, lt=1)
 
     @property
     def name(self) -> str:

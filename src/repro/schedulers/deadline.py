@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.checks import check_number
 from repro.metrics.sla import relative_deadlines
 from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult
 
@@ -33,10 +34,8 @@ class DeadlineAwareScheduler(Scheduler):
     """
 
     def __init__(self, deadlines=None, slack_factor: float = 4.0) -> None:
-        if slack_factor <= 0:
-            raise ValueError(f"slack_factor must be positive, got {slack_factor}")
         self.deadlines = None if deadlines is None else np.asarray(deadlines, dtype=float)
-        self.slack_factor = slack_factor
+        self.slack_factor = check_number("slack_factor", slack_factor, gt=0)
 
     @property
     def name(self) -> str:

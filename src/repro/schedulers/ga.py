@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.checks import check_number
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.optim import Candidate, FitnessKernel, IterativeOptimizer, MoveOperator
 from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult, optimizer_result
@@ -138,26 +139,19 @@ class GeneticAlgorithmScheduler(Scheduler):
         tournament_size: int = 3,
         elitism: int = 1,
     ) -> None:
-        if population_size < 2 or population_size % 2:
-            raise ValueError(
-                f"population_size must be an even number >= 2, got {population_size}"
-            )
-        if generations < 1:
-            raise ValueError(f"generations must be >= 1, got {generations}")
-        if not 0 <= crossover_rate <= 1:
-            raise ValueError(f"crossover_rate must be in [0, 1], got {crossover_rate}")
-        if not 0 <= mutation_rate <= 1:
-            raise ValueError(f"mutation_rate must be in [0, 1], got {mutation_rate}")
-        if tournament_size < 1:
-            raise ValueError(f"tournament_size must be >= 1, got {tournament_size}")
-        if not 0 <= elitism < population_size:
-            raise ValueError("elitism must be in [0, population_size)")
+        check_number("population_size", population_size, ge=2, integer=True)
+        if population_size % 2:
+            raise ValueError(f"population_size must be even, got {population_size}")
         self.population_size = population_size
-        self.generations = generations
-        self.crossover_rate = crossover_rate
-        self.mutation_rate = mutation_rate
-        self.tournament_size = tournament_size
-        self.elitism = elitism
+        self.generations = check_number("generations", generations, ge=1, integer=True)
+        self.crossover_rate = check_number("crossover_rate", crossover_rate, ge=0, le=1)
+        self.mutation_rate = check_number("mutation_rate", mutation_rate, ge=0, le=1)
+        self.tournament_size = check_number(
+            "tournament_size", tournament_size, ge=1, integer=True
+        )
+        self.elitism = check_number(
+            "elitism", elitism, ge=0, lt=population_size, integer=True
+        )
 
     @property
     def name(self) -> str:

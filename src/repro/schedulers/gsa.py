@@ -54,6 +54,7 @@ import abc
 
 import numpy as np
 
+from repro.core.checks import check_number
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.optim import Candidate, FitnessKernel, IterativeOptimizer, MoveOperator
 from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult, optimizer_result
@@ -219,18 +220,10 @@ class GravitationalSearchScheduler(Scheduler):
         g0: float = 1.0,
         alpha: float = 20.0,
     ) -> None:
-        if num_agents < 2:
-            raise ValueError(f"num_agents must be >= 2, got {num_agents}")
-        if max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-        if g0 <= 0:
-            raise ValueError(f"g0 must be positive, got {g0}")
-        if alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {alpha}")
-        self.num_agents = num_agents
-        self.max_iterations = max_iterations
-        self.g0 = g0
-        self.alpha = alpha
+        self.num_agents = check_number("num_agents", num_agents, ge=2, integer=True)
+        self.max_iterations = check_number("max_iterations", max_iterations, ge=1, integer=True)
+        self.g0 = check_number("g0", g0, gt=0)
+        self.alpha = check_number("alpha", alpha, ge=0)
 
     @property
     def name(self) -> str:

@@ -61,6 +61,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.checks import check_number
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.schedulers.base import SchedulingContext, SchedulingResult
 from repro.schedulers.streaming import ChunkAssigner, StreamingScheduler, cyclic_take
@@ -396,14 +397,10 @@ class HoneyBeeScheduler(StreamingScheduler):
     def __init__(
         self, load_balance_factor: float = 0.5, scout_time_bias: float = 0.0
     ) -> None:
-        if not 0 < load_balance_factor <= 1:
-            raise ValueError(
-                f"load_balance_factor must be in (0, 1], got {load_balance_factor}"
-            )
-        if scout_time_bias < 0:
-            raise ValueError(f"scout_time_bias must be non-negative, got {scout_time_bias}")
-        self.load_balance_factor = load_balance_factor
-        self.scout_time_bias = scout_time_bias
+        self.load_balance_factor = check_number(
+            "load_balance_factor", load_balance_factor, gt=0, le=1
+        )
+        self.scout_time_bias = check_number("scout_time_bias", scout_time_bias, ge=0)
 
     @property
     def name(self) -> str:
@@ -636,7 +633,7 @@ class HoneyBeeScheduler(StreamingScheduler):
         identical VMs (the homogeneous family of Figs. 4 and 5) keep the
         heaps, as before.
         """
-        stream = ScenarioChunks.from_arrays(context.arrays, name=context.scenario_name)
+        stream = ScenarioChunks._view(context.arrays, name=context.scenario_name)
         assigner = self._open(stream, self._fleet_params(stream, scan=True), None)
         return SchedulingResult(
             assignment=assigner.assign(context.arrays, 0),

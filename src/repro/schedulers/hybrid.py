@@ -24,6 +24,7 @@ import enum
 
 import numpy as np
 
+from repro.core.checks import check_number
 from repro.schedulers.aco import AntColonyScheduler
 from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult
 from repro.schedulers.hbo import HoneyBeeScheduler
@@ -71,13 +72,13 @@ class HybridScheduler(Scheduler):
     ) -> None:
         if isinstance(objective, str):
             objective = HybridObjective(objective)
-        if heterogeneity_threshold < 0:
-            raise ValueError("heterogeneity_threshold must be non-negative")
-        if cost_spread_threshold < 1:
-            raise ValueError("cost_spread_threshold must be >= 1")
         self.objective = objective
-        self.heterogeneity_threshold = heterogeneity_threshold
-        self.cost_spread_threshold = cost_spread_threshold
+        self.heterogeneity_threshold = check_number(
+            "heterogeneity_threshold", heterogeneity_threshold, ge=0
+        )
+        self.cost_spread_threshold = check_number(
+            "cost_spread_threshold", cost_spread_threshold, ge=1
+        )
         self._aco = aco or AntColonyScheduler()
         self._hbo = hbo or HoneyBeeScheduler()
         self._rbs = rbs or RandomBiasedSamplingScheduler()

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.checks import check_number
 from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult
 
 
@@ -39,12 +40,8 @@ class PriorityCostScheduler(Scheduler):
     """
 
     def __init__(self, load_weight: float = 1.0, bands: int = 3) -> None:
-        if load_weight < 0:
-            raise ValueError(f"load_weight must be non-negative, got {load_weight}")
-        if bands < 1:
-            raise ValueError(f"bands must be >= 1, got {bands}")
-        self.load_weight = load_weight
-        self.bands = bands
+        self.load_weight = check_number("load_weight", load_weight, ge=0)
+        self.bands = check_number("bands", bands, ge=1, integer=True)
 
     @property
     def name(self) -> str:

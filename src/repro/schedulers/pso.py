@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.checks import check_number
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.optim import Candidate, FitnessKernel, IterativeOptimizer, MoveOperator
 from repro.schedulers.base import (
@@ -123,24 +124,14 @@ class ParticleSwarmScheduler(Scheduler):
         social: float = 1.5,
         mutation_rate: float = 0.02,
     ) -> None:
-        if num_particles < 2:
-            raise ValueError(f"num_particles must be >= 2, got {num_particles}")
-        if max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-        if not 0 <= inertia <= 1:
-            raise ValueError(f"inertia must be in [0, 1], got {inertia}")
-        if cognitive < 0 or social < 0:
-            raise ValueError("cognitive and social must be non-negative")
+        self.num_particles = check_number("num_particles", num_particles, ge=2, integer=True)
+        self.max_iterations = check_number("max_iterations", max_iterations, ge=1, integer=True)
+        self.inertia = check_number("inertia", inertia, ge=0, le=1)
+        self.cognitive = check_number("cognitive", cognitive, ge=0)
+        self.social = check_number("social", social, ge=0)
         if cognitive + social == 0:
             raise ValueError("cognitive + social must be positive")
-        if not 0 <= mutation_rate <= 1:
-            raise ValueError(f"mutation_rate must be in [0, 1], got {mutation_rate}")
-        self.num_particles = num_particles
-        self.max_iterations = max_iterations
-        self.inertia = inertia
-        self.cognitive = cognitive
-        self.social = social
-        self.mutation_rate = mutation_rate
+        self.mutation_rate = check_number("mutation_rate", mutation_rate, ge=0, le=1)
 
     @property
     def name(self) -> str:

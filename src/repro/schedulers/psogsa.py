@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.checks import check_number
 from repro.optim import IterativeOptimizer
 from repro.schedulers.base import Scheduler, SchedulingContext, SchedulingResult, optimizer_result
 from repro.schedulers.gsa import SwarmOperator, gravity
@@ -110,30 +111,16 @@ class PsoGsaScheduler(Scheduler):
         alpha: float = 20.0,
         mutation_rate: float = 0.02,
     ) -> None:
-        if num_particles < 2:
-            raise ValueError(f"num_particles must be >= 2, got {num_particles}")
-        if max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-        if not 0 <= inertia <= 1:
-            raise ValueError(f"inertia must be in [0, 1], got {inertia}")
-        if accel_coeff < 0 or social_coeff < 0:
-            raise ValueError("accel_coeff and social_coeff must be non-negative")
+        self.num_particles = check_number("num_particles", num_particles, ge=2, integer=True)
+        self.max_iterations = check_number("max_iterations", max_iterations, ge=1, integer=True)
+        self.inertia = check_number("inertia", inertia, ge=0, le=1)
+        self.accel_coeff = check_number("accel_coeff", accel_coeff, ge=0)
+        self.social_coeff = check_number("social_coeff", social_coeff, ge=0)
         if accel_coeff + social_coeff == 0:
             raise ValueError("accel_coeff + social_coeff must be positive")
-        if g0 <= 0:
-            raise ValueError(f"g0 must be positive, got {g0}")
-        if alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {alpha}")
-        if not 0 <= mutation_rate <= 1:
-            raise ValueError(f"mutation_rate must be in [0, 1], got {mutation_rate}")
-        self.num_particles = num_particles
-        self.max_iterations = max_iterations
-        self.inertia = inertia
-        self.accel_coeff = accel_coeff
-        self.social_coeff = social_coeff
-        self.g0 = g0
-        self.alpha = alpha
-        self.mutation_rate = mutation_rate
+        self.g0 = check_number("g0", g0, gt=0)
+        self.alpha = check_number("alpha", alpha, ge=0)
+        self.mutation_rate = check_number("mutation_rate", mutation_rate, ge=0, le=1)
 
     @property
     def name(self) -> str:

@@ -31,6 +31,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.checks import check_number
 from repro.obs.telemetry import TELEMETRY as _TEL
 from repro.schedulers.streaming import ChunkAssigner, StreamingScheduler, cyclic_take
 from repro.workloads.spec import ScenarioArrays
@@ -299,8 +300,8 @@ class RandomBiasedSamplingScheduler(StreamingScheduler):
     """
 
     def __init__(self, num_groups: int | None = None) -> None:
-        if num_groups is not None and num_groups < 1:
-            raise ValueError(f"num_groups must be >= 1, got {num_groups}")
+        if num_groups is not None:
+            check_number("num_groups", num_groups, ge=1, integer=True)
         self.num_groups = num_groups
 
     @property

@@ -12,6 +12,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.checks import check_number
 from repro.schedulers.streaming import ChunkAssigner, StreamingScheduler, cyclic_take
 from repro.workloads.spec import ScenarioArrays
 from repro.workloads.streaming import ScenarioChunks
@@ -34,9 +35,7 @@ class RoundRobinScheduler(StreamingScheduler):
     admits_online = True
 
     def __init__(self, start_offset: int = 0) -> None:
-        if start_offset < 0:
-            raise ValueError(f"start_offset must be non-negative, got {start_offset}")
-        self.start_offset = start_offset
+        self.start_offset = check_number("start_offset", start_offset, ge=0, integer=True)
 
     @property
     def name(self) -> str:

@@ -163,7 +163,7 @@ class StreamingScheduler(Scheduler):
         same scenario name), opens it with the context's generator and
         assigns that one chunk.
         """
-        stream = ScenarioChunks.from_arrays(context.arrays, name=context.scenario_name)
+        stream = ScenarioChunks._view(context.arrays, name=context.scenario_name)
         assigner = self.open(stream, context.rng)
         return SchedulingResult(
             assignment=assigner.assign(context.arrays, 0),

@@ -46,6 +46,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.checks import check_number
 from repro.core.rng import spawn_rng
 from repro.serve.protocol import SubmissionBatch
 from repro.serve.service import (
@@ -76,20 +77,13 @@ class TraceSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.requests < 1:
-            raise ValueError(f"requests must be >= 1, got {self.requests}")
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
-        if not 1 <= self.batch_low <= self.batch_high:
-            raise ValueError(
-                f"need 1 <= batch_low <= batch_high, got "
-                f"[{self.batch_low}, {self.batch_high}]"
-            )
-        if not 0 < self.length_low <= self.length_high:
-            raise ValueError(
-                f"need 0 < length_low <= length_high, got "
-                f"[{self.length_low}, {self.length_high}]"
-            )
+        check_number("requests", self.requests, ge=1, integer=True)
+        check_number("rate", self.rate, gt=0)
+        check_number("batch_low", self.batch_low, ge=1, integer=True)
+        check_number("batch_high", self.batch_high, ge=self.batch_low, integer=True)
+        check_number("length_low", self.length_low, gt=0)
+        check_number("length_high", self.length_high, ge=self.length_low)
+        check_number("seed", self.seed, ge=0, integer=True)
 
 
 @dataclass(frozen=True)
@@ -329,10 +323,8 @@ def replay(
     collect: bool = True,
 ) -> LoadReport:
     """Replay a trace against a live server; returns the measured report."""
-    if time_scale < 0:
-        raise ValueError(f"time_scale must be >= 0, got {time_scale}")
-    if max_connections < 1:
-        raise ValueError(f"max_connections must be >= 1, got {max_connections}")
+    check_number("time_scale", time_scale, ge=0)
+    check_number("max_connections", max_connections, ge=1, integer=True)
     return asyncio.run(
         _replay_async(trace, fleet, host, port, time_scale, max_connections, collect)
     )

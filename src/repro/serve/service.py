@@ -41,6 +41,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.cloud.fast import StreamingSimulation, fold_exec_times
+from repro.core.checks import check_number
 from repro.core.rng import spawn_rng
 from repro.obs.manifest import RunManifest, capture_manifest
 from repro.obs.telemetry import TELEMETRY as _TEL
@@ -96,8 +97,15 @@ class FleetSpec:
             raise ServeError(
                 400, "bad-fleet", f"fleet name must be non-empty without '/': {self.name!r}"
             )
-        if self.num_vms < 1:
-            raise ServeError(400, "bad-fleet", f"num_vms must be >= 1, got {self.num_vms}")
+        try:
+            check_number("num_vms", self.num_vms, ge=1, integer=True)
+            if self.num_datacenters is not None:
+                check_number(
+                    "num_datacenters", self.num_datacenters, ge=1, le=self.num_vms, integer=True
+                )
+            check_number("seed", self.seed, ge=0, integer=True)
+        except ValueError as exc:
+            raise ServeError(400, "bad-fleet", str(exc)) from None
         if self.family not in _FAMILIES:
             raise ServeError(
                 400, "bad-fleet", f"unknown family {self.family!r}; one of {_FAMILIES}"

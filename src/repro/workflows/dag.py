@@ -14,6 +14,7 @@ from typing import Iterator
 import networkx as nx
 import numpy as np
 
+from repro.core.checks import check_number
 from repro.core.rng import spawn_rng
 
 
@@ -28,12 +29,10 @@ class WorkflowTask:
     output_size: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise ValueError(f"task length must be positive, got {self.length}")
-        if self.pes < 1:
-            raise ValueError(f"task pes must be >= 1, got {self.pes}")
-        if min(self.file_size, self.output_size) < 0:
-            raise ValueError("task file sizes must be non-negative")
+        check_number("length", self.length, gt=0)
+        check_number("pes", self.pes, ge=1, integer=True)
+        check_number("file_size", self.file_size, ge=0)
+        check_number("output_size", self.output_size, ge=0)
 
 
 @dataclass(frozen=True)
@@ -118,10 +117,9 @@ class WorkflowSpec:
         and, when ``bandwidth`` is given, worst-case data transfer on every
         edge.
         """
-        if mips <= 0:
-            raise ValueError(f"mips must be positive, got {mips}")
-        if bandwidth is not None and bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+        check_number("mips", mips, gt=0)
+        if bandwidth is not None:
+            check_number("bandwidth", bandwidth, gt=0)
         g = self.graph()
         finish = np.zeros(self.num_tasks)
         for t in nx.topological_sort(g):
@@ -138,8 +136,8 @@ class WorkflowSpec:
 
 def _sample_lengths(rng: np.random.Generator, n: int, length_range: tuple[float, float]) -> np.ndarray:
     low, high = length_range
-    if not 0 < low <= high:
-        raise ValueError(f"invalid length range {length_range}")
+    check_number("length_range low", low, gt=0)
+    check_number("length_range high", high, ge=low)
     return rng.uniform(low, high, size=n)
 
 
@@ -152,8 +150,8 @@ def layered_workflow(
     name: str | None = None,
 ) -> WorkflowSpec:
     """A layered (pipeline-of-stages) DAG: every task feeds the next layer."""
-    if num_layers < 1 or width < 1:
-        raise ValueError("num_layers and width must be >= 1")
+    check_number("num_layers", num_layers, ge=1, integer=True)
+    check_number("width", width, ge=1, integer=True)
     rng = spawn_rng(seed, "workflow/layered")
     n = num_layers * width
     lengths = _sample_lengths(rng, n, length_range)
@@ -181,8 +179,7 @@ def fork_join_workflow(
     name: str | None = None,
 ) -> WorkflowSpec:
     """Fork-join: one source fans out to ``branches`` tasks, one sink joins."""
-    if branches < 1:
-        raise ValueError("branches must be >= 1")
+    check_number("branches", branches, ge=1, integer=True)
     rng = spawn_rng(seed, "workflow/forkjoin")
     n = branches + 2
     lengths = _sample_lengths(rng, n, length_range)
@@ -208,10 +205,8 @@ def random_workflow(
 ) -> WorkflowSpec:
     """Random DAG: each forward pair ``(i, j>i)`` is an edge with probability
     ``edge_probability`` (upper-triangular construction, always acyclic)."""
-    if num_tasks < 1:
-        raise ValueError("num_tasks must be >= 1")
-    if not 0 <= edge_probability <= 1:
-        raise ValueError(f"edge_probability must be in [0, 1], got {edge_probability}")
+    check_number("num_tasks", num_tasks, ge=1, integer=True)
+    check_number("edge_probability", edge_probability, ge=0, le=1)
     rng = spawn_rng(seed, "workflow/random")
     lengths = _sample_lengths(rng, num_tasks, length_range)
     tasks = tuple(

@@ -16,6 +16,7 @@ import abc
 
 import numpy as np
 
+from repro.core.checks import check_number
 
 class ArrivalProcess(abc.ABC):
     """Generates arrival times for a batch of cloudlets."""
@@ -24,21 +25,15 @@ class ArrivalProcess(abc.ABC):
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Return ``n`` non-decreasing arrival times starting at >= 0."""
 
-    def _validate_n(self, n: int) -> None:
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-
 
 class BatchArrivals(ArrivalProcess):
     """Everything arrives at one instant (the paper's setting)."""
 
     def __init__(self, at: float = 0.0) -> None:
-        if at < 0:
-            raise ValueError(f"arrival instant must be non-negative, got {at}")
-        self.at = at
+        self.at = check_number("at", at, ge=0)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        self._validate_n(n)
+        check_number("n", n, ge=1, integer=True)
         return np.full(n, self.at)
 
 
@@ -46,15 +41,11 @@ class PoissonArrivals(ArrivalProcess):
     """Memoryless arrivals at ``rate`` cloudlets per second."""
 
     def __init__(self, rate: float, start: float = 0.0) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        if start < 0:
-            raise ValueError(f"start must be non-negative, got {start}")
-        self.rate = rate
-        self.start = start
+        self.rate = check_number("rate", rate, gt=0)
+        self.start = check_number("start", start, ge=0)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        self._validate_n(n)
+        check_number("n", n, ge=1, integer=True)
         gaps = rng.exponential(1.0 / self.rate, size=n)
         return self.start + np.cumsum(gaps)
 
@@ -70,19 +61,13 @@ class BurstyArrivals(ArrivalProcess):
     def __init__(
         self, burst_size: int, burst_rate: float, period: float, start: float = 0.0
     ) -> None:
-        if burst_size < 1:
-            raise ValueError(f"burst_size must be >= 1, got {burst_size}")
-        if burst_rate <= 0 or period <= 0:
-            raise ValueError("burst_rate and period must be positive")
-        if start < 0:
-            raise ValueError(f"start must be non-negative, got {start}")
-        self.burst_size = burst_size
-        self.burst_rate = burst_rate
-        self.period = period
-        self.start = start
+        self.burst_size = check_number("burst_size", burst_size, ge=1, integer=True)
+        self.burst_rate = check_number("burst_rate", burst_rate, gt=0)
+        self.period = check_number("period", period, gt=0)
+        self.start = check_number("start", start, ge=0)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        self._validate_n(n)
+        check_number("n", n, ge=1, integer=True)
         times = np.empty(n)
         filled = 0
         burst_index = 0
@@ -109,13 +94,9 @@ class DiurnalArrivals(ArrivalProcess):
     def __init__(
         self, base_rate: float, period: float, amplitude: float = 0.8
     ) -> None:
-        if base_rate <= 0 or period <= 0:
-            raise ValueError("base_rate and period must be positive")
-        if not 0 <= amplitude < 1:
-            raise ValueError(f"amplitude must be in [0, 1), got {amplitude}")
-        self.base_rate = base_rate
-        self.period = period
-        self.amplitude = amplitude
+        self.base_rate = check_number("base_rate", base_rate, gt=0)
+        self.period = check_number("period", period, gt=0)
+        self.amplitude = check_number("amplitude", amplitude, ge=0, lt=1)
 
     def rate_at(self, t: float) -> float:
         """Instantaneous arrival rate at time ``t``."""
@@ -124,7 +105,7 @@ class DiurnalArrivals(ArrivalProcess):
         )
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        self._validate_n(n)
+        check_number("n", n, ge=1, integer=True)
         peak = self.base_rate * (1.0 + self.amplitude)
         times = np.empty(n)
         t = 0.0

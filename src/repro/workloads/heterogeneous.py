@@ -13,7 +13,13 @@ from __future__ import annotations
 
 from repro.cloud.characteristics import DatacenterCharacteristics
 from repro.core.rng import spawn_rng
-from repro.workloads.spec import CloudletSpec, DatacenterSpec, ScenarioSpec, VmSpec
+from repro.workloads.spec import (
+    CloudletSpec,
+    DatacenterSpec,
+    ScenarioSpec,
+    VmSpec,
+    check_scenario_sizes,
+)
 
 #: Table V ranges/constants.
 VM_MIPS_RANGE = (500.0, 4000.0)
@@ -57,10 +63,7 @@ def heterogeneous_scenario(
         derived streams so changing e.g. ``num_cloudlets`` does not reshuffle
         the VM fleet.
     """
-    if num_vms < 1 or num_cloudlets < 1 or num_datacenters < 1:
-        raise ValueError("num_vms, num_cloudlets and num_datacenters must be >= 1")
-    if num_datacenters > num_vms:
-        raise ValueError("cannot have more datacenters than VMs")
+    check_scenario_sizes(num_vms, num_cloudlets, num_datacenters)
 
     vm_rng = spawn_rng(seed, "hetero/vms")
     cl_rng = spawn_rng(seed, "hetero/cloudlets")

@@ -10,7 +10,13 @@ are parameters here so the sweep can be run scaled down (see DESIGN.md §2).
 from __future__ import annotations
 
 from repro.cloud.characteristics import DatacenterCharacteristics
-from repro.workloads.spec import CloudletSpec, DatacenterSpec, ScenarioSpec, VmSpec
+from repro.workloads.spec import (
+    CloudletSpec,
+    DatacenterSpec,
+    ScenarioSpec,
+    VmSpec,
+    check_scenario_sizes,
+)
 
 #: Table III values.
 HOMOGENEOUS_VM = VmSpec(mips=1000.0, pes=1, ram=512.0, bw=500.0, size=5000.0)
@@ -41,10 +47,7 @@ def homogeneous_scenario(
         Recorded in the spec; the homogeneous generator itself is
         deterministic.
     """
-    if num_vms < 1 or num_cloudlets < 1 or num_datacenters < 1:
-        raise ValueError("num_vms, num_cloudlets and num_datacenters must be >= 1")
-    if num_datacenters > num_vms:
-        raise ValueError("cannot have more datacenters than VMs")
+    check_scenario_sizes(num_vms, num_cloudlets, num_datacenters)
 
     # Identical pricing everywhere: cost plays no role in this scenario.
     characteristics = DatacenterCharacteristics(

@@ -18,6 +18,7 @@ import numpy as np
 from repro.cloud.characteristics import DatacenterCharacteristics
 from repro.cloud.cloudlet import Cloudlet
 from repro.cloud.vm import Vm
+from repro.core.checks import check_number
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,10 +32,11 @@ class VmSpec:
     size: float = 5000.0
 
     def __post_init__(self) -> None:
-        if self.mips <= 0 or self.pes < 1:
-            raise ValueError(f"invalid VmSpec: mips={self.mips}, pes={self.pes}")
-        if min(self.ram, self.bw, self.size) < 0:
-            raise ValueError("VmSpec ram/bw/size must be non-negative")
+        check_number("mips", self.mips, gt=0)
+        check_number("pes", self.pes, ge=1, integer=True)
+        check_number("ram", self.ram, ge=0)
+        check_number("bw", self.bw, ge=0)
+        check_number("size", self.size, ge=0)
 
     def build(self, vm_id: int, cloudlet_scheduler=None) -> Vm:
         """Materialise a runtime :class:`~repro.cloud.vm.Vm`."""
@@ -59,10 +61,10 @@ class CloudletSpec:
     output_size: float = 300.0
 
     def __post_init__(self) -> None:
-        if self.length <= 0 or self.pes < 1:
-            raise ValueError(f"invalid CloudletSpec: length={self.length}, pes={self.pes}")
-        if min(self.file_size, self.output_size) < 0:
-            raise ValueError("CloudletSpec file sizes must be non-negative")
+        check_number("length", self.length, gt=0)
+        check_number("pes", self.pes, ge=1, integer=True)
+        check_number("file_size", self.file_size, ge=0)
+        check_number("output_size", self.output_size, ge=0)
 
     def build(self, cloudlet_id: int) -> Cloudlet:
         """Materialise a runtime :class:`~repro.cloud.cloudlet.Cloudlet`."""
@@ -99,8 +101,18 @@ class DatacenterSpec:
     host_storage: float = 10_000_000.0
 
     def __post_init__(self) -> None:
-        if self.host_pes < 1 or self.host_mips <= 0:
-            raise ValueError("DatacenterSpec requires host_pes >= 1 and host_mips > 0")
+        check_number("host_pes", self.host_pes, ge=1, integer=True)
+        check_number("host_mips", self.host_mips, gt=0)
+        check_number("host_ram", self.host_ram, ge=0)
+        check_number("host_bw", self.host_bw, ge=0)
+        check_number("host_storage", self.host_storage, ge=0)
+
+
+def check_scenario_sizes(num_vms, num_cloudlets, num_datacenters) -> None:
+    """The paper builders' size rule: whole counts, no datacenter left empty."""
+    check_number("num_vms", num_vms, ge=1, integer=True)
+    check_number("num_cloudlets", num_cloudlets, ge=1, integer=True)
+    check_number("num_datacenters", num_datacenters, ge=1, le=num_vms, integer=True)
 
 
 @dataclass(frozen=True)
@@ -314,4 +326,5 @@ __all__ = [
     "DatacenterSpec",
     "ScenarioSpec",
     "ScenarioArrays",
+    "check_scenario_sizes",
 ]

@@ -47,6 +47,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from repro.cloud.characteristics import DatacenterCharacteristics
+from repro.core.checks import check_number
 from repro.core.rng import spawn_rng
 from repro.workloads.heterogeneous import (
     CLOUDLET_FILE_SIZE,
@@ -68,6 +69,7 @@ from repro.workloads.spec import (
     ScenarioArrays,
     ScenarioSpec,
     VmSpec,
+    check_scenario_sizes,
 )
 
 #: Default slice width of the streaming path.  64k cloudlets keep every
@@ -214,6 +216,13 @@ class MaterializedCloudlets:
         return take
 
 
+def _check_finite_cloudlets(cloudlets: MaterializedCloudlets) -> None:
+    """One scan of the float cloudlet columns a caller supplied."""
+    for name in ("cloudlet_length", "cloudlet_file_size", "cloudlet_output_size"):
+        if not np.isfinite(getattr(cloudlets, name)).all():
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class ScenarioChunks:
     """A scenario whose cloudlet columns are produced in fixed-size slices.
@@ -242,10 +251,8 @@ class ScenarioChunks:
     dc_cost_per_cpu: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.num_cloudlets < 1:
-            raise ValueError(f"num_cloudlets must be >= 1, got {self.num_cloudlets}")
+        check_number("chunk_size", self.chunk_size, ge=1, integer=True)
+        check_number("num_cloudlets", self.num_cloudlets, ge=1, integer=True)
         if self.vm_mips.shape[0] < 1:
             raise ValueError("stream requires at least one VM")
 
@@ -345,7 +352,8 @@ class ScenarioChunks:
         The serving layer uses this to replay live submissions through
         the offline engines: the fleet keeps its name — and therefore its
         ``scheduler/{name}`` RNG stream — while the workload becomes
-        whatever was submitted, in admission order.
+        whatever was submitted, in admission order.  The float columns
+        are checked finite here, where they enter.
         """
         from dataclasses import replace
 
@@ -364,16 +372,18 @@ class ScenarioChunks:
                 )
             return out
 
+        cloudlets = MaterializedCloudlets(
+            cloudlet_length=length,
+            cloudlet_pes=_column(cloudlet_pes, 1, np.int64),
+            cloudlet_file_size=_column(cloudlet_file_size, 0.0, float),
+            cloudlet_output_size=_column(cloudlet_output_size, 0.0, float),
+        )
+        _check_finite_cloudlets(cloudlets)
         return replace(
             self,
             num_cloudlets=n,
             chunk_size=chunk_size if chunk_size is not None else self.chunk_size,
-            cloudlets=MaterializedCloudlets(
-                cloudlet_length=length,
-                cloudlet_pes=_column(cloudlet_pes, 1, np.int64),
-                cloudlet_file_size=_column(cloudlet_file_size, 0.0, float),
-                cloudlet_output_size=_column(cloudlet_output_size, 0.0, float),
-            ),
+            cloudlets=cloudlets,
         )
 
     # -- conversions --------------------------------------------------------
@@ -388,10 +398,29 @@ class ScenarioChunks:
     ) -> "ScenarioChunks":
         """Chunked view over already-materialised columns (no copies).
 
-        ``chunk_size=None`` makes the whole workload a single chunk — the
-        view a batch ``StreamingScheduler.schedule`` call assigns in one
-        pass.  It cannot reduce the footprint of columns that already
-        exist.
+        ``chunk_size=None`` makes the whole workload a single chunk.  It
+        cannot reduce the footprint of columns that already exist.  This
+        is where caller-built columns enter, so the float cloudlet
+        columns are checked finite here, once.
+        """
+        stream = cls._view(arrays, name, seed, chunk_size)
+        _check_finite_cloudlets(stream.cloudlets)
+        return stream
+
+    @classmethod
+    def _view(
+        cls,
+        arrays: ScenarioArrays,
+        name: str = "",
+        seed: int | None = None,
+        chunk_size: "int | None" = None,
+    ) -> "ScenarioChunks":
+        """:meth:`from_arrays` without the finiteness scan.
+
+        For columns already checked: a spec's, whose every field was, and
+        a scheduling context's, which a batch ``schedule`` call views as
+        one chunk inside its timed decision, where an O(n) scan would add
+        to the measured time.
         """
         return cls(
             name=name,
@@ -411,7 +440,7 @@ class ScenarioChunks:
         Shares the spec's columns (no copies), so this is for differential
         testing and convenience.
         """
-        return cls.from_arrays(
+        return cls._view(
             spec.arrays(), name=spec.name, seed=spec.seed, chunk_size=chunk_size
         )
 
@@ -562,8 +591,7 @@ def plan_shards(stream: ScenarioChunks, shards: int) -> tuple[ShardPlan, ...]:
     ``[0, num_chunks)`` exactly — so executing the plans in index order and
     merging reproduces the serial pass.
     """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
+    check_number("shards", shards, ge=1, integer=True)
     num_chunks = stream.num_chunks
     shards = min(shards, num_chunks)
     base, extra = divmod(num_chunks, shards)
@@ -599,10 +627,7 @@ def homogeneous_stream(
     columns are produced lazily, so the paper's 10^6-cloudlet points fit
     in O(num_vms + chunk_size) memory.
     """
-    if num_vms < 1 or num_cloudlets < 1 or num_datacenters < 1:
-        raise ValueError("num_vms, num_cloudlets and num_datacenters must be >= 1")
-    if num_datacenters > num_vms:
-        raise ValueError("cannot have more datacenters than VMs")
+    check_scenario_sizes(num_vms, num_cloudlets, num_datacenters)
     vm = HOMOGENEOUS_VM
     cl = HOMOGENEOUS_CLOUDLET
     return ScenarioChunks(
@@ -643,10 +668,7 @@ def heterogeneous_stream(
     the ``hetero/cloudlets`` stream, which concatenates to the monolithic
     draw bit-for-bit (sequential generator consumption).
     """
-    if num_vms < 1 or num_cloudlets < 1 or num_datacenters < 1:
-        raise ValueError("num_vms, num_cloudlets and num_datacenters must be >= 1")
-    if num_datacenters > num_vms:
-        raise ValueError("cannot have more datacenters than VMs")
+    check_scenario_sizes(num_vms, num_cloudlets, num_datacenters)
     vm_rng = spawn_rng(seed, "hetero/vms")
     dc_rng = spawn_rng(seed, "hetero/datacenters")
     # Match the monolithic per-datacenter draw order exactly: mem, storage,

@@ -15,6 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.cloud.characteristics import DatacenterCharacteristics
+from repro.core.checks import check_number
 from repro.core.rng import spawn_rng
 from repro.workloads.spec import CloudletSpec, DatacenterSpec, ScenarioSpec, VmSpec
 
@@ -129,9 +130,7 @@ class SyntheticWorkloadBuilder:
         size: DistributionSpec | None = None,
     ) -> "SyntheticWorkloadBuilder":
         """Configure the VM fleet."""
-        if count < 1:
-            raise ValueError("need at least one VM")
-        self._num_vms = count
+        self._num_vms = check_number("count", count, ge=1, integer=True)
         self._vm_mips = mips or self._vm_mips
         self._vm_ram = ram or self._vm_ram
         self._vm_bw = bw or self._vm_bw
@@ -146,9 +145,7 @@ class SyntheticWorkloadBuilder:
         output_size: DistributionSpec | None = None,
     ) -> "SyntheticWorkloadBuilder":
         """Configure the cloudlet batch."""
-        if count < 1:
-            raise ValueError("need at least one cloudlet")
-        self._num_cloudlets = count
+        self._num_cloudlets = check_number("count", count, ge=1, integer=True)
         self._cl_length = length or self._cl_length
         self._cl_file_size = file_size or self._cl_file_size
         self._cl_output_size = output_size or self._cl_output_size
@@ -163,9 +160,7 @@ class SyntheticWorkloadBuilder:
         cost_per_cpu: DistributionSpec | None = None,
     ) -> "SyntheticWorkloadBuilder":
         """Configure datacenter count and pricing distributions."""
-        if count < 1:
-            raise ValueError("need at least one datacenter")
-        self._num_datacenters = count
+        self._num_datacenters = check_number("count", count, ge=1, integer=True)
         self._cost_per_mem = cost_per_mem or self._cost_per_mem
         self._cost_per_storage = cost_per_storage or self._cost_per_storage
         self._cost_per_bw = cost_per_bw or self._cost_per_bw
@@ -180,8 +175,7 @@ class SyntheticWorkloadBuilder:
             raise ValueError("call .vms(count) before .build()")
         if self._num_cloudlets < 1:
             raise ValueError("call .cloudlets(count) before .build()")
-        if self._num_datacenters > self._num_vms:
-            raise ValueError("cannot have more datacenters than VMs")
+        check_number("num_datacenters", self._num_datacenters, le=self._num_vms)
 
         vm_rng = spawn_rng(self.seed, "synthetic/vms")
         cl_rng = spawn_rng(self.seed, "synthetic/cloudlets")

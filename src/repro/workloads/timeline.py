@@ -32,6 +32,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.checks import check_number
 from repro.core.rng import spawn_rng
 from repro.workloads.arrivals import ArrivalProcess
 
@@ -61,18 +62,14 @@ def parse_duration(value: "str | float | int") -> float:
     suffix — ``"45s"``, ``"30m"``, ``"2h"``, ``"1d"``, ``"1.5h"`` — plus
     bare numeric strings (seconds).
     """
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        seconds = float(value)
-    elif isinstance(value, str):
+    if isinstance(value, str):
         match = _DURATION_RE.match(value.strip())
         if not match:
             raise ValueError(f"invalid duration {value!r} (expected e.g. '30m', '2h')")
-        seconds = float(match.group(1)) * _UNIT_SECONDS[match.group(2) or "s"]
-    else:
+        value = float(match.group(1)) * _UNIT_SECONDS[match.group(2) or "s"]
+    elif not isinstance(value, (int, float)) or isinstance(value, bool):
         raise TypeError(f"duration must be a number or string, got {value!r}")
-    if not math.isfinite(seconds) or seconds < 0:
-        raise ValueError(f"duration must be finite and non-negative, got {value!r}")
-    return seconds
+    return float(check_number("duration", value, ge=0))
 
 
 def parse_time(value: "str | float | int") -> float:
@@ -109,24 +106,20 @@ def sample_from_spec(
     if not isinstance(spec, Mapping):
         raise TypeError(f"expected a number or distribution mapping, got {spec!r}")
     if "value" in spec:
-        return float(spec["value"])
+        return float(check_number("value", spec["value"]))
     dist = spec.get("distribution", "uniform")
-    lo = float(spec.get("min", 0.0))
-    hi = float(spec.get("max", 1.0))
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+    lo = float(check_number("min", spec.get("min", 0.0)))
+    hi = float(check_number("max", spec.get("max", 1.0)))
+    if lo > hi:
         raise ValueError(f"distribution bounds must satisfy min <= max, got {spec!r}")
     if dist == "uniform":
         return float(rng.uniform(lo, hi))
     if dist == "normal":
-        mean = float(spec.get("mean", (lo + hi) / 2.0))
-        stddev = float(spec.get("stddev", (hi - lo) / 6.0))
-        if stddev < 0:
-            raise ValueError(f"stddev must be non-negative, got {stddev}")
+        mean = float(check_number("mean", spec.get("mean", (lo + hi) / 2.0)))
+        stddev = float(check_number("stddev", spec.get("stddev", (hi - lo) / 6.0), ge=0))
         return float(np.clip(rng.normal(mean, stddev), lo, hi))
     if dist == "exponential":
-        mean = float(spec.get("mean", (lo + hi) / 2.0))
-        if mean <= 0:
-            raise ValueError(f"exponential mean must be positive, got {mean}")
+        mean = float(check_number("mean", spec.get("mean", (lo + hi) / 2.0), gt=0))
         value = float(rng.exponential(mean))
         if "min" in spec or "max" in spec:
             value = float(np.clip(value, lo, hi))
@@ -137,12 +130,11 @@ def sample_from_spec(
 def _check_spec(spec: "float | int | Mapping[str, Any]", label: str) -> None:
     """Validate a spec's shape eagerly (sampling happens at compile time)."""
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        if not math.isfinite(float(spec)):
-            raise ValueError(f"{label} must be finite, got {spec!r}")
-        return
-    if not isinstance(spec, Mapping):
+        check_number(label, spec)
+    elif isinstance(spec, Mapping):
+        sample_from_spec(spec, np.random.default_rng(0))  # shape check only
+    else:
         raise TypeError(f"{label} must be a number or distribution mapping, got {spec!r}")
-    sample_from_spec(spec, np.random.default_rng(0))  # shape check only
 
 
 # -- timeline entries --------------------------------------------------------------
@@ -170,9 +162,8 @@ class RateRamp:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "at", parse_time(self.at))
-        object.__setattr__(self, "duration", parse_duration(self.duration))
-        if self.duration <= 0:
-            raise ValueError(f"ramp duration must be positive, got {self.duration}")
+        duration = check_number("duration", parse_duration(self.duration), gt=0)
+        object.__setattr__(self, "duration", duration)
         _check_spec(self.to_rate, "to_rate")
 
 
@@ -185,9 +176,10 @@ class Burst:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "at", parse_time(self.at))
-        _check_spec(self.count, "count")
-        if isinstance(self.count, (int, float)) and self.count < 1:
-            raise ValueError(f"burst count must be >= 1, got {self.count}")
+        if isinstance(self.count, Mapping):
+            _check_spec(self.count, "count")
+        else:
+            check_number("count", self.count, ge=1, integer=True)
 
 
 @dataclass(frozen=True)
@@ -200,8 +192,7 @@ class VmFault:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "at", parse_time(self.at))
-        if self.vm_index < 0:
-            raise ValueError(f"vm_index must be non-negative, got {self.vm_index}")
+        check_number("vm_index", self.vm_index, ge=0, integer=True)
         if self.downtime is not None:
             if isinstance(self.downtime, str):
                 object.__setattr__(self, "downtime", parse_duration(self.downtime))
@@ -219,8 +210,7 @@ class Drift:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "at", parse_time(self.at))
-        if self.vm_index < 0:
-            raise ValueError(f"vm_index must be non-negative, got {self.vm_index}")
+        check_number("vm_index", self.vm_index, ge=0, integer=True)
         if isinstance(self.duration, str):
             object.__setattr__(self, "duration", parse_duration(self.duration))
         _check_spec(self.duration, "duration")
@@ -255,8 +245,7 @@ class Trigger:
                 f"unknown trigger action {self.action!r}; expected one of "
                 f"{TRIGGER_ACTIONS}"
             )
-        if not math.isfinite(float(self.threshold)):
-            raise ValueError(f"trigger threshold must be finite, got {self.threshold}")
+        check_number("threshold", self.threshold)
 
     def holds(self, value: float) -> bool:
         """Evaluate the condition against a monitored metric value."""
@@ -326,10 +315,7 @@ class Timeline:
                     "dynamics need a starting rate"
                 )
         else:
-            if not math.isfinite(self.base_rate) or self.base_rate <= 0:
-                raise ValueError(
-                    f"base_rate must be positive and finite, got {self.base_rate}"
-                )
+            check_number("base_rate", self.base_rate, gt=0)
 
     @property
     def fault_entries(self) -> tuple[TimelineEntry, ...]:
@@ -358,8 +344,7 @@ class Timeline:
         """
         from repro.cloud.faults import FaultEvent, VmFailure, VmSlowdown, validate_fault_plan
 
-        if num_vms < 1:
-            raise ValueError(f"num_vms must be >= 1, got {num_vms}")
+        check_number("num_vms", num_vms, ge=1, integer=True)
         rate_events: list[tuple[float, float, float]] = []  # (at, duration, to_rate)
         bursts: list[tuple[float, int]] = []
         plan: list[FaultEvent] = []
@@ -367,18 +352,15 @@ class Timeline:
             rng = spawn_rng(seed, f"timeline/{i}") if seed is not None else np.random.default_rng()
             if isinstance(entry, RateChange):
                 rate = sample_from_spec(entry.rate, rng)
-                if rate <= 0:
-                    raise ValueError(f"entry {i}: sampled rate must be positive, got {rate}")
+                check_number(f"entry {i}: sampled rate", rate, gt=0)
                 rate_events.append((float(entry.at), 0.0, rate))
             elif isinstance(entry, RateRamp):
                 rate = sample_from_spec(entry.to_rate, rng)
-                if rate <= 0:
-                    raise ValueError(f"entry {i}: sampled to_rate must be positive, got {rate}")
+                check_number(f"entry {i}: sampled to_rate", rate, gt=0)
                 rate_events.append((float(entry.at), float(entry.duration), rate))
             elif isinstance(entry, Burst):
                 count = int(round(sample_from_spec(entry.count, rng)))
-                if count < 1:
-                    raise ValueError(f"entry {i}: sampled burst count must be >= 1, got {count}")
+                check_number(f"entry {i}: sampled burst count", count, ge=1)
                 bursts.append((float(entry.at), count))
             elif isinstance(entry, VmFault):
                 downtime = (
@@ -558,7 +540,7 @@ class TimelineArrivals(ArrivalProcess):
         return times
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        self._validate_n(n)
+        check_number("n", n, ge=1, integer=True)
         poisson = self._poisson_times(rng, n)
         if not self.bursts:
             return poisson

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.checks import check_number
 from repro.workloads.arrivals import DiurnalArrivals
 from repro.workloads.spec import ScenarioSpec
 from repro.workloads.synthetic import DistributionSpec, SyntheticWorkloadBuilder
@@ -43,8 +44,8 @@ def tracelike_scenario(
     name: str | None = None,
 ) -> ScenarioSpec:
     """Build the trace-like scenario (see module docstring)."""
-    if num_vms < 1 or num_cloudlets < 1:
-        raise ValueError("num_vms and num_cloudlets must be >= 1")
+    check_number("num_vms", num_vms, ge=1, integer=True)
+    check_number("num_cloudlets", num_cloudlets, ge=1, integer=True)
     # Tiered fleet expressed as a weighted choice: repeat values by share
     # over a fine grid so DistributionSpec("choice") samples the mix.
     grid = []
@@ -82,10 +83,7 @@ def diurnal_arrivals_for(
     The base rate is chosen so that (mean task service time × rate) equals
     ``mean_utilization`` of the fleet's aggregate capacity.
     """
-    if not 0 < mean_utilization < 1:
-        raise ValueError(
-            f"mean_utilization must be in (0, 1), got {mean_utilization}"
-        )
+    check_number("mean_utilization", mean_utilization, gt=0, lt=1)
     arr = scenario.arrays()
     total_mips = float((arr.vm_mips * arr.vm_pes).sum())
     mean_length = float(arr.cloudlet_length.mean())

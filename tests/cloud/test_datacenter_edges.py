@@ -7,6 +7,7 @@ import pytest
 from repro.cloud.broker import DatacenterBroker
 from repro.cloud.cloudlet import Cloudlet
 from repro.cloud.datacenter import Datacenter
+from repro.cloud.faults import VmFailure
 from repro.cloud.host import Host
 from repro.cloud.simulation import build_simulation
 from repro.cloud.vm import Vm
@@ -123,6 +124,18 @@ class TestFailedCloudletPath:
         sim.register(broker)
         with pytest.raises(RuntimeError, match="failed"):
             sim.run()
+
+    def test_crash_bounce_names_the_assigned_vm(self):
+        """The datacenter resets a crash victim's ``vm_id`` to -1 before the
+        bounce, so the error used to blame "vm -1"."""
+        env = build_simulation(homogeneous_scenario(2, 4))
+        broker = DatacenterBroker(
+            "broker", env.vms, env.cloudlets, [0, 1, 0, 1], env.vm_placement
+        )
+        env.sim.register(broker)
+        env.inject_faults([VmFailure(0, 0.1)], broker)
+        with pytest.raises(RuntimeError, match=r"cloudlet 0 failed on vm 0$"):
+            env.sim.run()
 
     def test_failing_unknown_vm_is_counted_and_ignored(self):
         """A fault delivery for a VM that is already gone (e.g. killed by an

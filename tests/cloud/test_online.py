@@ -178,20 +178,33 @@ class TestValidation:
             ).run()
 
     @pytest.mark.parametrize(
-        "arrivals",
+        ("build", "field"),
         [
-            BatchArrivals(at=np.nan),
-            PoissonArrivals(rate=np.nan),
-            PoissonArrivals(rate=2.0, start=np.nan),
+            (lambda: BatchArrivals(at=np.nan), "at"),
+            (lambda: PoissonArrivals(rate=np.nan), "rate"),
+            (lambda: PoissonArrivals(rate=2.0, start=np.nan), "start"),
         ],
         ids=["batch-at-nan", "poisson-rate-nan", "poisson-start-nan"],
     )
-    def test_non_finite_arrival_times_rejected(self, arrivals):
-        """NaN arrival settings used to run with NaN submission times."""
+    def test_non_finite_arrival_times_rejected(self, build, field):
+        """NaN arrival settings used to run with NaN submission times; they
+        now fail at construction, naming the setting."""
+        with pytest.raises(ValueError, match=field):
+            build()
+
+    def test_non_finite_sampled_arrival_times_rejected(self):
+        """A process that samples NaN still meets the broker's own check."""
+
+        class NanArrivals(ArrivalProcess):
+            def sample(self, rng, n):
+                times = np.zeros(n)
+                times[-1] = np.nan
+                return times
+
         scenario = heterogeneous_scenario(6, 30, seed=0)
         with pytest.raises(ValueError, match="arrival times must be finite"):
             OnlineCloudSimulation(
-                scenario, OnlineGreedyMCT(), arrivals=arrivals, seed=0
+                scenario, OnlineGreedyMCT(), arrivals=NanArrivals(), seed=0
             ).run()
 
     def test_fractional_standby_rejected(self):

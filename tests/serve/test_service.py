@@ -68,6 +68,29 @@ class TestFleetSpec:
         with pytest.raises(ServeError):
             FleetSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        ("kwargs", "field"),
+        [
+            ({"num_vms": 2.5}, "num_vms"),
+            ({"num_vms": float("nan")}, "num_vms"),
+            ({"num_vms": True}, "num_vms"),
+            ({"num_datacenters": 2.5}, "num_datacenters"),
+            ({"num_datacenters": 101}, "num_datacenters"),
+            ({"seed": -1}, "seed"),
+            ({"seed": 0.5}, "seed"),
+        ],
+        ids=[
+            "vms-fraction", "vms-nan", "vms-bool", "dcs-fraction",
+            "dcs-over-vms", "seed-negative", "seed-fraction",
+        ],
+    )
+    def test_bad_numbers_are_bad_fleet(self, kwargs, field):
+        """These used to fail later, in numpy or as "more datacenters than
+        VMs" (``num_vms=True``), instead of as a 400 naming the field."""
+        with pytest.raises(ServeError, match=field) as excinfo:
+            FleetSpec(name="edge", **kwargs)
+        assert (excinfo.value.status, excinfo.value.code) == (400, "bad-fleet")
+
     def test_fleet_stream_never_uses_constant_cloudlets(self):
         # ConstantCloudlets would trip greedy's cyclic fast path, which a
         # live fleet cannot honour (future submissions are unconstrained).
