@@ -18,8 +18,11 @@ from repro.experiments.runner import Engine, SweepRecord, run_sweep
 from repro.experiments.scenarios import Preset, SweepConfig, preset_config
 from repro.metrics.stats import summarize
 from repro.schedulers import PAPER_SCHEDULERS
-from repro.workloads.heterogeneous import heterogeneous_scenario
-from repro.workloads.homogeneous import homogeneous_scenario
+from repro.workloads.streaming import (
+    DEFAULT_CHUNK_SIZE,
+    heterogeneous_stream,
+    homogeneous_stream,
+)
 
 
 @dataclass
@@ -63,11 +66,11 @@ class ScenarioFamily:
     Parallel sweeps pickle the factory into spawn-based workers, so it is
     a dataclass keyed by the family name rather than a lambda.
 
-    With ``chunked=True`` the factory yields a
-    :class:`~repro.workloads.streaming.ScenarioChunks` instead of a
-    materialised spec — same seeds, bit-identical columns, but the
-    workload exists only one chunk at a time.  This is what the
-    ``"stream"`` engine sweeps use at paper scale.
+    The factory builds the family's stream.  With ``chunked=True`` it
+    yields that :class:`~repro.workloads.streaming.ScenarioChunks`, whose
+    workload exists only one chunk at a time (what the ``"stream"``
+    engine sweeps use at paper scale); otherwise its materialised
+    ``to_spec()``.
     """
 
     kind: str  # "homogeneous" | "heterogeneous"
@@ -77,27 +80,11 @@ class ScenarioFamily:
     def __call__(self, num_vms: int, num_cloudlets: int, seed: int):
         if self.kind not in ("homogeneous", "heterogeneous"):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.chunked:
-            from repro.workloads.streaming import (
-                DEFAULT_CHUNK_SIZE,
-                heterogeneous_stream,
-                homogeneous_stream,
-            )
-
-            make = (
-                homogeneous_stream
-                if self.kind == "homogeneous"
-                else heterogeneous_stream
-            )
-            return make(
-                num_vms,
-                num_cloudlets,
-                seed=seed,
-                chunk_size=self.chunk_size or DEFAULT_CHUNK_SIZE,
-            )
-        if self.kind == "homogeneous":
-            return homogeneous_scenario(num_vms, num_cloudlets, seed=seed)
-        return heterogeneous_scenario(num_vms, num_cloudlets, seed=seed)
+        make = homogeneous_stream if self.kind == "homogeneous" else heterogeneous_stream
+        stream = make(
+            num_vms, num_cloudlets, seed=seed, chunk_size=self.chunk_size or DEFAULT_CHUNK_SIZE
+        )
+        return stream if self.chunked else stream.to_spec()
 
 
 @dataclass(frozen=True)

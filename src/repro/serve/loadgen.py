@@ -84,6 +84,9 @@ class TraceSpec:
         check_number("length_low", self.length_low, gt=0)
         check_number("length_high", self.length_high, ge=self.length_low)
         check_number("seed", self.seed, ge=0, integer=True)
+        for i, (instant, count) in enumerate(self.bursts):
+            check_number(f"bursts[{i}] instant", instant, ge=0)
+            check_number(f"bursts[{i}] count", count, ge=1, integer=True)
 
 
 @dataclass(frozen=True)

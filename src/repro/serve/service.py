@@ -34,6 +34,7 @@ Example::
 
 from __future__ import annotations
 
+import inspect
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -65,7 +66,9 @@ SERVABLE_SCHEDULERS: tuple[str, ...] = tuple(
     )
 )
 
-_FAMILIES = ("homogeneous", "heterogeneous")
+#: family -> its stream builder, whose signature holds the family's
+#: default datacenter count.
+_FAMILIES = {"homogeneous": homogeneous_stream, "heterogeneous": heterogeneous_stream}
 
 #: Latency observations kept per fleet for the percentile gauges.
 _LATENCY_WINDOW = 4096
@@ -82,7 +85,8 @@ class FleetSpec:
     ``family`` selects the paper's homogeneous or heterogeneous fleet
     template (same VM/datacenter arrays as the offline scenarios, derived
     from ``seed``); ``scheduler`` must be one of
-    :data:`SERVABLE_SCHEDULERS`.
+    :data:`SERVABLE_SCHEDULERS`.  ``num_datacenters=None`` takes the
+    family's default, the one its stream builder's signature sets.
     """
 
     name: str
@@ -97,19 +101,18 @@ class FleetSpec:
             raise ServeError(
                 400, "bad-fleet", f"fleet name must be non-empty without '/': {self.name!r}"
             )
+        if self.family not in _FAMILIES:
+            raise ServeError(
+                400, "bad-fleet", f"unknown family {self.family!r}; one of {tuple(_FAMILIES)}"
+            )
         try:
             check_number("num_vms", self.num_vms, ge=1, integer=True)
-            if self.num_datacenters is not None:
-                check_number(
-                    "num_datacenters", self.num_datacenters, ge=1, le=self.num_vms, integer=True
-                )
+            check_number(
+                "num_datacenters", self._num_datacenters(), ge=1, le=self.num_vms, integer=True
+            )
             check_number("seed", self.seed, ge=0, integer=True)
         except ValueError as exc:
             raise ServeError(400, "bad-fleet", str(exc)) from None
-        if self.family not in _FAMILIES:
-            raise ServeError(
-                400, "bad-fleet", f"unknown family {self.family!r}; one of {_FAMILIES}"
-            )
         if self.scheduler not in STREAMING_SCHEDULERS:
             raise ServeError(
                 400,
@@ -135,16 +138,21 @@ class FleetSpec:
         which keeps the stream name (and therefore the derived
         ``scheduler/{name}`` RNG stream) identical on both sides.
         """
-        build = homogeneous_stream if self.family == "homogeneous" else heterogeneous_stream
-        kwargs: dict[str, Any] = {"seed": self.seed, "name": f"serve-{self.name}"}
-        if self.num_datacenters is not None:
-            kwargs["num_datacenters"] = self.num_datacenters
-        template = build(self.num_vms, 1, **kwargs)
+        template = _FAMILIES[self.family](
+            self.num_vms, 1, self._num_datacenters(), seed=self.seed, name=f"serve-{self.name}"
+        )
         # A materialised placeholder keeps live and offline replays on the
         # same scheduler code path: greedy's constant-workload cyclic fast
         # path triggers on ConstantCloudlets, which a live fleet can never
         # promise (the next submission may carry any lengths).
         return template.with_cloudlets(np.ones(1))
+
+    def _num_datacenters(self) -> int:
+        """``num_datacenters``, or else the family's default."""
+        if self.num_datacenters is not None:
+            return self.num_datacenters
+        builder = inspect.signature(_FAMILIES[self.family])
+        return builder.parameters["num_datacenters"].default
 
     def to_dict(self) -> dict[str, Any]:
         return {

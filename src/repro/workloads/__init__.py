@@ -1,13 +1,14 @@
 """Workload and scenario generation.
 
 ``spec`` holds the value objects (VM / cloudlet / datacenter specs and the
-:class:`~repro.workloads.spec.ScenarioSpec` bundle).  ``homogeneous`` and
-``heterogeneous`` encode the paper's two experimental setups (Tables III-VII).
-``synthetic`` provides a general distribution-driven generator used by the
-extension experiments, and ``traces`` round-trips scenarios through CSV/JSON
-for offline workloads.  ``streaming`` generates the same scenarios one
-fixed-size chunk at a time (bit-identical columns, bounded memory) for the
-paper-scale streaming engine.
+:class:`~repro.workloads.spec.ScenarioSpec` bundle).  ``streaming`` defines
+the paper's two experimental setups (Tables III-VII) once, as streams that
+generate a scenario one fixed-size chunk at a time in bounded memory;
+``homogeneous`` and ``heterogeneous`` hold the tables' constants and the
+spec builders, which are those streams' ``to_spec()``.  ``synthetic``
+provides a general distribution-driven generator used by the extension
+experiments, and ``traces`` round-trips scenarios through CSV/JSON for
+offline workloads.
 """
 
 from repro.workloads.arrivals import (

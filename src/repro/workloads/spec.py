@@ -188,6 +188,16 @@ class ScenarioSpec:
         return cached
 
 
+def datacenter_columns(datacenters) -> dict[str, np.ndarray]:
+    """The four ``dc_cost_*`` price columns of ``datacenters``."""
+    return {
+        f"dc_{price}": np.array(
+            [getattr(d.characteristics, price) for d in datacenters], dtype=float
+        )
+        for price in ("cost_per_mem", "cost_per_storage", "cost_per_bw", "cost_per_cpu")
+    }
+
+
 @dataclass(frozen=True)
 class ScenarioArrays:
     """Numpy views over a :class:`ScenarioSpec` for vectorised consumers."""
@@ -222,18 +232,7 @@ class ScenarioArrays:
             vm_bw=np.array([v.bw for v in spec.vms], dtype=float),
             vm_size=np.array([v.size for v in spec.vms], dtype=float),
             vm_datacenter=np.array(spec.vm_datacenter, dtype=np.int64),
-            dc_cost_per_mem=np.array(
-                [d.characteristics.cost_per_mem for d in spec.datacenters], dtype=float
-            ),
-            dc_cost_per_storage=np.array(
-                [d.characteristics.cost_per_storage for d in spec.datacenters], dtype=float
-            ),
-            dc_cost_per_bw=np.array(
-                [d.characteristics.cost_per_bw for d in spec.datacenters], dtype=float
-            ),
-            dc_cost_per_cpu=np.array(
-                [d.characteristics.cost_per_cpu for d in spec.datacenters], dtype=float
-            ),
+            **datacenter_columns(spec.datacenters),
         )
 
     @property
@@ -327,4 +326,5 @@ __all__ = [
     "ScenarioSpec",
     "ScenarioArrays",
     "check_scenario_sizes",
+    "datacenter_columns",
 ]

@@ -8,13 +8,18 @@ columns resident and synthesises the cloudlet columns chunk by chunk, so
 the peak footprint of a sweep point is O(num_vms + chunk_size) regardless
 of the cloudlet count.
 
-Chunking never changes the workload: every chunk pass re-derives its
-random streams from the same ``(seed, label)`` pair the monolithic
-generators use, and ``numpy.random.Generator`` draws are consumed
-sequentially, so the concatenation of the chunked columns is bit-for-bit
-identical to the monolithic arrays (pinned by ``tests/properties``).
+The paper's two workload families are defined here, once, as streams:
+:func:`homogeneous_stream` and :func:`heterogeneous_stream` build the fleet
+columns, the cloudlet source and the datacenters with their host sizing,
+and :func:`~repro.workloads.homogeneous.homogeneous_scenario` and
+:func:`~repro.workloads.heterogeneous.heterogeneous_scenario` are their
+:meth:`ScenarioChunks.to_spec`.  Chunking never changes the workload:
+every pass re-derives its random streams from the same ``(seed, label)``
+pair, and ``numpy.random.Generator`` draws are consumed sequentially, so
+the chunked columns concatenate bit-for-bit to one draw of the whole
+column (pinned by ``tests/properties``).
 
-Example — chunked generation matches the monolithic arrays exactly::
+Example — the chunks concatenate to the spec's arrays exactly::
 
     >>> import numpy as np
     >>> from repro.workloads.homogeneous import homogeneous_scenario
@@ -41,7 +46,7 @@ picklable, so they ship to spawn-based sweep workers like specs do::
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -70,6 +75,7 @@ from repro.workloads.spec import (
     ScenarioSpec,
     VmSpec,
     check_scenario_sizes,
+    datacenter_columns,
 )
 
 #: Default slice width of the streaming path.  64k cloudlets keep every
@@ -85,11 +91,14 @@ _CLOUDLET_FIELDS = (
     "cloudlet_output_size",
 )
 
+#: resident VM columns, in VmSpec field order.
+_VM_FIELDS = ("vm_mips", "vm_pes", "vm_ram", "vm_bw", "vm_size")
+
+#: resident datacenter price columns, in DatacenterCharacteristics field order.
+_DC_FIELDS = ("dc_cost_per_mem", "dc_cost_per_storage", "dc_cost_per_bw", "dc_cost_per_cpu")
+
 #: resident VM and datacenter columns, in ScenarioArrays order.
-_FLEET_FIELDS = (
-    "vm_mips", "vm_pes", "vm_ram", "vm_bw", "vm_size", "vm_datacenter",
-    "dc_cost_per_mem", "dc_cost_per_storage", "dc_cost_per_bw", "dc_cost_per_cpu",
-)
+_FLEET_FIELDS = (*_VM_FIELDS, "vm_datacenter", *_DC_FIELDS)
 
 
 #: One sequential pass over a cloudlet source (see ``open_pass``):
@@ -232,6 +241,12 @@ class ScenarioChunks:
     columns cover ``[offset, offset + chunk)`` and whose VM/datacenter
     columns are shared references to the resident arrays.  Instances are
     immutable, re-iterable and picklable.
+
+    ``datacenters`` holds the :class:`DatacenterSpec` objects, host sizing
+    included, that the family builders and :meth:`from_spec` built the
+    stream from, so :meth:`to_spec` returns them unchanged.  A stream of
+    bare columns (:meth:`from_arrays`) has none, and its spec gets default
+    hosts.  Neither :meth:`digest` nor :meth:`manifest_summary` reads them.
     """
 
     name: str
@@ -249,6 +264,7 @@ class ScenarioChunks:
     dc_cost_per_storage: np.ndarray
     dc_cost_per_bw: np.ndarray
     dc_cost_per_cpu: np.ndarray
+    datacenters: "tuple[DatacenterSpec, ...] | None" = None
 
     def __post_init__(self) -> None:
         check_number("chunk_size", self.chunk_size, ge=1, integer=True)
@@ -332,8 +348,6 @@ class ScenarioChunks:
 
     def with_chunk_size(self, chunk_size: int) -> "ScenarioChunks":
         """The same workload re-sliced at a different chunk width."""
-        from dataclasses import replace
-
         return replace(self, chunk_size=chunk_size)
 
     def with_cloudlets(
@@ -355,8 +369,6 @@ class ScenarioChunks:
         whatever was submitted, in admission order.  The float columns
         are checked finite here, where they enter.
         """
-        from dataclasses import replace
-
         length = np.ascontiguousarray(cloudlet_length, dtype=float)
         if length.ndim != 1 or length.shape[0] < 1:
             raise ValueError("cloudlet_length must be a non-empty 1-D array")
@@ -437,12 +449,14 @@ class ScenarioChunks:
     def from_spec(cls, spec: ScenarioSpec, chunk_size: int = DEFAULT_CHUNK_SIZE) -> "ScenarioChunks":
         """Chunked view over an already-materialised scenario.
 
-        Shares the spec's columns (no copies), so this is for differential
-        testing and convenience.
+        Shares the spec's columns (no copies) and keeps its datacenters, so
+        :meth:`to_spec` gives an equal spec back; for differential testing
+        and convenience.
         """
-        return cls._view(
+        stream = cls._view(
             spec.arrays(), name=spec.name, seed=spec.seed, chunk_size=chunk_size
         )
+        return replace(stream, datacenters=spec.datacenters)
 
     def to_arrays(self) -> ScenarioArrays:
         """Every cloudlet column over the resident fleet arrays, as one chunk.
@@ -466,49 +480,42 @@ class ScenarioChunks:
     def to_spec(self) -> ScenarioSpec:
         """Materialise the full monolithic :class:`ScenarioSpec`.
 
-        O(num_cloudlets) memory and one Python object per cloudlet — for
-        consumers that need a spec (the DES engine, differential tests).
+        O(num_cloudlets) memory, for consumers that need a spec (the DES
+        engine, differential tests).  A constant source becomes one
+        :class:`CloudletSpec` repeated, and a fleet of identical VMs one
+        :class:`VmSpec`; other columns become specs through ``tolist()``,
+        the cloudlets' drawn in one pass, which chunked draws equal bit for
+        bit.
         """
-        arrays = self.to_arrays()
-        length, pes, file_size, output_size = (
-            getattr(arrays, name) for name in _CLOUDLET_FIELDS
-        )
-        cloudlets = tuple(
-            CloudletSpec(
-                length=float(length[i]),
-                pes=int(pes[i]),
-                file_size=float(file_size[i]),
-                output_size=float(output_size[i]),
+        source = self.cloudlets
+        if isinstance(source, ConstantCloudlets):
+            cloudlet = CloudletSpec(
+                source.length, source.pes, source.file_size, source.output_size
             )
-            for i in range(self.num_cloudlets)
-        )
-        vms = tuple(
-            VmSpec(
-                mips=float(self.vm_mips[i]),
-                pes=int(self.vm_pes[i]),
-                ram=float(self.vm_ram[i]),
-                bw=float(self.vm_bw[i]),
-                size=float(self.vm_size[i]),
+            cloudlets = (cloudlet,) * self.num_cloudlets
+        else:
+            columns = source.open_pass(self.seed)(self.num_cloudlets)
+            cloudlets = tuple(
+                map(CloudletSpec, *(columns[name].tolist() for name in _CLOUDLET_FIELDS))
             )
-            for i in range(self.num_vms)
-        )
-        datacenters = tuple(
-            DatacenterSpec(
-                characteristics=DatacenterCharacteristics(
-                    cost_per_mem=float(self.dc_cost_per_mem[d]),
-                    cost_per_storage=float(self.dc_cost_per_storage[d]),
-                    cost_per_bw=float(self.dc_cost_per_bw[d]),
-                    cost_per_cpu=float(self.dc_cost_per_cpu[d]),
-                )
+        vm_columns = [getattr(self, name) for name in _VM_FIELDS]
+        if all((column == column[0]).all() for column in vm_columns):
+            vms = (VmSpec(*(column[0].item() for column in vm_columns)),) * self.num_vms
+        else:
+            vms = tuple(map(VmSpec, *(column.tolist() for column in vm_columns)))
+        datacenters = self.datacenters
+        if datacenters is None:
+            prices = zip(*(getattr(self, name).tolist() for name in _DC_FIELDS))
+            datacenters = tuple(
+                DatacenterSpec(characteristics=DatacenterCharacteristics(*row))
+                for row in prices
             )
-            for d in range(self.num_datacenters)
-        )
         return ScenarioSpec(
             name=self.name,
             datacenters=datacenters,
             vms=vms,
             cloudlets=cloudlets,
-            vm_datacenter=tuple(int(d) for d in self.vm_datacenter),
+            vm_datacenter=tuple(self.vm_datacenter.tolist()),
             seed=self.seed,
         )
 
@@ -613,6 +620,53 @@ def plan_shards(stream: ScenarioChunks, shards: int) -> tuple[ShardPlan, ...]:
     return tuple(plans)
 
 
+def _paper_stream(
+    family: str,
+    num_vms: int,
+    num_cloudlets: int,
+    seed: int | None,
+    chunk_size: int,
+    name: str | None,
+    cloudlets: Any,
+    vm: VmSpec,
+    vm_mips: np.ndarray,
+    prices: "tuple[DatacenterCharacteristics, ...]",
+    vms_per_dc: int,
+) -> ScenarioChunks:
+    """One paper family's stream: ``num_vms`` VMs like ``vm`` but for their
+    ``vm_mips``, dealt round-robin over one datacenter per ``prices`` entry.
+
+    Every datacenter gets 64-PE hosts sized for ``vm``, the family's
+    fastest VM, with storage for ``vms_per_dc`` VM images.
+    """
+    datacenters = tuple(
+        DatacenterSpec(
+            characteristics=characteristics,
+            host_pes=64,
+            host_mips=vm.mips,
+            host_ram=64 * vm.ram,
+            host_bw=64 * vm.bw,
+            host_storage=64 * vm.size * (vms_per_dc // 64 + 1),
+        )
+        for characteristics in prices
+    )
+    return ScenarioChunks(
+        name=name or f"{family}-{num_vms}vms-{num_cloudlets}cl",
+        seed=seed,
+        chunk_size=chunk_size,
+        num_cloudlets=num_cloudlets,
+        cloudlets=cloudlets,
+        vm_mips=vm_mips,
+        vm_pes=np.full(num_vms, vm.pes, dtype=np.int64),
+        vm_ram=np.full(num_vms, vm.ram),
+        vm_bw=np.full(num_vms, vm.bw),
+        vm_size=np.full(num_vms, vm.size),
+        vm_datacenter=np.arange(num_vms, dtype=np.int64) % len(datacenters),
+        datacenters=datacenters,
+        **datacenter_columns(datacenters),
+    )
+
+
 def homogeneous_stream(
     num_vms: int,
     num_cloudlets: int,
@@ -621,35 +675,30 @@ def homogeneous_stream(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     name: str | None = None,
 ) -> ScenarioChunks:
-    """Chunked form of :func:`~repro.workloads.homogeneous.homogeneous_scenario`.
+    """The paper's homogeneous scenario (Tables III & IV) as a stream.
 
-    Same name, same seed, same columns bit-for-bit — only the cloudlet
-    columns are produced lazily, so the paper's 10^6-cloudlet points fit
-    in O(num_vms + chunk_size) memory.
+    Every VM is :data:`~repro.workloads.homogeneous.HOMOGENEOUS_VM` and
+    every cloudlet
+    :data:`~repro.workloads.homogeneous.HOMOGENEOUS_CLOUDLET`, produced
+    lazily, so the paper's 10^6-cloudlet points fit in
+    O(num_vms + chunk_size) memory.  The paper states no datacenter count;
+    two is the minimum that exercises HBO's datacenter ranking without
+    changing any other scheduler.  ``seed`` is recorded only: the workload
+    is deterministic.
     """
     check_scenario_sizes(num_vms, num_cloudlets, num_datacenters)
-    vm = HOMOGENEOUS_VM
     cl = HOMOGENEOUS_CLOUDLET
-    return ScenarioChunks(
-        name=name or f"homogeneous-{num_vms}vms-{num_cloudlets}cl",
-        seed=seed,
-        chunk_size=chunk_size,
-        num_cloudlets=num_cloudlets,
-        cloudlets=ConstantCloudlets(
-            length=cl.length, pes=cl.pes,
-            file_size=cl.file_size, output_size=cl.output_size,
-        ),
-        vm_mips=np.full(num_vms, vm.mips, dtype=float),
-        vm_pes=np.full(num_vms, vm.pes, dtype=np.int64),
-        vm_ram=np.full(num_vms, vm.ram, dtype=float),
-        vm_bw=np.full(num_vms, vm.bw, dtype=float),
-        vm_size=np.full(num_vms, vm.size, dtype=float),
-        vm_datacenter=np.arange(num_vms, dtype=np.int64) % num_datacenters,
-        # Identical pricing everywhere, matching homogeneous_scenario.
-        dc_cost_per_mem=np.full(num_datacenters, 0.05),
-        dc_cost_per_storage=np.full(num_datacenters, 0.001),
-        dc_cost_per_bw=np.full(num_datacenters, 0.0),
-        dc_cost_per_cpu=np.full(num_datacenters, 3.0),
+    # Identical pricing everywhere: cost plays no role in this scenario.
+    prices = DatacenterCharacteristics(
+        cost_per_mem=0.05, cost_per_storage=0.001, cost_per_bw=0.0, cost_per_cpu=3.0
+    )
+    return _paper_stream(
+        "homogeneous", num_vms, num_cloudlets, seed, chunk_size, name,
+        cloudlets=ConstantCloudlets(cl.length, cl.pes, cl.file_size, cl.output_size),
+        vm=HOMOGENEOUS_VM,
+        vm_mips=np.full(num_vms, HOMOGENEOUS_VM.mips),
+        prices=(prices,) * num_datacenters,
+        vms_per_dc=-(-num_vms // num_datacenters),  # ceil division
     )
 
 
@@ -661,47 +710,36 @@ def heterogeneous_stream(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     name: str | None = None,
 ) -> ScenarioChunks:
-    """Chunked form of :func:`~repro.workloads.heterogeneous.heterogeneous_scenario`.
+    """The paper's heterogeneous scenario (Tables V-VII) as a stream.
 
-    VM and datacenter draws use the same ``(seed, label)`` streams as the
-    monolithic generator; cloudlet lengths are drawn chunk by chunk from
-    the ``hetero/cloudlets`` stream, which concatenates to the monolithic
-    draw bit-for-bit (sequential generator consumption).
+    VM MIPS, cloudlet lengths and datacenter prices come from independent
+    ``(seed, label)`` streams, so changing e.g. ``num_cloudlets`` does not
+    reshuffle the fleet.  Lengths are drawn chunk by chunk from the
+    ``hetero/cloudlets`` stream and concatenate to one draw bit for bit.
+    Four datacenters keep HBO's ranking meaningful at every sweep point.
     """
     check_scenario_sizes(num_vms, num_cloudlets, num_datacenters)
-    vm_rng = spawn_rng(seed, "hetero/vms")
     dc_rng = spawn_rng(seed, "hetero/datacenters")
-    # Match the monolithic per-datacenter draw order exactly: mem, storage,
-    # bw for datacenter 0, then datacenter 1, ...
-    mem = np.empty(num_datacenters)
-    storage = np.empty(num_datacenters)
-    bw = np.empty(num_datacenters)
-    for d in range(num_datacenters):
-        mem[d] = dc_rng.uniform(*COST_PER_MEM_RANGE)
-        storage[d] = dc_rng.uniform(*COST_PER_STORAGE_RANGE)
-        bw[d] = dc_rng.uniform(*COST_PER_BW_RANGE)
-    return ScenarioChunks(
-        name=name or f"heterogeneous-{num_vms}vms-{num_cloudlets}cl",
-        seed=seed,
-        chunk_size=chunk_size,
-        num_cloudlets=num_cloudlets,
+    prices = tuple(
+        DatacenterCharacteristics(
+            cost_per_mem=dc_rng.uniform(*COST_PER_MEM_RANGE),
+            cost_per_storage=dc_rng.uniform(*COST_PER_STORAGE_RANGE),
+            cost_per_bw=dc_rng.uniform(*COST_PER_BW_RANGE),
+            cost_per_cpu=COST_PER_CPU,
+        )
+        for _ in range(num_datacenters)
+    )
+    return _paper_stream(
+        "heterogeneous", num_vms, num_cloudlets, seed, chunk_size, name,
         cloudlets=UniformLengthCloudlets(
-            low=CLOUDLET_LENGTH_RANGE[0],
-            high=CLOUDLET_LENGTH_RANGE[1],
-            pes=1,
+            *CLOUDLET_LENGTH_RANGE,
             file_size=CLOUDLET_FILE_SIZE,
             output_size=CLOUDLET_OUTPUT_SIZE,
         ),
-        vm_mips=vm_rng.uniform(*VM_MIPS_RANGE, size=num_vms),
-        vm_pes=np.ones(num_vms, dtype=np.int64),
-        vm_ram=np.full(num_vms, VM_RAM),
-        vm_bw=np.full(num_vms, VM_BW),
-        vm_size=np.full(num_vms, VM_SIZE),
-        vm_datacenter=np.arange(num_vms, dtype=np.int64) % num_datacenters,
-        dc_cost_per_mem=mem,
-        dc_cost_per_storage=storage,
-        dc_cost_per_bw=bw,
-        dc_cost_per_cpu=np.full(num_datacenters, COST_PER_CPU),
+        vm=VmSpec(mips=VM_MIPS_RANGE[1], ram=VM_RAM, bw=VM_BW, size=VM_SIZE),
+        vm_mips=spawn_rng(seed, "hetero/vms").uniform(*VM_MIPS_RANGE, size=num_vms),
+        prices=prices,
+        vms_per_dc=num_vms // num_datacenters,
     )
 
 

@@ -19,16 +19,17 @@ from repro.core.checks import check_number
 from repro.core.rng import spawn_rng
 from repro.workloads.spec import CloudletSpec, DatacenterSpec, ScenarioSpec, VmSpec
 
-#: distribution name -> required parameter names
-_SUPPORTED: Mapping[str, tuple[str, ...]] = {
-    "constant": ("value",),
-    "uniform": ("low", "high"),
-    "normal": ("mean", "std"),
-    "lognormal": ("mean", "sigma"),
-    "pareto": ("shape", "scale"),
-    "exponential": ("scale",),
-    "bimodal": ("low", "high", "p_high"),
-    "choice": ("values",),
+#: distribution name -> required parameter -> its ``check_number`` bounds
+#: (every numeric parameter must also be finite; ``values`` is a list).
+_SUPPORTED: Mapping[str, Mapping[str, dict]] = {
+    "constant": {"value": {}},
+    "uniform": {"low": {}, "high": {}},
+    "normal": {"mean": {}, "std": {"ge": 0}},
+    "lognormal": {"mean": {}, "sigma": {"ge": 0}},
+    "pareto": {"shape": {"gt": 0}, "scale": {"gt": 0}},
+    "exponential": {"scale": {"ge": 0}},
+    "bimodal": {"low": {}, "high": {}, "p_high": {"ge": 0, "le": 1}},
+    "choice": {"values": {}},
 }
 
 
@@ -38,7 +39,8 @@ class DistributionSpec:
 
     Supported kinds: ``constant``, ``uniform``, ``normal``, ``lognormal``,
     ``pareto``, ``exponential``, ``bimodal`` (mixture of two constants) and
-    ``choice`` (uniform over a finite set).
+    ``choice`` (uniform over a finite set).  Each numeric parameter is
+    checked at construction and named in the error.
     """
 
     kind: str
@@ -52,6 +54,17 @@ class DistributionSpec:
         missing = [p for p in _SUPPORTED[self.kind] if p not in self.params]
         if missing:
             raise ValueError(f"distribution {self.kind!r} missing parameters {missing}")
+        p = self.params
+        if self.kind == "choice":
+            if len(p["values"]) == 0:
+                raise ValueError("choice distribution needs at least one value")
+            for i, value in enumerate(p["values"]):
+                check_number(f"values[{i}]", value)
+        else:
+            for name, bounds in _SUPPORTED[self.kind].items():
+                check_number(name, p[name], **bounds)
+        if self.kind == "uniform":
+            check_number("high", p["high"], ge=p["low"])
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` samples."""
@@ -73,16 +86,10 @@ class DistributionSpec:
         if self.kind == "bimodal":
             low = float(p["low"])  # type: ignore[arg-type]
             high = float(p["high"])  # type: ignore[arg-type]
-            p_high = float(p["p_high"])  # type: ignore[arg-type]
-            if not 0.0 <= p_high <= 1.0:
-                raise ValueError(f"p_high must be a probability, got {p_high}")
-            picks = rng.random(size) < p_high
+            picks = rng.random(size) < float(p["p_high"])  # type: ignore[arg-type]
             return np.where(picks, high, low)
         if self.kind == "choice":
-            values = np.asarray(p["values"], dtype=float)
-            if values.size == 0:
-                raise ValueError("choice distribution needs at least one value")
-            return rng.choice(values, size)
+            return rng.choice(np.asarray(p["values"], dtype=float), size)
         raise AssertionError(f"unhandled kind {self.kind}")  # pragma: no cover
 
 

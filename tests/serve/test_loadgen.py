@@ -62,6 +62,23 @@ class TestTrace:
         with pytest.raises(ValueError):
             TraceSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        ("burst", "rule"),
+        [
+            ((-1.0, 5), "instant must be non-negative"),
+            (("x", 5), "instant must be a real number"),
+            ((float("nan"), 5), "instant must be finite"),
+            ((1.0, 2.5), "count must be an integer"),
+            ((1.0, 0), "count must be >= 1"),
+        ],
+        ids=["negative-instant", "text-instant", "nan-instant", "fraction-count", "zero-count"],
+    )
+    def test_bad_bursts_rejected_at_construction(self, burst, rule):
+        """These used to schedule requests at t < 0, return string times,
+        drop the burst silently or fail inside numpy."""
+        with pytest.raises(ValueError, match=rf"bursts\[1\] {rule}"):
+            TraceSpec(requests=20, bursts=((0.5, 3), burst))
+
     def test_body_encodes_the_batch(self):
         import json
 

@@ -91,6 +91,21 @@ class TestFleetSpec:
             FleetSpec(name="edge", **kwargs)
         assert (excinfo.value.status, excinfo.value.code) == (400, "bad-fleet")
 
+    @pytest.mark.parametrize(
+        ("family", "num_vms"),
+        [("homogeneous", 1), ("heterogeneous", 3)],
+    )
+    def test_too_few_vms_for_the_family_default_is_bad_fleet(self, family, num_vms):
+        """The family's default datacenter count (2 or 4) is checked at
+        construction; it used to fail later, in the stream builder, as a
+        plain ``ValueError``."""
+        with pytest.raises(ServeError, match="num_datacenters") as excinfo:
+            FleetSpec(name="edge", num_vms=num_vms, family=family)
+        assert (excinfo.value.status, excinfo.value.code) == (400, "bad-fleet")
+        # An explicit count that fits is accepted and serves.
+        spec = FleetSpec(name="edge", num_vms=num_vms, family=family, num_datacenters=1)
+        assert spec.fleet_stream().num_datacenters == 1
+
     def test_fleet_stream_never_uses_constant_cloudlets(self):
         # ConstantCloudlets would trip greedy's cyclic fast path, which a
         # live fleet cannot honour (future submissions are unconstrained).

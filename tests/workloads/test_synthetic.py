@@ -53,14 +53,41 @@ class TestDistributionSpec:
         assert dist.sample(spawn_rng(0, "t"), 1000).min() >= 10.0
 
     def test_bimodal_probability_validated(self):
-        dist = DistributionSpec("bimodal", {"low": 0.0, "high": 1.0, "p_high": 2.0})
-        with pytest.raises(ValueError, match="probability"):
-            dist.sample(spawn_rng(0, "t"), 10)
+        with pytest.raises(ValueError, match=r"p_high must be in \[0, 1\]"):
+            DistributionSpec("bimodal", {"low": 0.0, "high": 1.0, "p_high": 2.0})
 
     def test_choice_empty_rejected(self):
-        dist = DistributionSpec("choice", {"values": []})
         with pytest.raises(ValueError, match="at least one"):
-            dist.sample(spawn_rng(0, "t"), 10)
+            DistributionSpec("choice", {"values": []})
+
+    @pytest.mark.parametrize(
+        ("kind", "params", "message"),
+        [
+            ("uniform", {"low": float("nan"), "high": 1.0}, "low must be finite"),
+            ("uniform", {"low": 5.0, "high": 4.0}, "high must be >= 5.0"),
+            ("pareto", {"shape": 0, "scale": 1.0}, "shape must be positive"),
+            ("pareto", {"shape": 2.0, "scale": 0.0}, "scale must be positive"),
+            ("normal", {"mean": 0.0, "std": -1}, "std must be non-negative"),
+            ("lognormal", {"mean": float("inf"), "sigma": 1.0}, "mean must be finite"),
+            ("lognormal", {"mean": 0.0, "sigma": -0.5}, "sigma must be non-negative"),
+            ("exponential", {"scale": -2.0}, "scale must be non-negative"),
+            ("constant", {"value": float("nan")}, "value must be finite"),
+            ("constant", {"value": "250"}, "value must be a real number"),
+            ("bimodal", {"low": 1.0, "high": float("inf"), "p_high": 0.5}, "high must be finite"),
+            ("choice", {"values": [1.0, float("nan")]}, r"values\[1\] must be finite"),
+        ],
+        ids=[
+            "uniform-nan-low", "uniform-reversed", "pareto-zero-shape",
+            "pareto-zero-scale", "normal-negative-std", "lognormal-inf-mean",
+            "lognormal-negative-sigma", "exponential-negative-scale",
+            "constant-nan", "constant-text", "bimodal-inf-high", "choice-nan",
+        ],
+    )
+    def test_bad_parameters_rejected_at_construction(self, kind, params, message):
+        """Each of these used to fail at sample time in numpy's words, or
+        to sample a column holding inf or NaN."""
+        with pytest.raises(ValueError, match=message):
+            DistributionSpec(kind, params)
 
 
 class TestBuilder:
